@@ -24,8 +24,21 @@ from .analysis import (
     fit_decay_rate,
     sweep_gamma,
 )
-from .discrete import DiscreteState, discrete_inertia, drift_profile, momentum_step
-from .dynamics import State, SystemSpec, acceleration, inertia, inertia_rate_theoretical
+from .discrete import (
+    DiscreteState,
+    discrete_inertia,
+    discrete_trajectory,
+    drift_profile,
+    momentum_step,
+)
+from .dynamics import (
+    State,
+    SystemSpec,
+    acceleration,
+    inertia,
+    inertia_rate_theoretical,
+    inertia_rows,
+)
 from .errors import InvalidArgument, NumericalFailure
 from .integrators import (
     METHODS,
@@ -52,6 +65,7 @@ __all__ = [
     "State",
     "SystemSpec",
     "inertia",
+    "inertia_rows",
     "acceleration",
     "inertia_rate_theoretical",
     "LossLandscape",
@@ -72,6 +86,7 @@ __all__ = [
     "DiscreteState",
     "momentum_step",
     "discrete_inertia",
+    "discrete_trajectory",
     "drift_profile",
     "ClosedFormSolution",
     "DecayFit",

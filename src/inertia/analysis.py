@@ -128,7 +128,8 @@ def fit_decay_rate(
     number of damped periods (caller's duty). Passing ``smooth_period``
     additionally averages ln I over that duration before fitting, which
     removes the oscillation from the residuals as well (the fitted window
-    shrinks by half a period at each end).
+    shrinks by half a period at each end); that needs evenly spaced samples
+    across the window.
     """
     t_start, t_end = float(window[0]), float(window[1])
     if not t_start < t_end:
@@ -149,6 +150,14 @@ def fit_decay_rate(
         if smooth_period <= 0:
             raise InvalidArgument(f"smooth_period must be positive, got {smooth_period}")
         dt = t[1] - t[0]
+        gaps = np.diff(t)
+        if gaps.max() - gaps.min() > 1e-6 * dt:
+            # record_every that does not divide the step count leaves a short
+            # final interval, and the averaging width assumes a uniform grid
+            raise InvalidArgument(
+                "smoothing needs evenly spaced samples; the fit window includes "
+                "the short final interval left by record_every"
+            )
         half_width = int(round(0.5 * smooth_period / dt))
         if 2 * half_width + 1 > t.shape[0]:
             raise InvalidArgument("smoothing window longer than the fit window")

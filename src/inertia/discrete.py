@@ -19,11 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _as_readonly_vector
+from .dynamics import _as_readonly_vector, inertia_rows
 from .errors import InvalidArgument, NumericalFailure
+from .integrators import _BLOCK
 from .landscapes import LossLandscape
 
-__all__ = ["DiscreteState", "momentum_step", "discrete_inertia", "drift_profile"]
+__all__ = [
+    "DiscreteState",
+    "momentum_step",
+    "discrete_inertia",
+    "discrete_trajectory",
+    "drift_profile",
+]
 
 
 @dataclass(frozen=True)
@@ -67,17 +74,19 @@ def discrete_inertia(state: DiscreteState, landscape: LossLandscape) -> float:
     return 0.5 * float(state.v @ state.v) + float(landscape.value(state.w))
 
 
-def drift_profile(
+def discrete_trajectory(
     w0: np.ndarray,
     v0: np.ndarray,
     eta_step: float,
     n_steps: int,
     landscape: LossLandscape,
-) -> tuple[np.ndarray, float]:
-    """Energy series I_t for t = 0..n_steps plus max_t |I_t - I_0|.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every state of the map for t = 0..n_steps, and its energy series.
 
-    For step-size scaling studies, keep the physical horizon
-    n_steps * eta_step fixed while varying eta_step.
+    Returns ``(ws, vs, energy)`` with ``ws``/``vs`` of shape
+    (n_steps + 1, dim); row t is ``momentum_step`` applied t times and
+    ``energy[t]`` its ``discrete_inertia``, bit for bit. Raises
+    NumericalFailure at the first step whose energy is not finite.
     """
     if eta_step <= 0:
         raise InvalidArgument(f"eta_step must be positive, got {eta_step}")
@@ -91,15 +100,41 @@ def drift_profile(
         raise InvalidArgument(
             f"initial dimension {w.shape[0]} does not match landscape dimension {landscape.dim}"
         )
-    grad = landscape.gradient
-    value = landscape.value
-    series = np.empty(n_steps + 1)
-    series[0] = 0.5 * float(v @ v) + float(value(w))
-    for k in range(1, n_steps + 1):
-        v = v - eta_step * grad(w)
-        w = w + eta_step * v
-        energy = 0.5 * float(v @ v) + float(value(w))
-        if not np.isfinite(energy):
-            raise NumericalFailure(f"energy not finite at step {k}", step_index=k)
-        series[k] = energy
+    grad = landscape.raw_gradient()
+    ws = np.empty((n_steps + 1, w.shape[0]))
+    vs = np.empty((n_steps + 1, w.shape[0]))
+    ws[0], vs[0] = w, v
+    # NaN and Inf stay non-finite under the map, so a finite state at the
+    # end of a block means the whole block was; stop at the first that is not.
+    last = n_steps
+    for start in range(1, n_steps + 1, _BLOCK):
+        stop = min(start + _BLOCK, n_steps + 1)
+        for k in range(start, stop):
+            v = v - eta_step * grad(w)
+            w = w + eta_step * v
+            ws[k], vs[k] = w, v
+        if not (np.isfinite(w).all() and np.isfinite(v).all()):
+            last = stop - 1
+            break
+    energy = inertia_rows(ws[: last + 1], vs[: last + 1], landscape)
+    bad = np.flatnonzero(~np.isfinite(energy))
+    if bad.size:
+        k = int(bad[0])
+        raise NumericalFailure(f"energy not finite at step {k}", step_index=k)
+    return ws, vs, energy
+
+
+def drift_profile(
+    w0: np.ndarray,
+    v0: np.ndarray,
+    eta_step: float,
+    n_steps: int,
+    landscape: LossLandscape,
+) -> tuple[np.ndarray, float]:
+    """Energy series I_t for t = 0..n_steps plus max_t |I_t - I_0|.
+
+    For step-size scaling studies, keep the physical horizon
+    n_steps * eta_step fixed while varying eta_step.
+    """
+    _, _, series = discrete_trajectory(w0, v0, eta_step, n_steps, landscape)
     return series, float(np.max(np.abs(series - series[0])))

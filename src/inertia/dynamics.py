@@ -28,6 +28,7 @@ __all__ = [
     "SystemSpec",
     "NOISE_KINDS",
     "inertia",
+    "inertia_rows",
     "acceleration",
     "inertia_rate_theoretical",
 ]
@@ -114,6 +115,22 @@ def inertia(state: State, landscape: LossLandscape) -> float:
             f"state dimension {state.dim} does not match landscape dimension {landscape.dim}"
         )
     return 0.5 * float(state.v @ state.v) + float(landscape.value(state.w))
+
+
+def inertia_rows(ws: np.ndarray, vs: np.ndarray, landscape: LossLandscape) -> np.ndarray:
+    """``inertia`` of every row pair (ws[i], vs[i]) of two (n, dim) arrays, bit for bit.
+
+    ``v @ v`` runs as stacked vector-vector products, the kernel a single
+    state uses. Rows go in chunks of about 256 KB per temporary, so memory
+    stays flat however long the trajectory.
+    """
+    n, dim = ws.shape
+    out = np.empty(n)
+    rows = max(1, 2**15 // dim)
+    for i in range(0, n, rows):
+        w, v = ws[i : i + rows], vs[i : i + rows]
+        out[i : i + rows] = 0.5 * (v[:, None, :] @ v[:, :, None])[:, 0, 0] + landscape.row_values(w)
+    return out
 
 
 def acceleration(

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import State, SystemSpec
+from .dynamics import State, SystemSpec, inertia_rows
 from .errors import InvalidArgument, NumericalFailure
 
 __all__ = [
@@ -254,11 +254,19 @@ def initial_forcing(spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # trajectory integration
 #
-# The loops below operate on raw arrays for speed but apply exactly the
-# same arithmetic, in the same order, as the public single-step functions;
-# tests assert bit-equality between the two paths. They also run batched:
-# w/v of shape (members, dim) step all members at once, which is what the
-# ensemble runner uses.
+# The single-trajectory loop steps raw arrays with exactly the arithmetic,
+# in the same order, of the public single-step functions; tests assert
+# bit-equality between the two paths. The gradient is the bare ``w @ A``
+# (the dimension was checked once up front), and a step does nothing but
+# that arithmetic and keep its state when the step is recorded.
+# Finiteness is checked once per block of _BLOCK steps: none of the step
+# operations turns a NaN or Inf back into a finite number, so a finite
+# state at the end of a block proves every step in it finite, and a
+# non-finite one is replayed step by step to name the first bad step.
+# Energies are computed after the loop, over the recorded rows.
+# ``ensemble_series`` keeps its own batched loop.
+
+_BLOCK = 1024  # steps between finiteness checks (the discrete map uses it too)
 
 
 def _check_method(spec: SystemSpec, config: IntegratorConfig):
@@ -282,10 +290,11 @@ def _record_indices(n_steps: int, stride: int) -> np.ndarray:
 
 
 def _make_stepper(spec: SystemSpec, config: IntegratorConfig, rng):
-    """Return step(w, v, eta) -> (w, v, eta) for raw (possibly batched) arrays."""
-    grad = spec.landscape.gradient
+    """Return step(w, v, eta) -> (w, v, eta) for raw 1-D arrays."""
+    grad = spec.landscape.raw_gradient()
     g = spec.gamma
     h = config.h
+    half_h = 0.5 * h
     method = config.method
 
     if method == "explicit_euler":
@@ -300,10 +309,10 @@ def _make_stepper(spec: SystemSpec, config: IntegratorConfig, rng):
         def step(w, v, eta):
             k1w = v
             k1v = accel(w, v)
-            k2w = v + 0.5 * h * k1v
-            k2v = accel(w + 0.5 * h * k1w, v + 0.5 * h * k1v)
-            k3w = v + 0.5 * h * k2v
-            k3v = accel(w + 0.5 * h * k2w, v + 0.5 * h * k2v)
+            k2w = v + half_h * k1v
+            k2v = accel(w + half_h * k1w, v + half_h * k1v)
+            k3w = v + half_h * k2v
+            k3v = accel(w + half_h * k2w, v + half_h * k2v)
             k4w = v + h * k3v
             k4v = accel(w + h * k3w, v + h * k3v)
             w_new = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
@@ -311,36 +320,44 @@ def _make_stepper(spec: SystemSpec, config: IntegratorConfig, rng):
             return w_new, v_new, None
     elif method in ("verlet", "damped_splitting"):
         d = math.exp(-g * h / 2.0)
-
-        def step(w, v, eta):
-            v = d * v
-            v = v - 0.5 * h * grad(w)
-            w = w + h * v
-            v = v - 0.5 * h * grad(w)
-            v = d * v
-            return w, v, None
+        if d == 1.0:  # frictionless: 1.0 * v is v bit for bit, so skip it
+            def step(w, v, eta):
+                v = v - half_h * grad(w)
+                w = w + h * v
+                v = v - half_h * grad(w)
+                return w, v, None
+        else:
+            def step(w, v, eta):
+                v = d * v
+                v = v - half_h * grad(w)
+                w = w + h * v
+                v = v - half_h * grad(w)
+                v = d * v
+                return w, v, None
     elif spec.noise_kind == "white":
         d = math.exp(-g * h / 2.0)
         s = _white_noise_scale(spec, h)
+        normal = rng.standard_normal
 
         def step(w, v, eta):
-            v = d * v + s * rng.standard_normal(v.shape)
-            v = v - 0.5 * h * grad(w)
+            v = d * v + s * normal(v.shape)
+            v = v - half_h * grad(w)
             w = w + h * v
-            v = v - 0.5 * h * grad(w)
-            v = d * v + s * rng.standard_normal(v.shape)
+            v = v - half_h * grad(w)
+            v = d * v + s * normal(v.shape)
             return w, v, None
     else:  # correlated forcing
         d = math.exp(-g * h / 2.0)
         c = math.exp(-h / spec.tau)
         q = spec.sigma * math.sqrt(1.0 - c * c)
+        normal = rng.standard_normal
 
         def step(w, v, eta):
             v = d * v
-            v = v + 0.5 * h * (eta - grad(w))
+            v = v + half_h * (eta - grad(w))
             w = w + h * v
-            eta = c * eta + q * rng.standard_normal(v.shape)
-            v = v + 0.5 * h * (eta - grad(w))
+            eta = c * eta + q * normal(v.shape)
+            v = v + half_h * (eta - grad(w))
             v = d * v
             return w, v, eta
 
@@ -359,6 +376,27 @@ def _raise_nonfinite(w, v, k: int):
     raise NumericalFailure(f"non-finite state at step {k}", step_index=k)
 
 
+def _start(spec: SystemSpec, initial: State, config: IntegratorConfig):
+    """Stepper and starting arrays; a replay gets the same start, noise included."""
+    rng = None
+    eta = None
+    if config.method == "stochastic_splitting":
+        rng = member_rng(config.seed, 0)
+        if spec.noise_kind == "ou":
+            eta = initial_forcing(spec, rng)
+    step = _make_stepper(spec, config, rng)
+    return step, np.array(initial.w, dtype=float), np.array(initial.v, dtype=float), eta
+
+
+def _replay_to_failure(spec: SystemSpec, initial: State, config: IntegratorConfig, last: int):
+    """Re-run steps 1..last checking every state; raises at the first non-finite one."""
+    step, w, v, eta = _start(spec, initial, config)
+    for k in range(1, last + 1):
+        w, v, eta = step(w, v, eta)
+        _raise_nonfinite(w, v, k)
+    raise AssertionError(f"replay of steps 1..{last} stayed finite")
+
+
 def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Trajectory:
     """Run ``initial`` forward to ``config.t_end`` and record samples.
 
@@ -369,49 +407,34 @@ def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Tra
     _require_dim(initial, spec)
     _check_method(spec, config)
 
-    h = config.h
     n_steps = config.n_steps
     record = _record_indices(n_steps, config.record_every)
-    dim = initial.dim
-
-    rng = None
-    eta = None
-    if config.method == "stochastic_splitting":
-        rng = member_rng(config.seed, 0)
-        if spec.noise_kind == "ou":
-            eta = initial_forcing(spec, rng)
-    step = _make_stepper(spec, config, rng)
-
-    w = np.array(initial.w, dtype=float)
-    v = np.array(initial.v, dtype=float)
-    value = spec.landscape.value
+    step, w, v, eta = _start(spec, initial, config)
 
     n_rec = record.shape[0]
-    ws = np.empty((n_rec, dim))
-    vs = np.empty((n_rec, dim))
-    energies = np.empty(n_rec)
-    etas = np.empty((n_rec, dim)) if eta is not None else None
+    ws = np.empty((n_rec, initial.dim))
+    vs = np.empty((n_rec, initial.dim))
+    etas = np.empty((n_rec, initial.dim)) if eta is not None else None
+    ws[0], vs[0] = w, v
+    if etas is not None:
+        etas[0] = eta
 
-    pos = 0
-    if record[0] == 0:
-        ws[0], vs[0] = w, v
-        energies[0] = 0.5 * float(v @ v) + float(value(w))
-        if etas is not None:
-            etas[0] = eta
-        pos = 1
+    targets = record.tolist() + [-1]  # sentinel: no step is recorded past the last
+    pos = 1
+    for start in range(1, n_steps + 1, _BLOCK):
+        stop = min(start + _BLOCK, n_steps + 1)
+        for k in range(start, stop):
+            w, v, eta = step(w, v, eta)
+            if k == targets[pos]:
+                ws[pos], vs[pos] = w, v
+                if etas is not None:
+                    etas[pos] = eta
+                pos += 1
+        if not (np.isfinite(w).all() and np.isfinite(v).all()):
+            _replay_to_failure(spec, initial, config, stop - 1)
 
-    for k in range(1, n_steps + 1):
-        w, v, eta = step(w, v, eta)
-        _raise_nonfinite(w, v, k)
-        if pos < n_rec and record[pos] == k:
-            ws[pos], vs[pos] = w, v
-            energies[pos] = 0.5 * float(v @ v) + float(value(w))
-            if etas is not None:
-                etas[pos] = eta
-            pos += 1
-
-    times = record * h
-    return Trajectory(times, ws, vs, energies, spec, config, noise=etas)
+    energies = inertia_rows(ws, vs, spec.landscape)
+    return Trajectory(record * config.h, ws, vs, energies, spec, config, noise=etas)
 
 
 def ensemble_series(
@@ -423,10 +446,13 @@ def ensemble_series(
     """Reduced per-member time series for an independent-member ensemble.
 
     All members start from ``initial`` and use streams derived from
-    (config.seed, member_index); member 0 reproduces ``integrate`` with
-    the same config bit-for-bit. Noise is pre-drawn per member (the
-    values match step-by-step draws exactly) and the time loop advances
-    all members at once.
+    (config.seed, member_index), so member 0 follows ``integrate`` with
+    the same config and noise. On a 1-D landscape it reproduces it
+    bit-for-bit; at dim >= 2 it agrees to a few ulps only, because the
+    batched ``W @ A`` and the per-member energy sums take different BLAS
+    kernels than a single trajectory's ``w @ A`` and ``v @ v``. Noise is
+    pre-drawn per member (the values match step-by-step draws exactly)
+    and the time loop advances all members at once.
 
     Returns arrays of shape (n_members, n_samples): ``inertia``,
     ``speed_squared``, and for correlated noise ``noise_dot_v``; plus the

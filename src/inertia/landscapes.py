@@ -41,6 +41,23 @@ class LossLandscape(ABC):
     def gradient(self, w: np.ndarray) -> np.ndarray:
         """Exact gradient at ``w``, same shape as ``w``."""
 
+    def raw_gradient(self):
+        """``gradient`` as a bare callable for loops that checked the dimension once.
+
+        It returns the same bits as ``gradient``; a subclass may skip the
+        per-call conversion and checks.
+        """
+        return self.gradient
+
+    def row_values(self, ws: np.ndarray) -> np.ndarray:
+        """``value(ws[i])`` for every row of an (n, dim) array.
+
+        The default is the batched ``value``; a subclass whose batched
+        arithmetic differs from its single-point arithmetic overrides this
+        so the rows agree bit for bit.
+        """
+        return self.value(ws)
+
 
 class QuadraticLandscape(LossLandscape):
     """L(w) = 1/2 w^T A w for a symmetric positive-semidefinite matrix A."""
@@ -79,6 +96,16 @@ class QuadraticLandscape(LossLandscape):
         w = np.asarray(w, dtype=float)
         self._check_dim(w)
         return w @ self._matrix
+
+    def raw_gradient(self):
+        # w @ A itself: no array conversion, no dimension check
+        return self._matrix.__rmatmul__
+
+    def row_values(self, ws):
+        # Stacked vector-matrix products take the same BLAS kernel as a
+        # single point; a plain ws @ A takes the matrix-matrix kernel, whose
+        # summation order moves the last bits of dense rows.
+        return 0.5 * np.sum((ws[:, None, :] @ self._matrix)[:, 0, :] * ws, axis=-1)
 
     def _check_dim(self, w: np.ndarray):
         if w.shape[-1] != self.dim:

@@ -9,6 +9,7 @@ written atomically (temp file + rename) after the data files they describe.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -32,21 +33,29 @@ def _validate_columns(columns: dict) -> int:
     return lengths.pop()
 
 
+def _floats(column) -> list[float]:
+    """A column as Python floats, whose repr is ``format_float`` of each value."""
+    return np.asarray(column, dtype=float).tolist()
+
+
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:
     """Write named columns as CSV with a header row and LF line endings."""
-    n = _validate_columns(columns)
-    names = list(columns)
-    arrays = [np.asarray(columns[name]) for name in names]
+    _validate_columns(columns)
+    rows = zip(*(_floats(col) for col in columns.values()))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for i in range(n):
-            fh.write(",".join(format_float(a[i]) for a in arrays) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _json_column(column) -> list[float | None]:
+    # Strict JSON has no NaN or Infinity; a missing value is null.
+    return [x if math.isfinite(x) else None for x in _floats(column)]
 
 
 def write_json(path, columns: dict[str, np.ndarray]) -> None:
-    """Columnar JSON mirror of the CSV schema."""
+    """Columnar JSON mirror of the CSV schema; non-finite values become null."""
     _validate_columns(columns)
-    doc = {name: [float(x) for x in np.asarray(col)] for name, col in columns.items()}
+    doc = {name: _json_column(col) for name, col in columns.items()}
     with open(path, "w", newline="") as fh:
         json.dump({"columns": doc}, fh, indent=1)
         fh.write("\n")

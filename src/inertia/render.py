@@ -67,7 +67,8 @@ def render_csv(input_path: str, out_path: str, xy: str | None = None) -> None:
 
     Default: the first column is the x axis and every other column is a
     series. ``xy="colx:coly"`` instead plots a single coly-vs-colx curve
-    (e.g. a velocity-vs-position orbit).
+    (e.g. a velocity-vs-position orbit). A plotted column with a NaN or
+    infinite value raises InvalidArgument.
     """
     columns = read_csv_columns(input_path)
     names = list(columns)
@@ -83,6 +84,11 @@ def render_csv(input_path: str, out_path: str, xy: str | None = None) -> None:
             raise InvalidArgument("need at least two columns to plot")
         x_name, series_names = names[0], names[1:]
 
+    for name in (x_name, *series_names):
+        if not np.all(np.isfinite(columns[name])):
+            raise InvalidArgument(
+                f"{input_path}: column {name!r} has non-finite values, which cannot be plotted"
+            )
     x = columns[x_name]
     series = [(name, columns[name]) for name in series_names]
     x_lo, x_hi, to_px = _scale(float(x.min()), float(x.max()), _MARGIN_L, _WIDTH - _MARGIN_R)

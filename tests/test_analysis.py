@@ -176,6 +176,21 @@ def test_smoothing_window_must_fit():
         fit_decay_rate(traj, (0.0, 1.0), smooth_period=5.0)
 
 
+def test_smoothing_refuses_the_short_final_interval():
+    # 1000 steps recorded every 7th: the last interval is 6 steps, not 7
+    spec = SystemSpec(landscape=ISO1, gamma=0.4)
+    cfg = IntegratorConfig(method="damped_splitting", h=0.01, t_end=10.0, record_every=7)
+    traj = integrate(spec, State([1.0], [0.0]), cfg)
+    period = damped_period(0.4)
+    with pytest.raises(InvalidArgument, match="evenly spaced"):
+        fit_decay_rate(traj, (0.0, traj.times[-1]), smooth_period=period)
+    # a window that stops before the short interval is evenly spaced
+    fit = fit_decay_rate(traj, (0.0, traj.times[-2]), smooth_period=period)
+    assert fit.gamma_hat == pytest.approx(0.4, abs=0.01)
+    # without smoothing the uneven grid is fine for least squares
+    fit_decay_rate(traj, (0.0, traj.times[-1]))
+
+
 # --- gamma sweep ----------------------------------------------------------------
 
 def test_sweep_recovers_each_rate():

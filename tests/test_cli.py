@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from inertia import InvalidArgument, __version__
+from inertia import InvalidArgument, __version__, drift_profile, quadratic_isotropic
 from inertia.cli import main
 from inertia.output import format_float, write_csv, write_json, write_manifest
 from inertia.render import read_csv_columns, render_csv
@@ -38,6 +38,42 @@ def test_csv_uses_unix_line_endings(tmp_path):
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw == b"a\n1.0\n2.0\n"
+
+
+AWKWARD = {
+    "signed_zero": np.array([-0.0, 0.0, -0.0]),
+    "tiny": np.array([5e-324, -5e-324, 2.2250738585072014e-308]),
+    "thirds": np.array([1.0 / 3.0, -2.0 / 3.0, 0.1 + 0.2]),
+    "large": np.array([1e16, 1e16 + 2.0, 1.7976931348623157e308]),
+    "whole": np.array([3.0, -7.0, 1e15]),
+    "ints": np.array([0, 1, -2]),
+    "listed": [0.5, 2, -1e-300],
+}
+
+
+def test_csv_bytes_match_the_per_cell_formatter(tmp_path):
+    """Row-wise writing must give the bytes of format_float applied cell by cell."""
+    path = tmp_path / "awkward.csv"
+    write_csv(path, AWKWARD)
+    arrays = [np.asarray(col) for col in AWKWARD.values()]
+    expected = ",".join(AWKWARD) + "\n" + "".join(
+        ",".join(format_float(a[i]) for a in arrays) + "\n" for i in range(3))
+    assert path.read_bytes() == expected.encode()
+
+
+def test_json_bytes_match_the_per_element_conversion(tmp_path):
+    path = tmp_path / "awkward.json"
+    write_json(path, AWKWARD)
+    doc = {name: [float(x) for x in np.asarray(col)] for name, col in AWKWARD.items()}
+    expected = json.dumps({"columns": doc}, indent=1) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
+def test_json_writes_non_finite_values_as_null(tmp_path):
+    path = tmp_path / "gaps.json"
+    write_json(path, {"x": np.array([1.0, np.nan, np.inf, -np.inf])})
+    doc = json.loads(path.read_text(), parse_constant=pytest.fail)
+    assert doc["columns"]["x"] == [1.0, None, None, None]
 
 
 def test_csv_rejects_bad_columns(tmp_path):
@@ -202,6 +238,38 @@ def test_discrete_with_halving(tmp_path, capsys):
     assert "drift ratio" in capsys.readouterr().out
 
 
+def test_discrete_halving_reuses_the_run_at_eta(tmp_path):
+    code, out = run_cli(tmp_path, "discrete", "--eta", "0.1", "--steps", "100", "--eta-halving",
+                        "--w0", "0.3", "--v0", "-0.7")
+    assert code == 0
+    table = read_csv_columns(os.path.join(out, "discrete_halving.csv"))
+    iso1 = quadratic_isotropic(1)
+    _, full = drift_profile([0.3], [-0.7], 0.1, 100, iso1)
+    _, half = drift_profile([0.3], [-0.7], 0.05, 200, iso1)
+    assert table["max_drift"].tolist() == [full, half]
+
+
+def test_failed_sweep_fit_is_null_in_json(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "sweep", "--gammas", "0.1,2.5", "--format", "json")
+    assert code == 3  # one fit failed
+    doc = json.loads(open(os.path.join(out, "sweep.json")).read(), parse_constant=pytest.fail)
+    assert doc["columns"]["gamma"] == [0.1, 2.5]
+    assert doc["columns"]["gamma_hat"][1] is None
+    assert doc["columns"]["r_squared"][1] is None
+    assert isinstance(doc["columns"]["gamma_hat"][0], float)
+
+
+def test_render_refuses_non_finite_values(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "sweep", "--gammas", "0.1,2.5")
+    assert code == 3
+    svg = tmp_path / "sweep.svg"
+    code = main(["render", "--input", os.path.join(out, "sweep.csv"), "--out", str(svg),
+                 "--xy", "gamma:gamma_hat"])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_stochastic_reports_balance(tmp_path, capsys):
     code, out = run_cli(tmp_path, "stochastic", "--T", "2", "--members", "100")
     assert code == 0
@@ -281,4 +349,6 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code, _ = run_cli(tmp_path, "discrete", "--eta", "2.1", "--steps", "2000")
     assert code == 3
-    assert capsys.readouterr().err.startswith("numerical failure:")
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "at step " in err

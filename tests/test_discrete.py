@@ -10,13 +10,38 @@ from inertia import (
     NumericalFailure,
     State,
     discrete_inertia,
+    discrete_trajectory,
     drift_profile,
     inertia,
+    landscape_from_name,
     momentum_step,
+    quadratic_general,
     quadratic_isotropic,
 )
 
 ISO1 = quadratic_isotropic(1)
+
+
+def coupled5():
+    m = np.random.default_rng(5).standard_normal((5, 5))
+    b = m.T @ m / 5 + 0.1 * np.eye(5)
+    return quadratic_general(0.5 * (b + b.T))
+
+
+def replay(w0, v0, eta, n, landscape):
+    """Every state from momentum_step and its energy, or the first step that fails."""
+    s = DiscreteState(w0, v0)
+    states, energies = [s], [discrete_inertia(s, landscape)]
+    for k in range(1, n + 1):
+        try:
+            s = momentum_step(s, eta, landscape)
+        except NumericalFailure:  # DiscreteState refuses non-finite components
+            return states, energies, k
+        states.append(s)
+        energies.append(discrete_inertia(s, landscape))
+        if not np.isfinite(energies[-1]):
+            return states, energies, k
+    return states, energies, None
 
 
 def test_single_step_worked_example():
@@ -108,6 +133,34 @@ def test_unstable_step_size_blows_up():
         with pytest.raises(NumericalFailure) as exc:
             drift_profile([1.0], [0.0], 2.1, 2000, ISO1)
     assert exc.value.step_index > 0
+
+
+@pytest.mark.parametrize("landscape", [ISO1, landscape_from_name("iso2d"),
+                                       landscape_from_name("diag:1,4,9"), coupled5()])
+def test_trajectory_matches_repeated_steps(landscape):
+    dim = landscape.dim
+    w0, v0 = np.linspace(1.0, -0.5, dim), np.linspace(0.0, 0.3, dim)
+    ws, vs, energy = discrete_trajectory(w0, v0, 0.05, 300, landscape)
+    states, energies, failed = replay(w0, v0, 0.05, 300, landscape)
+    assert failed is None
+    assert np.array_equal(ws, np.array([s.w for s in states]))
+    assert np.array_equal(vs, np.array([s.v for s in states]))
+    assert np.array_equal(energy, np.array(energies))
+
+
+@pytest.mark.parametrize("eta, landscape", [
+    (2.02, ISO1),                             # energy overflows inside the second block
+    (0.7, landscape_from_name("diag:1,4,9")),  # only the curvature-9 mode is unstable
+])
+def test_failure_step_matches_per_step_replay(eta, landscape):
+    w0, v0 = np.ones(landscape.dim), np.zeros(landscape.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, expected = replay(w0, v0, eta, 4000, landscape)
+        with pytest.raises(NumericalFailure) as exc:
+            drift_profile(w0, v0, eta, 4000, landscape)
+    assert expected is not None and expected % 1024 not in (0, 1)  # mid-block
+    assert exc.value.step_index == expected
+    assert str(exc.value) == f"energy not finite at step {expected}"
 
 
 def test_profile_matches_repeated_steps():

@@ -12,6 +12,7 @@ from inertia import (
     acceleration,
     inertia,
     inertia_rate_theoretical,
+    inertia_rows,
     quadratic_general,
     quadratic_isotropic,
 )
@@ -83,6 +84,17 @@ def test_inertia_examples():
     # diag(1, 4) at w = (1, 1), v = (1, 0): 0.5 + 2.5
     ls = quadratic_general([[1.0, 0.0], [0.0, 4.0]])
     assert inertia(State([1.0, 1.0], [1.0, 0.0]), ls) == 3.0
+
+
+@pytest.mark.parametrize("dim", [1, 3, 40])
+def test_inertia_rows_match_single_states(dim):
+    """Bit for bit, across several chunks (40 dims give 819 rows per chunk)."""
+    rng = np.random.default_rng(dim)
+    m = rng.standard_normal((dim, dim))
+    ls = quadratic_general(0.5 * (m.T @ m + (m.T @ m).T))
+    ws, vs = rng.standard_normal((2000, dim)), rng.standard_normal((2000, dim))
+    expected = [inertia(State(w, v), ls) for w, v in zip(ws, vs)]
+    assert np.array_equal(inertia_rows(ws, vs, ls), expected)
 
 
 def test_inertia_dimension_mismatch():

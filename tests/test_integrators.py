@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,9 @@ from inertia import (
     State,
     SystemSpec,
     closed_form_underdamped,
+    inertia,
     integrate,
+    landscape_from_name,
     quadratic_general,
     quadratic_isotropic,
     step_damped_splitting,
@@ -24,6 +27,20 @@ from inertia.integrators import ensemble_series, initial_forcing, member_rng
 
 ISO1 = quadratic_isotropic(1)
 UNIT_START = State([1.0], [0.0])
+
+
+def coupled5():
+    """A dense 5x5 PSD matrix: no diagonal shortcut gives its products exactly."""
+    m = np.random.default_rng(5).standard_normal((5, 5))
+    b = m.T @ m / 5 + 0.1 * np.eye(5)
+    return quadratic_general(0.5 * (b + b.T))
+
+
+MULTI_D = {
+    "iso2d": landscape_from_name("iso2d"),
+    "diag": landscape_from_name("diag:1,4,9"),
+    "coupled5": coupled5(),
+}
 
 
 def run(method, gamma=0.0, h=0.01, t_end=10.0, sigma=0.0, noise="none",
@@ -269,6 +286,51 @@ def test_integrate_matches_manual_step_chain():
         assert np.array_equal(eta, traj.noise[k])
 
 
+STEP_CASES = {  # name -> (method, SystemSpec arguments)
+    "verlet": ("verlet", dict(gamma=0.0)),
+    "damped": ("damped_splitting", dict(gamma=0.4)),
+    "white": ("stochastic_splitting", dict(gamma=0.4, sigma=0.3, noise_kind="white")),
+    "ou": ("stochastic_splitting", dict(gamma=0.4, sigma=0.3, noise_kind="ou", tau=0.5)),
+}
+
+
+def replay_steps(spec, cfg, state, n):
+    """States 0..n from the public single-step functions, plus the forcing for ou."""
+    rng = member_rng(cfg.seed, 0)
+    eta = initial_forcing(spec, rng) if spec.noise_kind == "ou" else None
+    states, etas = [state], [eta]
+    for _ in range(n):
+        if cfg.method == "verlet":
+            state = step_verlet(state, spec, cfg.h)
+        elif cfg.method == "damped_splitting":
+            state = step_damped_splitting(state, spec, cfg.h)
+        elif eta is None:
+            state = step_stochastic(state, spec, cfg.h, rng)
+        else:
+            state, eta = step_stochastic(state, spec, cfg.h, rng, eta)
+        states.append(state)
+        etas.append(eta)
+    return states, etas
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+@pytest.mark.parametrize("name", sorted(MULTI_D))
+def test_integrate_matches_step_chain_at_dim_ge_2(name, case):
+    landscape = MULTI_D[name]
+    method, spec_args = STEP_CASES[case]
+    spec = SystemSpec(landscape=landscape, **spec_args)
+    cfg = IntegratorConfig(method=method, h=0.01, t_end=1.5, seed=9)
+    start = State(np.linspace(1.0, -0.5, landscape.dim), np.linspace(0.0, 0.3, landscape.dim))
+    traj = integrate(spec, start, cfg)
+    states, etas = replay_steps(spec, cfg, start, cfg.n_steps)
+    assert np.array_equal(traj.ws, np.array([s.w for s in states]))
+    assert np.array_equal(traj.vs, np.array([s.v for s in states]))
+    if spec.noise_kind == "ou":
+        assert np.array_equal(traj.noise, np.array(etas))
+    expected = np.array([inertia(s, landscape) for s in states])
+    assert np.all(np.abs(traj.inertia - expected) <= 4 * np.finfo(float).eps * expected)
+
+
 def test_white_noise_velocity_variance_growth():
     """Frictionless flat landscape: Var[v] after time t is sigma^2 t.
 
@@ -288,13 +350,21 @@ def test_white_noise_velocity_variance_growth():
 # --- ensembles ----------------------------------------------------------------
 
 def test_ensemble_member_zero_is_the_single_trajectory():
-    for noise, tau in (("white", None), ("ou", 0.5)):
-        spec = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
+    """Bit for bit on 1-D; at dim >= 2 the batched kernels differ by a few ulps."""
+    for landscape, (noise, tau) in itertools.product(
+        [ISO1, *MULTI_D.values()], [("white", None), ("ou", 0.5)]
+    ):
+        start = State(np.linspace(1.0, 0.2, landscape.dim), np.zeros(landscape.dim))
+        spec = SystemSpec(landscape=landscape, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
         cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=2.0, seed=11)
-        traj = integrate(spec, State([1.0], [0.0]), cfg)
-        series = ensemble_series(spec, State([1.0], [0.0]), cfg, 4)
-        assert np.array_equal(series["inertia"][0], traj.inertia)
-        assert np.array_equal(series["speed_squared"][0], traj.speed_squared)
+        traj = integrate(spec, start, cfg)
+        series = ensemble_series(spec, start, cfg, 4)
+        if landscape.dim == 1:
+            assert np.array_equal(series["inertia"][0], traj.inertia)
+            assert np.array_equal(series["speed_squared"][0], traj.speed_squared)
+        else:
+            assert_allclose(series["inertia"][0], traj.inertia, rtol=4e-15, atol=0)
+            assert_allclose(series["speed_squared"][0], traj.speed_squared, rtol=4e-15, atol=1e-300)
 
 
 def test_ensemble_rows_match_independent_runs():
@@ -345,6 +415,41 @@ def test_blowup_raises_with_step_index():
         with pytest.raises(NumericalFailure) as exc:
             integrate(spec, State([1.0], [0.0]), cfg)
     assert exc.value.step_index > 0
+
+
+def first_bad_step(spec, cfg, start):
+    """Index of the first non-finite state when stepping one public step at a time."""
+    rng = member_rng(cfg.seed, 0)
+    state = start
+    for k in range(1, cfg.n_steps + 1):
+        try:
+            if spec.deterministic:
+                state = step_verlet(state, spec, cfg.h)
+            else:
+                state = step_stochastic(state, spec, cfg.h, rng)
+        except NumericalFailure:  # State refuses non-finite components
+            return k
+    return None
+
+
+@pytest.mark.parametrize("landscape, h, sigma", [
+    (ISO1, 2.05, 0.0),              # unstable verlet, fails inside the second block
+    (MULTI_D["diag"], 0.7, 0.0),    # only the curvature-9 mode is unstable
+    (ISO1, 2.05, 0.3),              # the failure replay must redraw the same noise
+])
+def test_failure_step_matches_per_step_replay(landscape, h, sigma):
+    spec = (SystemSpec(landscape=landscape) if sigma == 0 else
+            SystemSpec(landscape=landscape, gamma=0.1, sigma=sigma, noise_kind="white"))
+    method = "verlet" if sigma == 0 else "stochastic_splitting"
+    cfg = IntegratorConfig(method=method, h=h, t_end=4000 * h, seed=3, record_every=7)
+    start = State(np.ones(landscape.dim), np.zeros(landscape.dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = first_bad_step(spec, cfg, start)
+        with pytest.raises(NumericalFailure) as exc:
+            integrate(spec, start, cfg)
+    assert expected is not None and expected % 1024 not in (0, 1)  # mid-block
+    assert exc.value.step_index == expected
+    assert str(exc.value) == f"non-finite state at step {expected}"
 
 
 def test_trajectory_accessors():

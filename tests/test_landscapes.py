@@ -104,6 +104,19 @@ def test_batched_evaluation_matches_loop():
         assert np.array_equal(grads[i], ls.gradient(w))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 5, 33])
+def test_row_values_and_raw_gradient_match_single_points(dim):
+    """Bit for bit on dense matrices, where ws @ A would move the last bits."""
+    rng = np.random.default_rng(dim)
+    m = rng.standard_normal((dim, dim))
+    ls = quadratic_general(0.5 * (m.T @ m + (m.T @ m).T))
+    batch = rng.standard_normal((50, dim))
+    assert np.array_equal(ls.row_values(batch), [ls.value(w) for w in batch])
+    grad = ls.raw_gradient()
+    for w in batch:
+        assert np.array_equal(grad(w), ls.gradient(w))
+
+
 @given(
     st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
 )
