@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import State, SystemSpec
 from .errors import InvalidArgument, NumericalFailure
-from .integrators import IntegratorConfig, Trajectory, ensemble_series, integrate
+from .integrators import IntegratorConfig, Trajectory, ensemble_samples, integrate
 from .landscapes import quadratic_isotropic
 
 __all__ = [
@@ -149,6 +149,10 @@ def fit_decay_rate(
     if smooth_period is not None:
         if smooth_period <= 0:
             raise InvalidArgument(f"smooth_period must be positive, got {smooth_period}")
+        if t.shape[0] < 2:
+            raise InvalidArgument(
+                f"smoothing needs at least 2 samples in the fit window, got {t.shape[0]}"
+            )
         dt = t[1] - t[0]
         gaps = np.diff(t)
         if gaps.max() - gaps.min() > 1e-6 * dt:
@@ -286,6 +290,23 @@ def _stats(values: np.ndarray, n: int, quantity: str) -> EnsembleStats:
     return EnsembleStats(n, mean, stderr, quantity)
 
 
+_REDUCE_BLOCK = 64  # recorded samples per block of the ensemble reduction
+
+
+def _reduce_blocks(n_samples: int) -> list[tuple[int, int]]:
+    """[first, stop) sample ranges of the ensemble reduction blocks.
+
+    Every block has at least two samples: numpy reduces a one-column block
+    as a contiguous vector (pairwise summation), whose last bits differ
+    from the column of a wider array, so a one-sample tail joins the block
+    before it.
+    """
+    edges = list(range(0, n_samples, _REDUCE_BLOCK)) + [n_samples]
+    if len(edges) > 2 and edges[-1] - edges[-2] < 2:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def ensemble_expected_decay(
     spec: SystemSpec,
     initial: State,
@@ -296,14 +317,20 @@ def ensemble_expected_decay(
     """Estimate the expected energy decay of a noisy system by Monte Carlo.
 
     Runs ``n_members`` independent members (streams derived from
-    config.seed and the member index), then reduces to per-time-index
+    config.seed and the member index) and reduces them to per-time-index
     means and standard errors of the energy, its centered-difference time
     derivative, and the squared speed. ``burn_in`` excludes the initial
     transient from the balance time averages; the recorded series always
     cover the full run.
 
-    Aggregation order is fixed, so results do not depend on how members
-    would be scheduled.
+    The reduction streams: samples go into blocks of _REDUCE_BLOCK columns
+    plus one halo sample on each side for the centered difference, so
+    memory is O(n_members * dim + n_samples). Each column is reduced over
+    members in a fixed order, so the series equal those of a reduction of
+    the full (n_members, n_samples) arrays bit for bit and do not depend on
+    how members would be scheduled. The balance's per-member time means
+    are sums accumulated block by block, so they match a full-array mean
+    to rounding, not bitwise.
     """
     if n_members < 100:
         raise InvalidArgument(f"need at least 100 members for stable statistics, got {n_members}")
@@ -314,40 +341,75 @@ def ensemble_expected_decay(
     if not 0 <= burn_in < config.t_end:
         raise InvalidArgument(f"burn_in must lie in [0, t_end), got {burn_in}")
 
-    series = ensemble_series(spec, initial, config, n_members)
-    times = series["times"]
-    energy = series["inertia"]
-    speed_sq = series["speed_squared"]
-    noise_dot_v = series.get("noise_dot_v")
-
-    dt = config.h
-    rate = _centered_rate(energy, dt)
-
+    times, samples = ensemble_samples(spec, initial, config, n_members)
+    n_rec = times.shape[0]
     # Per-member time-averaged balance over interior samples past the burn-in.
     start = int(np.searchsorted(times, burn_in - 1e-9))
     start = max(start, 1)
-    stop = times.shape[0] - 1
+    stop = n_rec - 1
     if stop - start < 10:
         raise InvalidArgument("burn_in leaves too few samples for the balance average")
-    sl = slice(start, stop)
-    residual = rate[:, sl].mean(axis=1) + spec.gamma * speed_sq[:, sl].mean(axis=1)
-    if spec.noise_kind == "white":
-        residual -= 0.5 * spec.sigma ** 2 * initial.dim
+
+    dt = config.h
+    correlated = spec.noise_kind == "ou"
+    quantities = ("inertia", "inertia_rate", "speed_squared")
+    means = {q: np.empty(n_rec) for q in quantities}
+    stderrs = {q: np.empty(n_rec) for q in quantities}
+    mean_noise_dot_v = np.empty(n_rec) if correlated else None
+    # window sums per member of dI/dt, ||v||^2 and <eta, v>
+    window_sums = np.zeros((3, n_members))
+    # inertia, speed_squared and noise_dot_v; column j holds sample lo + j
+    bufs = np.empty((3 if correlated else 2, n_members, _REDUCE_BLOCK + 2))
+
+    blocks = iter(_reduce_blocks(n_rec))
+    first, last = next(blocks)
+    lo = 0
+    for k, sample in enumerate(samples):
+        for buf, values in zip(bufs, sample):
+            buf[:, k - lo] = values
+        if k != min(last, n_rec - 1):  # the block's right halo is not in yet
+            continue
+        block = slice(first - lo, last - lo)
+        window = slice(max(start, first) - lo, min(stop, last) - lo)
+        energy = bufs[0, :, : k - lo + 1]
+        rate = _centered_rate(energy, dt)
+        for q, values in (("inertia", energy), ("inertia_rate", rate),
+                          ("speed_squared", bufs[1])):
+            block_stats = _stats(values[:, block], n_members, q)
+            means[q][first:last] = block_stats.mean_series
+            stderrs[q][first:last] = block_stats.stderr_series
+        window_sums[0] += rate[:, window].sum(axis=1)
+        for row, buf in enumerate(bufs[1:], start=1):
+            window_sums[row] += buf[:, window].sum(axis=1)
+        if correlated:
+            mean_noise_dot_v[first:last] = bufs[2, :, block].mean(axis=0)
+        following = next(blocks, None)
+        if following is not None:
+            # keep the next block's left halo and first sample
+            first, last = following
+            bufs[:, :, :2] = bufs[:, :, first - 1 - lo : first + 1 - lo]
+            lo = first - 1
+
+    n_window = stop - start
+    residual = window_sums[0] / n_window + spec.gamma * (window_sums[1] / n_window)
+    if correlated:
+        residual -= window_sums[2] / n_window
     else:
-        residual -= noise_dot_v[:, sl].mean(axis=1)
+        residual -= 0.5 * spec.sigma ** 2 * initial.dim
     balance_residual = float(residual.mean())
     if n_members > 1 and residual.max() != residual.min():
         balance_stderr = float(residual.std(ddof=1) / math.sqrt(n_members))
     else:
         balance_stderr = 0.0
 
+    stats = {q: EnsembleStats(n_members, means[q], stderrs[q], q) for q in quantities}
     return EnsembleResult(
         times=times,
         n_members=n_members,
-        inertia=_stats(energy, n_members, "inertia"),
-        inertia_rate=_stats(rate, n_members, "inertia_rate"),
-        speed_squared=_stats(speed_sq, n_members, "speed_squared"),
-        mean_noise_dot_v=None if noise_dot_v is None else noise_dot_v.mean(axis=0),
+        inertia=stats["inertia"],
+        inertia_rate=stats["inertia_rate"],
+        speed_squared=stats["speed_squared"],
+        mean_noise_dot_v=mean_noise_dot_v,
         balance_residual=balance_residual,
         balance_stderr=balance_stderr,
         burn_in=float(burn_in),

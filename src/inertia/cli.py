@@ -10,6 +10,7 @@ summary. Exit codes: 0 success, 2 invalid arguments, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -22,7 +23,7 @@ from .dynamics import State, SystemSpec
 from .errors import InvalidArgument, NumericalFailure
 from .integrators import METHODS, RNG_ALGORITHM, IntegratorConfig, Trajectory, integrate
 from .landscapes import landscape_from_name
-from .output import format_float, write_csv, write_json, write_manifest
+from .output import format_float, record_render, write_csv, write_json, write_manifest
 from .render import render_csv
 
 __all__ = ["main", "build_parser"]
@@ -448,11 +449,10 @@ def cmd_render(args) -> int:
     started = time.monotonic()
     render_csv(args.input, args.out, xy=args.xy)
     print(f"wrote {args.out}")
-    write_manifest(
+    record_render(
         out_dir,
-        "render",
+        os.path.basename(args.out),
         {"input": args.input, "out": args.out, "xy": args.xy},
-        [os.path.basename(args.out)],
         time.monotonic() - started,
     )
     return 0
@@ -462,22 +462,30 @@ def cmd_render(args) -> int:
 # parser and entry point
 
 
-def _common_flags(v0_default: str | None = "0", sigma_default: float = 0.0) -> argparse.ArgumentParser:
+def _common_flags(names: str, v0_default: str | None = "0",
+                  sigma_default: float = 0.0) -> argparse.ArgumentParser:
+    """Parent parser with the shared flags in ``names`` plus --out-dir and --format.
+
+    A subcommand lists only the flags it reads, so argparse refuses the rest.
+    """
     # Built fresh per subcommand: argparse parents share action objects, so a
     # single parent would leak per-subcommand default overrides to the others.
+    shared = {
+        "gamma": dict(type=float, default=0.4, help="damping coefficient"),
+        "sigma": dict(type=float, default=sigma_default, help="noise amplitude"),
+        "noise": dict(default="white", help="noise kind: white or ou:<tau>"),
+        "method": dict(choices=METHODS, default=None,
+                       help="integrator (default: picked from gamma/noise)"),
+        "h": dict(type=float, default=0.01, help="integration step size"),
+        "T": dict(type=float, default=None, help="time horizon"),
+        "seed": dict(type=int, default=0, help="RNG seed (stochastic runs)"),
+        "landscape": dict(default=None, help="loss surface: iso<N>d or diag:<d1,d2,...>"),
+        "w0": dict(default="1", help="initial parameters, comma-separated"),
+        "v0": dict(default=v0_default, help="initial velocity, comma-separated"),
+    }
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--gamma", type=float, default=0.4, help="damping coefficient")
-    common.add_argument("--sigma", type=float, default=sigma_default, help="noise amplitude")
-    common.add_argument("--noise", default="white", help="noise kind: white or ou:<tau>")
-    common.add_argument("--method", choices=METHODS, default=None,
-                        help="integrator (default: picked from gamma/noise)")
-    common.add_argument("--h", type=float, default=0.01, help="integration step size")
-    common.add_argument("--T", type=float, default=None, help="time horizon")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (stochastic runs)")
-    common.add_argument("--landscape", default=None,
-                        help="loss surface: iso<N>d or diag:<d1,d2,...>")
-    common.add_argument("--w0", default="1", help="initial parameters, comma-separated")
-    common.add_argument("--v0", default=v0_default, help="initial velocity, comma-separated")
+    for name in names.split():
+        common.add_argument(f"--{name}", **shared[name])
     common.add_argument("--out-dir", default="out", help="output directory")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     return common
@@ -488,30 +496,37 @@ def build_parser() -> argparse.ArgumentParser:
         prog="inertia",
         description="Energy-conservation experiments for continuous-time momentum dynamics.",
     )
+    # No prefix matching: phase --gamma would otherwise be read as --gammas.
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("conserve", parents=[_common_flags()],
-                       help="frictionless vs damped energy traces")
+    p = add_parser("conserve",
+                   parents=[_common_flags("gamma method h T seed landscape w0 v0")],
+                   help="frictionless vs damped energy traces")
     p.add_argument("--gamma0-only", action="store_true", help="run only the gamma=0 case")
     p.set_defaults(func=cmd_conserve)
 
-    p = sub.add_parser("phase", parents=[_common_flags()], help="phase-space orbits and spirals")
+    p = add_parser("phase", parents=[_common_flags("method h T seed landscape w0 v0")],
+                   help="phase-space orbits and spirals")
     p.add_argument("--gammas", default="0,0.4", help="damping values, comma-separated")
     p.set_defaults(func=cmd_phase)
 
-    p = sub.add_parser("sweep", parents=[_common_flags()], help="fitted decay rate vs damping")
+    p = add_parser("sweep", parents=[_common_flags("h seed w0 v0")],
+                   help="fitted decay rate vs damping")
     p.add_argument("--gammas", default="0.1,0.2,0.4,0.8", help="damping values, comma-separated")
     p.add_argument("--periods", type=int, default=5, help="fit window length in damped periods")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("traj2d", parents=[_common_flags(v0_default=None)],
-                       help="2D trajectories with energy coloring data")
+    p = add_parser("traj2d",
+                   parents=[_common_flags("gamma method h T seed landscape v0",
+                                          v0_default=None)],
+                   help="2D trajectories with energy coloring data")
     p.add_argument("--inits", default="1,0;0,1;1,1",
                    help="semicolon-separated initial points, e.g. '1,0;0,1'")
     p.set_defaults(func=cmd_traj2d)
 
-    p = sub.add_parser("discrete", parents=[_common_flags()],
-                       help="discrete momentum map energy drift")
+    p = add_parser("discrete", parents=[_common_flags("seed landscape w0 v0")],
+                   help="discrete momentum map energy drift")
     p.add_argument("--eta", type=float, default=0.01, help="discrete step size")
     p.add_argument("--steps", type=int, default=None,
                    help="number of steps (default: horizon 10 / eta)")
@@ -519,12 +534,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run eta/2 over the same horizon and report the drift ratio")
     p.set_defaults(func=cmd_discrete)
 
-    p = sub.add_parser("stochastic", parents=[_common_flags(sigma_default=0.3)],
-                       help="noisy ensemble decay balance")
+    p = add_parser("stochastic",
+                   parents=[_common_flags("gamma sigma noise method h T seed landscape w0 v0",
+                                          sigma_default=0.3)],
+                   help="noisy ensemble decay balance")
     p.add_argument("--members", type=int, default=100, help="ensemble size")
     p.set_defaults(func=cmd_stochastic)
 
-    p = sub.add_parser("render", help="plot a CSV produced by another subcommand as SVG")
+    p = add_parser("render", help="plot a CSV produced by another subcommand as SVG")
     p.add_argument("--input", required=True, help="input CSV file")
     p.add_argument("--out", required=True, help="output SVG file")
     p.add_argument("--xy", default=None, help="plot <ycol> against <xcol> as 'xcol:ycol'")

@@ -50,6 +50,7 @@ __all__ = [
     "step_verlet",
     "step_damped_splitting",
     "step_stochastic",
+    "ensemble_samples",
     "ensemble_series",
 ]
 
@@ -264,7 +265,9 @@ def initial_forcing(spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
 # state at the end of a block proves every step in it finite, and a
 # non-finite one is replayed step by step to name the first bad step.
 # Energies are computed after the loop, over the recorded rows.
-# ``ensemble_series`` keeps its own batched loop.
+# The ensemble loop steps all members at once through the same stepper,
+# fed from per-member noise streams, and checks finiteness every step so
+# a failure names its member.
 
 _BLOCK = 1024  # steps between finiteness checks (the discrete map uses it too)
 
@@ -289,8 +292,14 @@ def _record_indices(n_steps: int, stride: int) -> np.ndarray:
     return np.asarray(idx, dtype=int)
 
 
-def _make_stepper(spec: SystemSpec, config: IntegratorConfig, rng):
-    """Return step(w, v, eta) -> (w, v, eta) for raw 1-D arrays."""
+def _make_stepper(spec: SystemSpec, config: IntegratorConfig, normal):
+    """Return step(w, v, eta) -> (w, v, eta) for raw arrays.
+
+    ``normal(shape)`` returns the next standard-normal draws for the
+    stochastic method. The arithmetic is element-wise apart from ``w @ A``,
+    so the same step advances one state of shape (dim,) or a batch of
+    members of shape (M, dim).
+    """
     grad = spec.landscape.raw_gradient()
     g = spec.gamma
     h = config.h
@@ -337,7 +346,6 @@ def _make_stepper(spec: SystemSpec, config: IntegratorConfig, rng):
     elif spec.noise_kind == "white":
         d = math.exp(-g * h / 2.0)
         s = _white_noise_scale(spec, h)
-        normal = rng.standard_normal
 
         def step(w, v, eta):
             v = d * v + s * normal(v.shape)
@@ -350,7 +358,6 @@ def _make_stepper(spec: SystemSpec, config: IntegratorConfig, rng):
         d = math.exp(-g * h / 2.0)
         c = math.exp(-h / spec.tau)
         q = spec.sigma * math.sqrt(1.0 - c * c)
-        normal = rng.standard_normal
 
         def step(w, v, eta):
             v = d * v
@@ -371,20 +378,21 @@ def _raise_nonfinite(w, v, k: int):
         bad = ~(np.all(np.isfinite(w), axis=1) & np.all(np.isfinite(v), axis=1))
         member = int(np.flatnonzero(bad)[0])
         raise NumericalFailure(
-            f"non-finite state in member {member} at step {k}", step_index=k
+            f"non-finite state in member {member} at step {k}", step_index=k, member=member
         )
     raise NumericalFailure(f"non-finite state at step {k}", step_index=k)
 
 
 def _start(spec: SystemSpec, initial: State, config: IntegratorConfig):
     """Stepper and starting arrays; a replay gets the same start, noise included."""
-    rng = None
+    normal = None
     eta = None
     if config.method == "stochastic_splitting":
         rng = member_rng(config.seed, 0)
+        normal = rng.standard_normal
         if spec.noise_kind == "ou":
             eta = initial_forcing(spec, rng)
-    step = _make_stepper(spec, config, rng)
+    step = _make_stepper(spec, config, normal)
     return step, np.array(initial.w, dtype=float), np.array(initial.v, dtype=float), eta
 
 
@@ -437,6 +445,95 @@ def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Tra
     return Trajectory(record * config.h, ws, vs, energies, spec, config, noise=etas)
 
 
+# ---------------------------------------------------------------------------
+# ensembles
+#
+# An ensemble advances all members at once through the stepper above, on
+# (n_members, dim) arrays. Member i draws from member_rng(seed, i) in the
+# order a single run consumes its stream, so each member's noise does not
+# depend on the ensemble size. The draws are served from a buffer refilled a
+# chunk of steps at a time, and recorded samples are handed out one at a
+# time, so memory does not grow with the horizon.
+
+_NOISE_FLOATS = 1 << 21  # size of the ensemble noise buffer (16 MB of float64)
+
+
+def _member_draws(rngs, n_steps: int, per_step: int, dim: int):
+    """Yield ``per_step`` (n_members, dim) draws per step; row i comes from ``rngs[i]``.
+
+    Each refill draws every member's next whole steps. Chunked PCG64 draws
+    equal one long draw bit for bit, so the values are those of step-by-step
+    draws. A yielded block is overwritten by the next refill.
+    """
+    n_members = len(rngs)
+    rows = max(1, min(n_steps, _NOISE_FLOATS // (per_step * n_members * dim)))
+    buf = np.empty((rows, per_step, n_members, dim))
+    for first in range(0, n_steps, rows):
+        n = min(rows, n_steps - first)
+        for i, rng in enumerate(rngs):
+            buf[:n, :, i, :] = rng.standard_normal((n, per_step, dim))
+        for j in range(n):
+            yield from buf[j]
+
+
+def _sample(w, v, eta, value):
+    """Per-member (inertia, speed_squared, noise_dot_v) of one recorded state."""
+    speed_sq = np.sum(v * v, axis=1)
+    noise_dot_v = None if eta is None else np.sum(eta * v, axis=1)
+    return 0.5 * speed_sq + value(w), speed_sq, noise_dot_v
+
+
+def _ensemble_loop(spec, initial, config, n_members, record):
+    rngs = [member_rng(config.seed, i) for i in range(n_members)]
+    eta = None
+    if spec.noise_kind == "ou":
+        eta = np.array([initial_forcing(spec, rng) for rng in rngs])
+    draws = _member_draws(rngs, config.n_steps, 1 if eta is not None else 2, initial.dim)
+
+    def normal(shape):
+        return next(draws)
+
+    step = _make_stepper(spec, config, normal)
+    value = spec.landscape.value
+    w = np.tile(np.asarray(initial.w, dtype=float), (n_members, 1))
+    v = np.tile(np.asarray(initial.v, dtype=float), (n_members, 1))
+
+    yield _sample(w, v, eta, value)  # record[0] is step 0
+    targets = record.tolist()[1:] + [-1]  # sentinel: no step is recorded past the last
+    pos = 0
+    for k in range(1, config.n_steps + 1):
+        w, v, eta = step(w, v, eta)
+        _raise_nonfinite(w, v, k)
+        if k == targets[pos]:
+            yield _sample(w, v, eta, value)
+            pos += 1
+
+
+def ensemble_samples(
+    spec: SystemSpec,
+    initial: State,
+    config: IntegratorConfig,
+    n_members: int,
+):
+    """Sample times and an iterator over the recorded samples of an ensemble run.
+
+    Returns ``(times, samples)``. ``samples`` runs the ensemble as it is
+    consumed and yields, per recorded time, ``(inertia, speed_squared,
+    noise_dot_v)``: arrays of shape (n_members,), with ``noise_dot_v`` None
+    for white noise. It holds O(n_members * dim) state whatever the horizon,
+    and raises ``NumericalFailure`` naming the step and the first member
+    whose state left the finite range. Arguments are checked at the call.
+    """
+    _require_dim(initial, spec)
+    _check_method(spec, config)
+    if config.method != "stochastic_splitting":
+        raise InvalidArgument("ensembles are for the stochastic method")
+    if n_members < 1:
+        raise InvalidArgument(f"need at least one member, got {n_members}")
+    record = _record_indices(config.n_steps, config.record_every)
+    return record * config.h, _ensemble_loop(spec, initial, config, n_members, record)
+
+
 def ensemble_series(
     spec: SystemSpec,
     initial: State,
@@ -450,94 +547,21 @@ def ensemble_series(
     the same config and noise. On a 1-D landscape it reproduces it
     bit-for-bit; at dim >= 2 it agrees to a few ulps only, because the
     batched ``W @ A`` and the per-member energy sums take different BLAS
-    kernels than a single trajectory's ``w @ A`` and ``v @ v``. Noise is
-    pre-drawn per member (the values match step-by-step draws exactly)
-    and the time loop advances all members at once.
+    kernels than a single trajectory's ``w @ A`` and ``v @ v``. The series
+    are collected from ``ensemble_samples``, which steps all members at
+    once with noise drawn a chunk of steps at a time.
 
     Returns arrays of shape (n_members, n_samples): ``inertia``,
     ``speed_squared``, and for correlated noise ``noise_dot_v``; plus the
-    sample ``times``.
+    sample ``times``. These take O(n_members * n_samples) memory; reduce
+    ``ensemble_samples`` directly to avoid that.
     """
-    _require_dim(initial, spec)
-    _check_method(spec, config)
-    if config.method != "stochastic_splitting":
-        raise InvalidArgument("ensembles are for the stochastic method")
-    if n_members < 1:
-        raise InvalidArgument(f"need at least one member, got {n_members}")
-
-    h = config.h
-    g = spec.gamma
-    n_steps = config.n_steps
-    record = _record_indices(n_steps, config.record_every)
-    dim = initial.dim
-    grad = spec.landscape.gradient
-    value = spec.landscape.value
-    correlated = spec.noise_kind == "ou"
-
-    # Pre-draw every member's noise from its own stream. Per step the
-    # stepping order consumes: white -> two vectors, correlated -> one
-    # vector (after one initial stationary draw).
-    if correlated:
-        draws = np.empty((n_steps, n_members, dim))
-        eta = np.empty((n_members, dim))
-        for i in range(n_members):
-            rng = member_rng(config.seed, i)
-            eta[i] = spec.sigma * rng.standard_normal(dim)
-            draws[:, i, :] = rng.standard_normal((n_steps, dim))
-        c = math.exp(-h / spec.tau)
-        q = spec.sigma * math.sqrt(1.0 - c * c)
-    else:
-        draws = np.empty((n_steps, 2, n_members, dim))
-        for i in range(n_members):
-            rng = member_rng(config.seed, i)
-            draws[:, :, i, :] = rng.standard_normal((n_steps, 2, dim))
-        s = _white_noise_scale(spec, h)
-        eta = None
-    d = math.exp(-g * h / 2.0)
-
-    w = np.tile(np.asarray(initial.w, dtype=float), (n_members, 1))
-    v = np.tile(np.asarray(initial.v, dtype=float), (n_members, 1))
-
-    n_rec = record.shape[0]
-    energy = np.empty((n_members, n_rec))
-    speed_sq = np.empty((n_members, n_rec))
-    noise_dot_v = np.empty((n_members, n_rec)) if correlated else None
-
-    def record_sample(pos):
-        speed_sq[:, pos] = np.sum(v * v, axis=1)
-        energy[:, pos] = 0.5 * speed_sq[:, pos] + value(w)
-        if correlated:
-            noise_dot_v[:, pos] = np.sum(eta * v, axis=1)
-
-    pos = 0
-    if record[0] == 0:
-        record_sample(0)
-        pos = 1
-
-    for k in range(1, n_steps + 1):
-        if correlated:
-            v = d * v
-            v = v + 0.5 * h * (eta - grad(w))
-            w = w + h * v
-            eta = c * eta + q * draws[k - 1]
-            v = v + 0.5 * h * (eta - grad(w))
-            v = d * v
-        else:
-            v = d * v + s * draws[k - 1, 0]
-            v = v - 0.5 * h * grad(w)
-            w = w + h * v
-            v = v - 0.5 * h * grad(w)
-            v = d * v + s * draws[k - 1, 1]
-        _raise_nonfinite(w, v, k)
-        if pos < n_rec and record[pos] == k:
-            record_sample(pos)
-            pos += 1
-
-    out = {
-        "times": record * h,
-        "inertia": energy,
-        "speed_squared": speed_sq,
-    }
-    if correlated:
-        out["noise_dot_v"] = noise_dot_v
-    return out
+    times, samples = ensemble_samples(spec, initial, config, n_members)
+    names = ["inertia", "speed_squared"]
+    if spec.noise_kind == "ou":
+        names.append("noise_dot_v")
+    series = {name: np.empty((n_members, times.shape[0])) for name in names}
+    for pos, sample in enumerate(samples):
+        for name, values in zip(names, sample):
+            series[name][:, pos] = values
+    return {"times": times, **series}

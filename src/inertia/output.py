@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .errors import InvalidArgument
 
-__all__ = ["format_float", "write_csv", "write_json", "write_manifest"]
+__all__ = ["format_float", "write_csv", "write_json", "write_manifest", "record_render"]
 
 
 def format_float(x: float) -> str:
@@ -61,6 +61,14 @@ def write_json(path, columns: dict[str, np.ndarray]) -> None:
         fh.write("\n")
 
 
+def _write_json_atomically(path: str, doc: dict) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "w", newline="") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
 def write_manifest(
     out_dir: str,
     experiment: str,
@@ -81,9 +89,32 @@ def write_manifest(
         "duration_seconds": duration_seconds,
     }
     path = os.path.join(out_dir, "manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    _write_json_atomically(path, manifest)
+    return path
+
+
+def record_render(out_dir: str, output: str, parameters: dict, duration_seconds: float) -> str:
+    """Record a rendered figure in the ``manifest.json`` of ``out_dir``.
+
+    A run directory keeps its own manifest: the figure joins its
+    ``outputs`` and the render is described under ``renders``, keyed by
+    the figure's file name. A directory without a manifest gets a render
+    manifest. Either way the manifest is replaced atomically.
+    """
+    path = os.path.join(out_dir, "manifest.json")
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        return write_manifest(out_dir, "render", parameters, [output], duration_seconds)
+    except ValueError as exc:
+        raise InvalidArgument(f"cannot record the render in {path}: {exc}")
+    if output not in manifest["outputs"]:
+        manifest["outputs"].append(output)
+    manifest.setdefault("renders", {})[output] = {
+        "parameters": parameters,
+        "version": __version__,
+        "duration_seconds": duration_seconds,
+    }
+    _write_json_atomically(path, manifest)
     return path

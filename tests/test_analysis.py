@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,13 @@ from inertia import (
     ensemble_expected_decay,
     fit_decay_rate,
     integrate,
+    landscape_from_name,
+    quadratic_general,
     quadratic_isotropic,
     sweep_gamma,
 )
+from inertia.analysis import _REDUCE_BLOCK, _centered_rate, _stats
+from inertia.integrators import ensemble_series
 
 ISO1 = quadratic_isotropic(1)
 
@@ -191,6 +196,14 @@ def test_smoothing_refuses_the_short_final_interval():
     fit_decay_rate(traj, (0.0, traj.times[-1]))
 
 
+def test_smoothing_refuses_a_window_of_fewer_than_two_samples():
+    traj = damped_run(0.4)
+    period = damped_period(0.4)
+    for window in [(0.0, 0.005), (0.001, 0.009)]:  # one sample, then none
+        with pytest.raises(InvalidArgument, match="at least 2 samples"):
+            fit_decay_rate(traj, window, smooth_period=period)
+
+
 # --- gamma sweep ----------------------------------------------------------------
 
 def test_sweep_recovers_each_rate():
@@ -287,3 +300,91 @@ def test_ensemble_is_deterministic():
     b = ensemble_expected_decay(white_spec(), State([1.0], [0.0]), cfg, 100)
     assert a.balance_residual == b.balance_residual
     assert np.array_equal(a.inertia.mean_series, b.inertia.mean_series)
+
+
+def coupled5():
+    m = np.random.default_rng(5).standard_normal((5, 5))
+    b = m.T @ m / 5 + 0.1 * np.eye(5)
+    return quadratic_general(0.5 * (b + b.T))
+
+
+ENSEMBLE_LANDSCAPES = {
+    "iso1d": ISO1,
+    "diag": landscape_from_name("diag:1,4,9"),
+    "coupled5": coupled5(),
+}
+
+
+def full_array_reduction(spec, start, cfg, n_members, burn_in):
+    """The ensemble reduction over whole (n_members, n_samples) arrays."""
+    series = ensemble_series(spec, start, cfg, n_members)
+    times, energy = series["times"], series["inertia"]
+    rate = _centered_rate(energy, cfg.h)
+    sl = slice(max(int(np.searchsorted(times, burn_in - 1e-9)), 1), times.shape[0] - 1)
+    residual = rate[:, sl].mean(axis=1) + spec.gamma * series["speed_squared"][:, sl].mean(axis=1)
+    if spec.noise_kind == "white":
+        residual -= 0.5 * spec.sigma ** 2 * start.dim
+    else:
+        residual -= series["noise_dot_v"][:, sl].mean(axis=1)
+    return {
+        "times": times,
+        "inertia": _stats(energy, n_members, "inertia"),
+        "inertia_rate": _stats(rate, n_members, "inertia_rate"),
+        "speed_squared": _stats(series["speed_squared"], n_members, "speed_squared"),
+        "noise_dot_v": series["noise_dot_v"].mean(axis=0) if "noise_dot_v" in series else None,
+        "residual": float(residual.mean()),
+        "stderr": float(residual.std(ddof=1) / math.sqrt(n_members)),
+    }
+
+
+B = _REDUCE_BLOCK
+BLOCKED_CASES = [
+    (11, 0.0),           # the shortest run the balance accepts: one block
+    (2 * B, 0.0),        # n_samples = 1 (mod B): the one-sample tail joins a block
+    (2 * B, 0.37),
+    (2 * B + 1, 0.5),    # a two-sample last block
+    (3 * B + 20, 0.0),
+    (3 * B + 20, 1.5),
+]
+
+
+@pytest.mark.parametrize("n_steps, burn_in", BLOCKED_CASES)
+@pytest.mark.parametrize("noise, tau", [("white", None), ("ou", 0.5)])
+@pytest.mark.parametrize("name", list(ENSEMBLE_LANDSCAPES))
+def test_streamed_reduction_equals_the_full_array_reduction(name, noise, tau, n_steps, burn_in):
+    """Series bit for bit; the balance up to the order of its time sums."""
+    landscape = ENSEMBLE_LANDSCAPES[name]
+    spec = SystemSpec(landscape=landscape, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
+    cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=n_steps * 0.01, seed=4)
+    assert cfg.n_steps == n_steps
+    start = State(np.linspace(1.0, 0.2, landscape.dim), np.full(landscape.dim, 0.1))
+    res = ensemble_expected_decay(spec, start, cfg, 100, burn_in=burn_in)
+    ref = full_array_reduction(spec, start, cfg, 100, burn_in)
+
+    assert np.array_equal(res.times, ref["times"])
+    for q in ("inertia", "inertia_rate", "speed_squared"):
+        got, want = getattr(res, q), ref[q]
+        assert np.array_equal(got.mean_series, want.mean_series), q
+        assert np.array_equal(got.stderr_series, want.stderr_series), q
+    if noise == "ou":
+        assert np.array_equal(res.mean_noise_dot_v, ref["noise_dot_v"])
+    else:
+        assert res.mean_noise_dot_v is None
+    assert res.balance_residual == pytest.approx(ref["residual"], rel=0, abs=1e-14)
+    assert res.balance_stderr == pytest.approx(ref["stderr"], rel=1e-9)
+
+
+def test_ensemble_memory_does_not_grow_with_the_horizon():
+    n_members = 2000
+    peaks = {}
+    for t_end in (5.0, 40.0):
+        cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=t_end, seed=1)
+        tracemalloc.start()
+        try:
+            ensemble_expected_decay(white_spec(), State([1.0], [0.0]), cfg, n_members)
+            peaks[t_end] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    one_series = n_members * (int(40.0 / 0.01) + 1) * 8  # one (members, samples) float array
+    assert peaks[40.0] <= 1.1 * peaks[5.0]
+    assert peaks[40.0] < one_series

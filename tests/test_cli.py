@@ -289,6 +289,35 @@ def test_stochastic_correlated_adds_work_column(tmp_path):
     assert "mean_noise_dot_v" in cols
 
 
+def test_render_adds_to_the_experiment_manifest(tmp_path):
+    code, out = run_cli(tmp_path, "conserve", "--T", "1", "--seed", "7")
+    assert code == 0
+    manifest = os.path.join(out, "manifest.json")
+    before = json.loads(open(manifest).read())
+    argv = ["render", "--input", os.path.join(out, "conserve.csv"),
+            "--out", os.path.join(out, "conserve.svg")]
+    assert main(argv) == 0
+    assert main(argv) == 0  # a second render of the same figure is recorded once
+    after = json.loads(open(manifest).read())
+    assert after["experiment"] == "conserve"
+    for key in ("parameters", "seed", "version", "duration_seconds"):
+        assert after[key] == before[key]
+    assert after["outputs"] == before["outputs"] + ["conserve.svg"]
+    assert after["renders"]["conserve.svg"]["parameters"] == {
+        "input": argv[2], "out": argv[4], "xy": None}
+    assert sorted(os.listdir(out)) == sorted(before["outputs"] + ["conserve.svg", "manifest.json"])
+
+
+def test_render_into_a_fresh_directory_writes_a_render_manifest(tmp_path):
+    code, out = run_cli(tmp_path, "conserve", "--T", "1")
+    assert code == 0
+    svg = str(tmp_path / "figures" / "conserve.svg")
+    assert main(["render", "--input", os.path.join(out, "conserve.csv"), "--out", svg]) == 0
+    doc = json.loads(open(tmp_path / "figures" / "manifest.json").read())
+    assert doc["experiment"] == "render"
+    assert doc["outputs"] == ["conserve.svg"]
+
+
 def test_render_subcommand(tmp_path):
     code, out = run_cli(tmp_path, "conserve", "--T", "1", "--gamma0-only")
     assert code == 0
@@ -343,6 +372,28 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "x.svg")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+IGNORED_FLAGS = {
+    "conserve": ["--sigma=0.1", "--noise=white"],
+    "phase": ["--gamma=0.1", "--sigma=0.1", "--noise=white"],
+    "sweep": ["--gamma=0.1", "--sigma=0.1", "--noise=white", "--method=rk4", "--T=3",
+              "--landscape=iso1d"],
+    "traj2d": ["--sigma=0.1", "--noise=white", "--w0=1,0"],
+    "discrete": ["--gamma=0.1", "--sigma=0.1", "--noise=white", "--method=rk4", "--h=0.1",
+                 "--T=3"],
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in IGNORED_FLAGS.items() for flag in flags
+])
+def test_subcommands_refuse_flags_they_do_not_read(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):

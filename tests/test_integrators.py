@@ -23,6 +23,8 @@ from inertia import (
     step_stochastic,
     step_verlet,
 )
+from inertia import integrators
+from inertia.analysis import ensemble_expected_decay
 from inertia.integrators import ensemble_series, initial_forcing, member_rng
 
 ISO1 = quadratic_isotropic(1)
@@ -384,6 +386,23 @@ def test_ensemble_rows_match_independent_runs():
         assert np.array_equal(series["inertia"][i], np.asarray(energies))
 
 
+@pytest.mark.parametrize("noise, tau", [("white", None), ("ou", 0.5)])
+def test_ensemble_noise_refills_do_not_change_the_draws(monkeypatch, noise, tau):
+    """Members' draws are the same however many steps one buffer refill holds."""
+    landscape = MULTI_D["diag"]
+    spec = SystemSpec(landscape=landscape, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
+    cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=0.5, seed=8,
+                           record_every=3)
+    start = State([1.0, 0.5, -0.2], [0.0, 0.1, 0.0])
+    whole = ensemble_series(spec, start, cfg, 4)
+    assert integrators._NOISE_FLOATS >= 2 * 4 * 3 * cfg.n_steps  # one refill above
+    monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * 4 * 3 * 3 + 5)  # 3 or 6 steps
+    chunked = ensemble_series(spec, start, cfg, 4)
+    assert whole.keys() == chunked.keys()
+    for key in whole:
+        assert np.array_equal(whole[key], chunked[key]), key
+
+
 def test_ensemble_requires_stochastic_method():
     spec = SystemSpec(landscape=ISO1, gamma=0.4)
     cfg = IntegratorConfig(method="damped_splitting", h=0.01, t_end=1.0)
@@ -417,9 +436,9 @@ def test_blowup_raises_with_step_index():
     assert exc.value.step_index > 0
 
 
-def first_bad_step(spec, cfg, start):
+def first_bad_step(spec, cfg, start, member=0):
     """Index of the first non-finite state when stepping one public step at a time."""
-    rng = member_rng(cfg.seed, 0)
+    rng = member_rng(cfg.seed, member)
     state = start
     for k in range(1, cfg.n_steps + 1):
         try:
@@ -450,6 +469,38 @@ def test_failure_step_matches_per_step_replay(landscape, h, sigma):
     assert expected is not None and expected % 1024 not in (0, 1)  # mid-block
     assert exc.value.step_index == expected
     assert str(exc.value) == f"non-finite state at step {expected}"
+
+
+def test_ensemble_failure_names_the_first_bad_member():
+    # unstable (h * sqrt(1e6) = 10); from rest the growth is seeded by the
+    # noise alone, so members overflow at different steps: with seed 5,
+    # member 3 is the first to fail and member 0 fails one step later
+    spec = SystemSpec(landscape=landscape_from_name("diag:1e6"), gamma=0.4, sigma=0.3,
+                      noise_kind="white")
+    cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=10.0, seed=5)
+    start = State([0.0], [0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        firsts = [first_bad_step(spec, cfg, start, member=i) for i in range(200)]
+        failures = []
+        for run_ensemble in (ensemble_series, ensemble_expected_decay):
+            with pytest.raises(NumericalFailure) as exc:
+                run_ensemble(spec, start, cfg, 200)
+            failures.append(exc.value)
+    step = min(firsts)
+    member = firsts.index(step)
+    assert member > 0 and firsts[0] > step
+    for failure in failures:
+        assert (failure.step_index, failure.member) == (step, member)
+        assert str(failure) == f"non-finite state in member {member} at step {step}"
+
+
+def test_single_run_failure_has_no_member():
+    spec = SystemSpec(landscape=ISO1)
+    cfg = IntegratorConfig(method="verlet", h=2.05, t_end=2000 * 2.05)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailure) as exc:
+            integrate(spec, UNIT_START, cfg)
+    assert exc.value.member is None and exc.value.step_index is not None
 
 
 def test_trajectory_accessors():
