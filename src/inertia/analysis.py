@@ -269,7 +269,10 @@ class EnsembleResult:
 def _centered_rate(series: np.ndarray, dt: float) -> np.ndarray:
     """d/dt by centered differences; one-sided O(h^2) stencils at the ends."""
     rate = np.empty_like(series)
-    rate[..., 1:-1] = (series[..., 2:] - series[..., :-2]) / (2.0 * dt)
+    # written in place: the same operations as (a - b) / (2 dt), no temporaries
+    inner = rate[..., 1:-1]
+    np.subtract(series[..., 2:], series[..., :-2], out=inner)
+    inner /= 2.0 * dt
     rate[..., 0] = (-3.0 * series[..., 0] + 4.0 * series[..., 1] - series[..., 2]) / (2.0 * dt)
     rate[..., -1] = (3.0 * series[..., -1] - 4.0 * series[..., -2] + series[..., -3]) / (2.0 * dt)
     return rate

@@ -170,7 +170,7 @@ def cmd_conserve(args) -> int:
     for gamma in gammas:
         method = _resolve_method(gamma, args.method)
         spec = SystemSpec(landscape=landscape, gamma=gamma)
-        config = IntegratorConfig(method=method, h=args.h, t_end=t_end, seed=args.seed)
+        config = IntegratorConfig(method=method, h=args.h, t_end=t_end)
         trajectory = integrate(spec, initial, config)
         exp.write(f"conserve_g{gamma:g}", _trajectory_columns(trajectory))
 
@@ -218,7 +218,7 @@ def cmd_phase(args) -> int:
     for gamma in gammas:
         method = _resolve_method(gamma, args.method)
         spec = SystemSpec(landscape=landscape, gamma=gamma)
-        config = IntegratorConfig(method=method, h=args.h, t_end=t_end, seed=args.seed)
+        config = IntegratorConfig(method=method, h=args.h, t_end=t_end)
         trajectory = integrate(spec, initial, config)
         exp.write(f"phase_g{gamma:g}", _trajectory_columns(trajectory))
 
@@ -314,7 +314,7 @@ def cmd_traj2d(args) -> int:
     )
     method = _resolve_method(gamma, args.method)
     spec = SystemSpec(landscape=landscape, gamma=gamma)
-    config = IntegratorConfig(method=method, h=args.h, t_end=t_end, seed=args.seed)
+    config = IntegratorConfig(method=method, h=args.h, t_end=t_end)
     for index, w0 in enumerate(inits):
         trajectory = integrate(spec, State(w0, v0), config)
         exp.write(f"traj2d_init{index}", _trajectory_columns(trajectory))
@@ -501,31 +501,31 @@ def build_parser() -> argparse.ArgumentParser:
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     p = add_parser("conserve",
-                   parents=[_common_flags("gamma method h T seed landscape w0 v0")],
+                   parents=[_common_flags("gamma method h T landscape w0 v0")],
                    help="frictionless vs damped energy traces")
     p.add_argument("--gamma0-only", action="store_true", help="run only the gamma=0 case")
     p.set_defaults(func=cmd_conserve)
 
-    p = add_parser("phase", parents=[_common_flags("method h T seed landscape w0 v0")],
+    p = add_parser("phase", parents=[_common_flags("method h T landscape w0 v0")],
                    help="phase-space orbits and spirals")
     p.add_argument("--gammas", default="0,0.4", help="damping values, comma-separated")
     p.set_defaults(func=cmd_phase)
 
-    p = add_parser("sweep", parents=[_common_flags("h seed w0 v0")],
+    p = add_parser("sweep", parents=[_common_flags("h w0 v0")],
                    help="fitted decay rate vs damping")
     p.add_argument("--gammas", default="0.1,0.2,0.4,0.8", help="damping values, comma-separated")
     p.add_argument("--periods", type=int, default=5, help="fit window length in damped periods")
     p.set_defaults(func=cmd_sweep)
 
     p = add_parser("traj2d",
-                   parents=[_common_flags("gamma method h T seed landscape v0",
+                   parents=[_common_flags("gamma method h T landscape v0",
                                           v0_default=None)],
                    help="2D trajectories with energy coloring data")
     p.add_argument("--inits", default="1,0;0,1;1,1",
                    help="semicolon-separated initial points, e.g. '1,0;0,1'")
     p.set_defaults(func=cmd_traj2d)
 
-    p = add_parser("discrete", parents=[_common_flags("seed landscape w0 v0")],
+    p = add_parser("discrete", parents=[_common_flags("landscape w0 v0")],
                    help="discrete momentum map energy drift")
     p.add_argument("--eta", type=float, default=0.01, help="discrete step size")
     p.add_argument("--steps", type=int, default=None,

@@ -155,6 +155,13 @@ def _require_dim(state: State, spec: SystemSpec):
         )
 
 
+def _single_step(state: State, spec: SystemSpec, method: str, h: float, normal=None, eta=None):
+    """One splitting step of the trajectory kernel from ``state``; returns (State, eta)."""
+    step = _make_stepper(spec, method, h, normal)
+    w, v, eta, _ = step(state.w, state.v, eta, _first_gradient(spec, method, state.w))
+    return State(w, v, state.t + h), eta
+
+
 def step_verlet(state: State, spec: SystemSpec, h: float) -> State:
     """One kick-drift-kick step; frictionless, noise-free dynamics only."""
     _require_dim(state, spec)
@@ -162,11 +169,7 @@ def step_verlet(state: State, spec: SystemSpec, h: float) -> State:
         raise InvalidArgument("verlet handles gamma = 0 only; use damped_splitting")
     if not spec.deterministic:
         raise InvalidArgument("verlet handles deterministic dynamics only")
-    grad = spec.landscape.gradient
-    v = state.v - 0.5 * h * grad(state.w)
-    w = state.w + h * v
-    v = v - 0.5 * h * grad(w)
-    return State(w, v, state.t + h)
+    return _single_step(state, spec, "verlet", h)[0]
 
 
 def step_damped_splitting(state: State, spec: SystemSpec, h: float) -> State:
@@ -180,14 +183,7 @@ def step_damped_splitting(state: State, spec: SystemSpec, h: float) -> State:
     _require_dim(state, spec)
     if not spec.deterministic:
         raise InvalidArgument("damped_splitting handles deterministic dynamics only")
-    grad = spec.landscape.gradient
-    d = math.exp(-spec.gamma * h / 2.0)
-    v = d * state.v
-    v = v - 0.5 * h * grad(state.w)
-    w = state.w + h * v
-    v = v - 0.5 * h * grad(w)
-    v = d * v
-    return State(w, v, state.t + h)
+    return _single_step(state, spec, "damped_splitting", h)[0]
 
 
 def _white_noise_scale(spec: SystemSpec, h: float) -> float:
@@ -214,19 +210,10 @@ def step_stochastic(state, spec, h, rng, eta=None):
     _require_dim(state, spec)
     if spec.deterministic:
         raise InvalidArgument("step_stochastic requires a noisy spec")
-    grad = spec.landscape.gradient
-    d = math.exp(-spec.gamma * h / 2.0)
-
     if spec.noise_kind == "white":
         if eta is not None:
             raise InvalidArgument("eta is only used with correlated noise")
-        s = _white_noise_scale(spec, h)
-        v = d * state.v + s * rng.standard_normal(state.dim)
-        v = v - 0.5 * h * grad(state.w)
-        w = state.w + h * v
-        v = v - 0.5 * h * grad(w)
-        v = d * v + s * rng.standard_normal(state.dim)
-        return State(w, v, state.t + h)
+        return _single_step(state, spec, "stochastic_splitting", h, rng.standard_normal)[0]
 
     # correlated (exponentially decaying memory) forcing
     if eta is None:
@@ -234,15 +221,7 @@ def step_stochastic(state, spec, h, rng, eta=None):
     eta = np.asarray(eta, dtype=float).reshape(-1)
     if eta.shape[0] != state.dim:
         raise InvalidArgument("forcing dimension does not match state dimension")
-    c = math.exp(-h / spec.tau)
-    q = spec.sigma * math.sqrt(1.0 - c * c)
-    v = d * state.v
-    v = v + 0.5 * h * (eta - grad(state.w))
-    w = state.w + h * v
-    eta_next = c * eta + q * rng.standard_normal(state.dim)
-    v = v + 0.5 * h * (eta_next - grad(w))
-    v = d * v
-    return State(w, v, state.t + h), eta_next
+    return _single_step(state, spec, "stochastic_splitting", h, rng.standard_normal, eta)
 
 
 def initial_forcing(spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
@@ -255,19 +234,21 @@ def initial_forcing(spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # trajectory integration
 #
-# The single-trajectory loop steps raw arrays with exactly the arithmetic,
-# in the same order, of the public single-step functions; tests assert
-# bit-equality between the two paths. The gradient is the bare ``w @ A``
-# (the dimension was checked once up front), and a step does nothing but
-# that arithmetic and keep its state when the step is recorded.
+# Every path steps raw arrays through the one kernel built by _make_stepper:
+# the trajectory loop, its failure replay, the ensemble (all members at once,
+# fed from per-member noise streams) and the public single-step functions.
+# The gradient is the bare ``w @ A`` (the dimension was checked once up
+# front). A splitting step's closing kick takes the gradient at the step's
+# final ``w``, which is where the next step's opening kick takes it, so the
+# step returns that gradient and the next step reuses it: one gradient per
+# step, the same bits as evaluating it twice. The caller supplies the
+# gradient at the start state (_first_gradient).
 # Finiteness is checked once per block of _BLOCK steps: none of the step
 # operations turns a NaN or Inf back into a finite number, so a finite
 # state at the end of a block proves every step in it finite, and a
 # non-finite one is replayed step by step to name the first bad step.
-# Energies are computed after the loop, over the recorded rows.
-# The ensemble loop steps all members at once through the same stepper,
-# fed from per-member noise streams, and checks finiteness every step so
-# a failure names its member.
+# Energies are computed after the loop, over the recorded rows. The
+# ensemble checks finiteness every step so a failure names its member.
 
 _BLOCK = 1024  # steps between finiteness checks (the discrete map uses it too)
 
@@ -292,30 +273,39 @@ def _record_indices(n_steps: int, stride: int) -> np.ndarray:
     return np.asarray(idx, dtype=int)
 
 
-def _make_stepper(spec: SystemSpec, config: IntegratorConfig, normal):
-    """Return step(w, v, eta) -> (w, v, eta) for raw arrays.
+_SPLITTING = ("verlet", "damped_splitting", "stochastic_splitting")
 
-    ``normal(shape)`` returns the next standard-normal draws for the
-    stochastic method. The arithmetic is element-wise apart from ``w @ A``,
-    so the same step advances one state of shape (dim,) or a batch of
-    members of shape (M, dim).
+
+def _first_gradient(spec: SystemSpec, method: str, w):
+    """The gradient at the start that a splitting step expects; None for the other methods."""
+    return spec.landscape.raw_gradient()(w) if method in _SPLITTING else None
+
+
+def _make_stepper(spec: SystemSpec, method: str, h: float, normal):
+    """Return step(w, v, eta, gw) -> (w, v, eta, gw) for raw arrays.
+
+    For the splitting methods ``gw`` is the gradient at ``w`` on entry and
+    at the new ``w`` on return, so a chain of steps evaluates one gradient
+    per step; the other methods ignore it and return None. ``normal(shape)``
+    returns the next standard-normal draws for the stochastic method. The
+    arithmetic is element-wise apart from ``w @ A``, so the same step
+    advances one state of shape (dim,) or a batch of members of shape
+    (M, dim).
     """
     grad = spec.landscape.raw_gradient()
     g = spec.gamma
-    h = config.h
     half_h = 0.5 * h
-    method = config.method
 
     if method == "explicit_euler":
-        def step(w, v, eta):
+        def step(w, v, eta, gw):
             w_new = w + h * v
             v_new = v + h * (-g * v - grad(w))
-            return w_new, v_new, None
+            return w_new, v_new, None, None
     elif method == "rk4":
         def accel(w, v):
             return -g * v - grad(w)
 
-        def step(w, v, eta):
+        def step(w, v, eta, gw):
             k1w = v
             k1v = accel(w, v)
             k2w = v + half_h * k1v
@@ -326,47 +316,51 @@ def _make_stepper(spec: SystemSpec, config: IntegratorConfig, normal):
             k4v = accel(w + h * k3w, v + h * k3v)
             w_new = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
             v_new = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            return w_new, v_new, None
+            return w_new, v_new, None, None
     elif method in ("verlet", "damped_splitting"):
         d = math.exp(-g * h / 2.0)
         if d == 1.0:  # frictionless: 1.0 * v is v bit for bit, so skip it
-            def step(w, v, eta):
-                v = v - half_h * grad(w)
+            def step(w, v, eta, gw):
+                v = v - half_h * gw
                 w = w + h * v
-                v = v - half_h * grad(w)
-                return w, v, None
+                gw = grad(w)
+                v = v - half_h * gw
+                return w, v, None, gw
         else:
-            def step(w, v, eta):
+            def step(w, v, eta, gw):
                 v = d * v
-                v = v - half_h * grad(w)
+                v = v - half_h * gw
                 w = w + h * v
-                v = v - half_h * grad(w)
+                gw = grad(w)
+                v = v - half_h * gw
                 v = d * v
-                return w, v, None
+                return w, v, None, gw
     elif spec.noise_kind == "white":
         d = math.exp(-g * h / 2.0)
         s = _white_noise_scale(spec, h)
 
-        def step(w, v, eta):
+        def step(w, v, eta, gw):
             v = d * v + s * normal(v.shape)
-            v = v - half_h * grad(w)
+            v = v - half_h * gw
             w = w + h * v
-            v = v - half_h * grad(w)
+            gw = grad(w)
+            v = v - half_h * gw
             v = d * v + s * normal(v.shape)
-            return w, v, None
+            return w, v, None, gw
     else:  # correlated forcing
         d = math.exp(-g * h / 2.0)
         c = math.exp(-h / spec.tau)
         q = spec.sigma * math.sqrt(1.0 - c * c)
 
-        def step(w, v, eta):
+        def step(w, v, eta, gw):
             v = d * v
-            v = v + half_h * (eta - grad(w))
+            v = v + half_h * (eta - gw)
             w = w + h * v
+            gw = grad(w)
             eta = c * eta + q * normal(v.shape)
-            v = v + half_h * (eta - grad(w))
+            v = v + half_h * (eta - gw)
             v = d * v
-            return w, v, eta
+            return w, v, eta, gw
 
     return step
 
@@ -392,15 +386,16 @@ def _start(spec: SystemSpec, initial: State, config: IntegratorConfig):
         normal = rng.standard_normal
         if spec.noise_kind == "ou":
             eta = initial_forcing(spec, rng)
-    step = _make_stepper(spec, config, normal)
-    return step, np.array(initial.w, dtype=float), np.array(initial.v, dtype=float), eta
+    step = _make_stepper(spec, config.method, config.h, normal)
+    w = np.array(initial.w, dtype=float)
+    return step, w, np.array(initial.v, dtype=float), eta, _first_gradient(spec, config.method, w)
 
 
 def _replay_to_failure(spec: SystemSpec, initial: State, config: IntegratorConfig, last: int):
     """Re-run steps 1..last checking every state; raises at the first non-finite one."""
-    step, w, v, eta = _start(spec, initial, config)
+    step, w, v, eta, gw = _start(spec, initial, config)
     for k in range(1, last + 1):
-        w, v, eta = step(w, v, eta)
+        w, v, eta, gw = step(w, v, eta, gw)
         _raise_nonfinite(w, v, k)
     raise AssertionError(f"replay of steps 1..{last} stayed finite")
 
@@ -417,7 +412,7 @@ def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Tra
 
     n_steps = config.n_steps
     record = _record_indices(n_steps, config.record_every)
-    step, w, v, eta = _start(spec, initial, config)
+    step, w, v, eta, gw = _start(spec, initial, config)
 
     n_rec = record.shape[0]
     ws = np.empty((n_rec, initial.dim))
@@ -432,7 +427,7 @@ def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Tra
     for start in range(1, n_steps + 1, _BLOCK):
         stop = min(start + _BLOCK, n_steps + 1)
         for k in range(start, stop):
-            w, v, eta = step(w, v, eta)
+            w, v, eta, gw = step(w, v, eta, gw)
             if k == targets[pos]:
                 ws[pos], vs[pos] = w, v
                 if etas is not None:
@@ -493,16 +488,17 @@ def _ensemble_loop(spec, initial, config, n_members, record):
     def normal(shape):
         return next(draws)
 
-    step = _make_stepper(spec, config, normal)
+    step = _make_stepper(spec, config.method, config.h, normal)
     value = spec.landscape.value
     w = np.tile(np.asarray(initial.w, dtype=float), (n_members, 1))
     v = np.tile(np.asarray(initial.v, dtype=float), (n_members, 1))
+    gw = _first_gradient(spec, config.method, w)
 
     yield _sample(w, v, eta, value)  # record[0] is step 0
     targets = record.tolist()[1:] + [-1]  # sentinel: no step is recorded past the last
     pos = 0
     for k in range(1, config.n_steps + 1):
-        w, v, eta = step(w, v, eta)
+        w, v, eta, gw = step(w, v, eta, gw)
         _raise_nonfinite(w, v, k)
         if k == targets[pos]:
             yield _sample(w, v, eta, value)

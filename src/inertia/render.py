@@ -22,28 +22,30 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#
 
 def read_csv_columns(path: str) -> dict[str, np.ndarray]:
     """Parse a header-row CSV of floats; malformed content raises InvalidArgument."""
+    # Rows are parsed as they are read, so the text is never held whole.
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InvalidArgument(f"{path} is empty")
+            if not header or any(not name.strip() for name in header):
+                raise InvalidArgument(f"{path} has a malformed header row")
+            values = [[] for _ in header]
+            for line, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise InvalidArgument(
+                        f"{path} row {line}: expected {len(header)} fields, got {len(row)}")
+                for column, field in zip(values, row):
+                    try:
+                        column.append(float(field))
+                    except ValueError:
+                        raise InvalidArgument(f"{path} row {line}: not a number: {field!r}")
     except OSError as exc:
         raise InvalidArgument(f"cannot read {path}: {exc}")
-    if not rows:
-        raise InvalidArgument(f"{path} is empty")
-    header, data_rows = rows[0], rows[1:]
-    if not header or any(not name.strip() for name in header):
-        raise InvalidArgument(f"{path} has a malformed header row")
-    if not data_rows:
+    if not values[0]:
         raise InvalidArgument(f"{path} contains no data rows")
-    columns = {name: np.empty(len(data_rows)) for name in header}
-    for i, row in enumerate(data_rows):
-        if len(row) != len(header):
-            raise InvalidArgument(f"{path} row {i + 2}: expected {len(header)} fields, got {len(row)}")
-        for name, field in zip(header, row):
-            try:
-                columns[name][i] = float(field)
-            except ValueError:
-                raise InvalidArgument(f"{path} row {i + 2}: not a number: {field!r}")
-    return columns
+    return {name: np.array(column, dtype=float) for name, column in zip(header, values)}
 
 
 def _scale(lo: float, hi: float, pixel_lo: float, pixel_hi: float):
@@ -90,6 +92,7 @@ def render_csv(input_path: str, out_path: str, xy: str | None = None) -> None:
                 f"{input_path}: column {name!r} has non-finite values, which cannot be plotted"
             )
     x = columns[x_name]
+    x_list = x.tolist()  # Python floats format faster than numpy scalars, to the same text
     series = [(name, columns[name]) for name in series_names]
     x_lo, x_hi, to_px = _scale(float(x.min()), float(x.max()), _MARGIN_L, _WIDTH - _MARGIN_R)
     y_all = np.concatenate([s for _, s in series])
@@ -128,7 +131,7 @@ def render_csv(input_path: str, out_path: str, xy: str | None = None) -> None:
 
     for idx, (name, y) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(f"{to_px(xi):.2f},{to_py(yi):.2f}" for xi, yi in zip(x, y))
+        points = " ".join(f"{to_px(xi):.2f},{to_py(yi):.2f}" for xi, yi in zip(x_list, y.tolist()))
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{_WIDTH - _MARGIN_R - 6}" y="{_MARGIN_T + 14 + 16 * idx}" font-size="12" '

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from inertia import InvalidArgument, __version__, drift_profile, quadratic_isotropic
+from inertia import render
 from inertia.cli import main
 from inertia.output import format_float, write_csv, write_json, write_manifest
 from inertia.render import read_csv_columns, render_csv
@@ -98,6 +99,23 @@ def test_reading_malformed_csv_fails(tmp_path):
             read_csv_columns(str(path))
 
 
+@pytest.mark.parametrize("content, message", [
+    ("", "is empty"),
+    ("t, \n1,2\n", "has a malformed header row"),
+    ("t,y\n", "contains no data rows"),
+    ("t,y\n1,2\n1,abc\n", "row 3: not a number: 'abc'"),
+    ("t,y\n1,2\n1\n", "row 3: expected 2 fields, got 1"),
+])
+def test_malformed_csv_names_the_fault(tmp_path, content, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(content)
+    with pytest.raises(InvalidArgument) as exc:
+        read_csv_columns(str(path))
+    assert str(exc.value) == f"{path} {message}"
+    with pytest.raises(InvalidArgument, match="cannot read"):
+        read_csv_columns(str(tmp_path / "missing.csv"))
+
+
 def test_manifest_contents(tmp_path):
     write_manifest(str(tmp_path), "demo", {"gamma": 0.4}, ["demo.csv"], 1.25,
                    seed=7, rng_algorithm="PCG64")
@@ -154,6 +172,27 @@ def test_render_is_deterministic(tmp_path):
     render_csv(src, out1)
     render_csv(src, out2)
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+def test_render_points_match_the_numpy_scalar_formatter(tmp_path):
+    """Points formatted from Python floats must give the bytes of per-point numpy scalars."""
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 7.0, 500)
+    cols = {"t": t, "a": 1e-3 * rng.standard_normal(500),
+            "b": np.concatenate([[-0.0, 5e-324], np.cumsum(rng.standard_normal(498))])}
+    src, out = str(tmp_path / "pts.csv"), str(tmp_path / "pts.svg")
+    write_csv(src, cols)
+    render_csv(src, out)
+    svg = open(out).read()
+    y_all = np.concatenate([cols["a"], cols["b"]])
+    _, _, to_px = render._scale(float(t.min()), float(t.max()),
+                                render._MARGIN_L, render._WIDTH - render._MARGIN_R)
+    _, _, to_py = render._scale(float(y_all.min()), float(y_all.max()),
+                                render._HEIGHT - render._MARGIN_B, render._MARGIN_T)
+    assert svg.count("<polyline") == 2
+    for name in ("a", "b"):
+        points = " ".join(f"{to_px(xi):.2f},{to_py(yi):.2f}" for xi, yi in zip(t, cols[name]))
+        assert f'<polyline points="{points}" ' in svg
 
 
 # --- command-line interface --------------------------------------------------------
@@ -290,7 +329,7 @@ def test_stochastic_correlated_adds_work_column(tmp_path):
 
 
 def test_render_adds_to_the_experiment_manifest(tmp_path):
-    code, out = run_cli(tmp_path, "conserve", "--T", "1", "--seed", "7")
+    code, out = run_cli(tmp_path, "conserve", "--T", "1")
     assert code == 0
     manifest = os.path.join(out, "manifest.json")
     before = json.loads(open(manifest).read())
@@ -403,3 +442,12 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")
     assert "at step " in err
+
+
+@pytest.mark.parametrize("command", ["conserve", "phase", "sweep", "traj2d", "discrete"])
+def test_deterministic_subcommands_refuse_a_seed(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1", "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

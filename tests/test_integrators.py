@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from inertia import (
     IntegratorConfig,
     InvalidArgument,
+    LossLandscape,
     NumericalFailure,
     State,
     SystemSpec,
@@ -331,6 +332,141 @@ def test_integrate_matches_step_chain_at_dim_ge_2(name, case):
         assert np.array_equal(traj.noise, np.array(etas))
     expected = np.array([inertia(s, landscape) for s in states])
     assert np.all(np.abs(traj.inertia - expected) <= 4 * np.finfo(float).eps * expected)
+
+
+def dense_psd(dim, seed):
+    m = np.random.default_rng(seed).standard_normal((dim, dim))
+    b = m.T @ m / dim + 0.1 * np.eye(dim)
+    return quadratic_general(0.5 * (b + b.T))
+
+
+PIN_LANDSCAPES = {
+    "iso1d": (ISO1, 120),
+    **{name: (landscape, 120) for name, landscape in MULTI_D.items()},
+    "coupled512": (dense_psd(512, 12), 12),
+}
+
+
+def two_gradient_reference(spec, method, h, n, w, v, normal=None, eta=None):
+    """States 0..n of a plain splitting loop that evaluates the gradient twice per step.
+
+    Written out here, apart from the package's step kernel, with the
+    arithmetic in the order of the textbook kick-drift-kick layout.
+    """
+    grad = spec.landscape.gradient
+    d = math.exp(-spec.gamma * h / 2.0)
+    if spec.noise_kind == "white":
+        if spec.gamma < 1e-12:
+            s = spec.sigma * math.sqrt(h / 2.0)
+        else:
+            s = spec.sigma * math.sqrt((1.0 - d * d) / (2.0 * spec.gamma))
+    elif spec.noise_kind == "ou":
+        c = math.exp(-h / spec.tau)
+        q = spec.sigma * math.sqrt(1.0 - c * c)
+    ws, vs, etas = [w], [v], [eta]
+    for _ in range(n):
+        if method != "stochastic_splitting":
+            v = d * v
+            v = v - 0.5 * h * grad(w)
+            w = w + h * v
+            v = v - 0.5 * h * grad(w)
+            v = d * v
+        elif spec.noise_kind == "white":
+            v = d * v + s * normal(v.shape)
+            v = v - 0.5 * h * grad(w)
+            w = w + h * v
+            v = v - 0.5 * h * grad(w)
+            v = d * v + s * normal(v.shape)
+        else:
+            v = d * v
+            v = v + 0.5 * h * (eta - grad(w))
+            w = w + h * v
+            eta = c * eta + q * normal(v.shape)
+            v = v + 0.5 * h * (eta - grad(w))
+            v = d * v
+        ws.append(w)
+        vs.append(v)
+        etas.append(eta)
+    return np.array(ws), np.array(vs), etas
+
+
+def reference_for_member(spec, cfg, start, member=0):
+    rng = member_rng(cfg.seed, member)
+    eta = initial_forcing(spec, rng) if spec.noise_kind == "ou" else None
+    return two_gradient_reference(spec, cfg.method, cfg.h, cfg.n_steps, start.w, start.v,
+                                  rng.standard_normal, eta)
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+@pytest.mark.parametrize("name", sorted(PIN_LANDSCAPES))
+def test_one_gradient_steps_equal_the_two_gradient_reference(name, case):
+    """integrate and the public step chain reproduce the two-gradient loop bit for bit."""
+    landscape, n = PIN_LANDSCAPES[name]
+    method, spec_args = STEP_CASES[case]
+    spec = SystemSpec(landscape=landscape, **spec_args)
+    cfg = IntegratorConfig(method=method, h=0.01, t_end=n * 0.01, seed=9)
+    assert cfg.n_steps == n
+    start = State(np.linspace(1.0, -0.5, landscape.dim), np.linspace(0.0, 0.3, landscape.dim))
+    ws, vs, etas = reference_for_member(spec, cfg, start)
+    traj = integrate(spec, start, cfg)
+    states, chain_etas = replay_steps(spec, cfg, start, n)
+    for got_ws, got_vs in ((traj.ws, traj.vs),
+                           (np.array([s.w for s in states]), np.array([s.v for s in states]))):
+        assert np.array_equal(got_ws, ws)
+        assert np.array_equal(got_vs, vs)
+    if spec.noise_kind == "ou":
+        assert np.array_equal(traj.noise, np.array(etas))
+        assert np.array_equal(np.array(chain_etas), np.array(etas))
+
+
+@pytest.mark.parametrize("noise, tau", [("white", None), ("ou", 0.5)])
+def test_ensemble_rows_equal_the_two_gradient_reference(noise, tau):
+    spec = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
+    cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=1.0, seed=5)
+    start = State([0.8], [-0.1])
+    series = ensemble_series(spec, start, cfg, 4)
+    for i in range(4):
+        ws, vs, _ = reference_for_member(spec, cfg, start, member=i)
+        assert np.array_equal(series["inertia"][i], 0.5 * vs[:, 0] * vs[:, 0] + 0.5 * ws[:, 0] * ws[:, 0])
+
+
+class CountingLandscape(LossLandscape):
+    """A dense quadratic that counts gradient calls (raw_gradient is the default)."""
+
+    def __init__(self, landscape):
+        self.inner = landscape
+        self.gradient_calls = 0
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def value(self, w):
+        return self.inner.value(w)
+
+    def gradient(self, w):
+        self.gradient_calls += 1
+        return self.inner.gradient(w)
+
+
+@pytest.mark.parametrize("case, per_step", [
+    ("verlet", None), ("damped", None), ("white", None), ("ou", None),
+    ("rk4", 4), ("explicit_euler", 1),
+])
+def test_gradient_calls_per_run(case, per_step):
+    """Splitting runs take one gradient per step plus one at the start."""
+    counting = CountingLandscape(coupled5())
+    method, spec_args = STEP_CASES.get(case, (case, dict(gamma=0.4)))
+    spec = SystemSpec(landscape=counting, **spec_args)
+    cfg = IntegratorConfig(method=method, h=0.01, t_end=0.37, seed=2, record_every=5)
+    start = State(np.linspace(1.0, -0.5, 5), np.zeros(5))
+    integrate(spec, start, cfg)
+    expected = cfg.n_steps + 1 if per_step is None else per_step * cfg.n_steps
+    assert counting.gradient_calls == expected
+    if method == "stochastic_splitting":
+        counting.gradient_calls = 0
+        ensemble_series(spec, start, cfg, 6)
+        assert counting.gradient_calls == cfg.n_steps + 1  # one batched call per step
 
 
 def test_white_noise_velocity_variance_growth():
