@@ -2,9 +2,10 @@
 
 Each subcommand integrates a configured system, writes machine-readable
 data (CSV by default, columnar JSON with ``--format json``) plus a
-``manifest.json`` recording the resolved parameters, and prints a short
-summary. Exit codes: 0 success, 2 invalid arguments, 3 numerical failure
-(including an experiment whose documented expectation did not hold).
+``manifest.json`` recording the parsed flags and the run's status, and
+prints a short summary. Exit codes: 0 success, 2 invalid arguments, 3
+numerical failure (including an experiment whose documented expectation
+did not hold).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 
 import numpy as np
 
-from .analysis import damped_period, ensemble_expected_decay, sweep_gamma
+from .analysis import ensemble_expected_decay, sweep_gamma
 from .discrete import discrete_trajectory, drift_profile
 from .dynamics import State, SystemSpec
 from .errors import InvalidArgument, NumericalFailure
@@ -73,9 +74,7 @@ def _parse_inits(text: str, dim: int) -> list[list[float]]:
 
 def _resolve_method(gamma: float, override: str | None) -> str:
     """Pick the deterministic integrator: verlet when frictionless, else splitting."""
-    if override is not None:
-        return override
-    return "verlet" if gamma == 0 else "damped_splitting"
+    return override or ("verlet" if gamma == 0 else "damped_splitting")
 
 
 def _initial(args, landscape) -> State:
@@ -88,143 +87,129 @@ def _initial(args, landscape) -> State:
     return State(w0, v0)
 
 
-# ---------------------------------------------------------------------------
-# output helpers
+def _trajectory(args, write, stem, landscape, gamma, initial) -> tuple[str, Trajectory]:
+    """Integrate at ``gamma`` with --method or the method gamma picks; write it as ``stem``."""
+    method = _resolve_method(gamma, args.method)
+    config = IntegratorConfig(method=method, h=args.h, t_end=args.T)
+    trajectory = integrate(SystemSpec(landscape=landscape, gamma=gamma), initial, config)
+    write(stem, _trajectory_columns(trajectory.ws, trajectory.vs, trajectory.inertia,
+                                    t=trajectory.times))
+    return method, trajectory
 
 
-def _trajectory_columns(trajectory: Trajectory) -> dict[str, np.ndarray]:
-    dim = trajectory.ws.shape[1]
-    columns: dict[str, np.ndarray] = {"t": trajectory.times}
-    for i in range(dim):
-        columns[f"w{i}"] = trajectory.ws[:, i]
-    for i in range(dim):
-        columns[f"v{i}"] = trajectory.vs[:, i]
-    columns["inertia"] = trajectory.inertia
+def _trajectory_columns(ws, vs, inertia, **axis) -> dict[str, np.ndarray]:
+    """The trajectory schema: the one ``axis`` column, w0.., v0.., inertia."""
+    columns = dict(axis)
+    columns.update((f"w{i}", ws[:, i]) for i in range(ws.shape[1]))
+    columns.update((f"v{i}", vs[:, i]) for i in range(vs.shape[1]))
+    columns["inertia"] = inertia
     return columns
 
 
-class _Experiment:
-    """Collects output files and writes the manifest when the command is done."""
+def _drift(energy: np.ndarray) -> tuple[float, float]:
+    """max |I_t - I_0|, and the same relative to I_0 (absolute when I_0 is 0)."""
+    drift = float(np.max(np.abs(energy - energy[0])))
+    return drift, drift / (energy[0] if energy[0] != 0 else 1.0)
 
-    def __init__(self, args, name: str, parameters: dict, stochastic: bool = False):
-        self.out_dir = args.out_dir
-        self.fmt = args.format
-        self.name = name
-        self.parameters = parameters
-        self.seed = getattr(args, "seed", None)
-        self.stochastic = stochastic
-        self.outputs: list[str] = []
-        self.started = time.monotonic()
-        os.makedirs(self.out_dir, exist_ok=True)
 
-    def write(self, stem: str, columns: dict[str, np.ndarray]) -> str:
-        filename = f"{stem}.{self.fmt}"
-        path = os.path.join(self.out_dir, filename)
-        if self.fmt == "json":
-            write_json(path, columns)
-        else:
-            write_csv(path, columns)
-        self.outputs.append(filename)
-        print(f"wrote {path}")
-        return path
+# ---------------------------------------------------------------------------
+# the run protocol
 
-    def finish(self) -> int:
-        write_manifest(
-            self.out_dir,
-            self.name,
-            self.parameters,
-            self.outputs,
-            time.monotonic() - self.started,
-            seed=self.seed,
-            rng_algorithm=RNG_ALGORITHM if self.stochastic else None,
-        )
+
+def _parameters(args) -> dict:
+    """The parsed flags, less those that place the output; the seed has its own field."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("command", "func", "out_dir", "format", "seed")}
+
+
+def _experiment(body):
+    """Wrap ``body(args, write)`` in the run protocol shared by every experiment.
+
+    ``write(stem, columns)`` writes one data file in --format and prints its
+    path. ``manifest.json`` follows when the body returns, and also when it
+    raises NumericalFailure, with a ``status`` that names the failure. Its
+    ``parameters`` are the parsed flags: a body that derives a default from
+    other flags stores the resolved value back in ``args``. An
+    InvalidArgument leaves no manifest.
+    """
+
+    @functools.wraps(body)
+    def run(args) -> int:
+        started = time.monotonic()
+        outputs: list[str] = []
+
+        def write(stem: str, columns: dict[str, np.ndarray]) -> None:
+            filename = f"{stem}.{args.format}"
+            path = os.path.join(args.out_dir, filename)
+            os.makedirs(args.out_dir, exist_ok=True)
+            (write_json if args.format == "json" else write_csv)(path, columns)
+            outputs.append(filename)
+            print(f"wrote {path}")
+
+        def manifest(status: dict) -> None:
+            os.makedirs(args.out_dir, exist_ok=True)
+            seed = getattr(args, "seed", None)
+            write_manifest(args.out_dir, args.command, _parameters(args), outputs,
+                           time.monotonic() - started, seed=seed,
+                           rng_algorithm=None if seed is None else RNG_ALGORITHM,
+                           status=status)
+
+        try:
+            body(args, write)
+        except NumericalFailure as exc:
+            manifest({"state": "failed", "exit_code": 3, "error": str(exc),
+                      "step_index": exc.step_index, "member": exc.member})
+            raise
+        manifest({"state": "ok"})
         return 0
+
+    return run
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_conserve(args) -> int:
-    landscape = landscape_from_name(args.landscape or "iso1d")
+@_experiment
+def cmd_conserve(args, write) -> None:
+    landscape = landscape_from_name(args.landscape)
     initial = _initial(args, landscape)
-    t_end = args.T if args.T is not None else 10.0
     gammas = [0.0]
     if not args.gamma0_only and args.gamma != 0.0:
         gammas.append(args.gamma)
 
-    exp = _Experiment(
-        args,
-        "conserve",
-        {
-            "landscape": args.landscape or "iso1d",
-            "gammas": gammas,
-            "method": args.method,
-            "h": args.h,
-            "T": t_end,
-            "w0": list(initial.w),
-            "v0": list(initial.v),
-        },
-    )
     combined: dict[str, np.ndarray] = {}
     for gamma in gammas:
-        method = _resolve_method(gamma, args.method)
-        spec = SystemSpec(landscape=landscape, gamma=gamma)
-        config = IntegratorConfig(method=method, h=args.h, t_end=t_end)
-        trajectory = integrate(spec, initial, config)
-        exp.write(f"conserve_g{gamma:g}", _trajectory_columns(trajectory))
-
+        method, trajectory = _trajectory(args, write, f"conserve_g{gamma:g}", landscape,
+                                         gamma, initial)
         energy = trajectory.inertia
-        scale = energy[0] if energy[0] != 0 else 1.0
-        drift = float(np.max(np.abs(energy - energy[0])) / scale)
-        print(f"gamma={gamma:g} ({method}): max relative inertia drift = {drift:.3e}")
+        print(f"gamma={gamma:g} ({method}): max relative inertia drift = {_drift(energy)[1]:.3e}")
         if gamma > 0:
             print(
                 f"gamma={gamma:g}: I(T)/I(0) = {energy[-1] / energy[0]:.6f}, "
-                f"exp(-gamma*T) = {np.exp(-gamma * t_end):.6f}"
+                f"exp(-gamma*T) = {np.exp(-gamma * args.T):.6f}"
             )
         if method == "explicit_euler" and np.all(np.diff(energy) > 0):
             print(
                 "warning: explicit_euler grows the energy monotonically; "
                 "it is the negative control, not a production integrator"
             )
-        if not combined:
-            combined["t"] = trajectory.times
+        combined.setdefault("t", trajectory.times)
         combined[f"inertia_g{gamma:g}"] = energy
 
     if len(gammas) > 1:
-        exp.write("conserve", combined)
-    return exp.finish()
+        write("conserve", combined)
 
 
-def cmd_phase(args) -> int:
-    landscape = landscape_from_name(args.landscape or "iso1d")
+@_experiment
+def cmd_phase(args, write) -> None:
+    landscape = landscape_from_name(args.landscape)
     initial = _initial(args, landscape)
-    gammas = _parse_floats(args.gammas, "--gammas")
-    t_end = args.T if args.T is not None else 20.0
-
-    exp = _Experiment(
-        args,
-        "phase",
-        {
-            "landscape": args.landscape or "iso1d",
-            "gammas": gammas,
-            "h": args.h,
-            "T": t_end,
-            "w0": list(initial.w),
-            "v0": list(initial.v),
-        },
-    )
-    for gamma in gammas:
-        method = _resolve_method(gamma, args.method)
-        spec = SystemSpec(landscape=landscape, gamma=gamma)
-        config = IntegratorConfig(method=method, h=args.h, t_end=t_end)
-        trajectory = integrate(spec, initial, config)
-        exp.write(f"phase_g{gamma:g}", _trajectory_columns(trajectory))
-
+    for gamma in _parse_floats(args.gammas, "--gammas"):
+        _, trajectory = _trajectory(args, write, f"phase_g{gamma:g}", landscape, gamma, initial)
         if gamma == 0:
             # a frictionless orbit must return near its starting point
-            late = trajectory.times >= 0.5 * t_end
+            late = trajectory.times >= 0.5 * args.T
             gaps = np.sqrt(
                 np.sum((trajectory.ws[late] - initial.w) ** 2, axis=1)
                 + np.sum((trajectory.vs[late] - initial.v) ** 2, axis=1)
@@ -240,25 +225,17 @@ def cmd_phase(args) -> int:
                 np.sqrt(np.sum(trajectory.ws[-1] ** 2) + np.sum(trajectory.vs[-1] ** 2))
             )
             print(f"gamma={gamma:g}: final phase-space radius = {radius:.4f}")
-    return exp.finish()
 
 
-def cmd_sweep(args) -> int:
+@_experiment
+def cmd_sweep(args, write) -> None:
     gammas = _parse_floats(args.gammas, "--gammas")
-    w0 = _parse_floats(args.w0, "--w0")
-    v0 = _parse_floats(args.v0, "--v0")
-    if len(w0) != 1 or len(v0) != 1:
-        raise InvalidArgument("the decay-rate sweep runs on the 1D quadratic")
-
-    exp = _Experiment(
-        args,
-        "sweep",
-        {"gammas": sorted(gammas), "h": args.h, "periods": args.periods,
-         "w0": w0, "v0": v0},
-    )
-    entries = sweep_gamma(gammas, h=args.h, n_periods=args.periods, w0=w0[0], v0=v0[0])
+    # the decay-rate sweep runs on the 1D quadratic
+    initial = _initial(args, landscape_from_name("iso1d"))
+    entries = sweep_gamma(gammas, h=args.h, n_periods=args.periods,
+                          w0=initial.w[0], v0=initial.v[0])
     nan = float("nan")
-    exp.write(
+    write(
         "sweep",
         {
             "gamma": np.array([e.gamma for e in entries]),
@@ -282,46 +259,27 @@ def cmd_sweep(args) -> int:
             raise NumericalFailure("fitted decay rates are not monotone in gamma")
         slope = float(np.polyfit([e.gamma for e in fitted], rates, 1)[0])
         print(f"regression slope of gamma_hat vs gamma = {slope:.6f}")
-    exp.finish()
     if failed:
         raise NumericalFailure(f"{len(failed)} of {len(entries)} fits failed")
-    return 0
 
 
-def cmd_traj2d(args) -> int:
-    landscape = landscape_from_name(args.landscape or "iso2d")
+@_experiment
+def cmd_traj2d(args, write) -> None:
+    landscape = landscape_from_name(args.landscape)
     inits = _parse_inits(args.inits, landscape.dim)
     if args.v0 is None:
-        v0 = [0.0] * landscape.dim
-    else:
-        v0 = _parse_floats(args.v0, "--v0")
-        if len(v0) != landscape.dim:
-            raise InvalidArgument(f"--v0 must have {landscape.dim} coordinates")
-    t_end = args.T if args.T is not None else 10.0
-    gamma = args.gamma
+        args.v0 = ",".join(["0"] * landscape.dim)
+    v0 = _parse_floats(args.v0, "--v0")
+    if len(v0) != landscape.dim:
+        raise InvalidArgument(f"--v0 must have {landscape.dim} coordinates")
+    args.method = _resolve_method(args.gamma, args.method)
 
-    exp = _Experiment(
-        args,
-        "traj2d",
-        {
-            "landscape": args.landscape or "iso2d",
-            "gamma": gamma,
-            "inits": inits,
-            "v0": v0,
-            "h": args.h,
-            "T": t_end,
-        },
-    )
-    method = _resolve_method(gamma, args.method)
-    spec = SystemSpec(landscape=landscape, gamma=gamma)
-    config = IntegratorConfig(method=method, h=args.h, t_end=t_end)
     for index, w0 in enumerate(inits):
-        trajectory = integrate(spec, State(w0, v0), config)
-        exp.write(f"traj2d_init{index}", _trajectory_columns(trajectory))
+        _, trajectory = _trajectory(args, write, f"traj2d_init{index}", landscape, args.gamma,
+                                    State(w0, v0))
         energy = trajectory.inertia
-        if gamma == 0:
-            scale = energy[0] if energy[0] != 0 else 1.0
-            drift = float(np.max(np.abs(energy - energy[0])) / scale)
+        if args.gamma == 0:
+            drift = _drift(energy)[1]
             print(f"init {w0}: inertia = {energy[0]:g}, max relative drift = {drift:.3e}")
             if drift > 1e-4:
                 raise NumericalFailure(
@@ -329,59 +287,39 @@ def cmd_traj2d(args) -> int:
                 )
         else:
             increases = np.diff(energy)
-            print(
-                f"init {w0}: inertia {energy[0]:g} -> {energy[-1]:.6g}"
-            )
+            print(f"init {w0}: inertia {energy[0]:g} -> {energy[-1]:.6g}")
             if increases.max() > 1e-12:
                 raise NumericalFailure(
                     f"damped trajectory {index} has an energy increase of {increases.max():.3e}"
                 )
-    return exp.finish()
 
 
-def cmd_discrete(args) -> int:
-    landscape = landscape_from_name(args.landscape or "iso1d")
+@_experiment
+def cmd_discrete(args, write) -> None:
+    landscape = landscape_from_name(args.landscape)
     if args.eta <= 0:
         raise InvalidArgument(f"--eta must be positive, got {args.eta}")
-    n_steps = args.steps if args.steps is not None else int(round(10.0 / args.eta))
+    if args.steps is None:
+        args.steps = int(round(10.0 / args.eta))
+    n_steps = args.steps
     if n_steps < 1:
         raise InvalidArgument(f"--steps must be >= 1, got {n_steps}")
     initial = _initial(args, landscape)
 
-    exp = _Experiment(
-        args,
-        "discrete",
-        {
-            "landscape": args.landscape or "iso1d",
-            "eta": args.eta,
-            "steps": n_steps,
-            "w0": list(initial.w),
-            "v0": list(initial.v),
-            "eta_halving": bool(args.eta_halving),
-        },
-    )
     ws, vs, energy = discrete_trajectory(initial.w, initial.v, args.eta, n_steps, landscape)
-    dim = landscape.dim
-    columns: dict[str, np.ndarray] = {"step": np.arange(n_steps + 1, dtype=float)}
-    for i in range(dim):
-        columns[f"w{i}"] = ws[:, i]
-    for i in range(dim):
-        columns[f"v{i}"] = vs[:, i]
-    columns["inertia"] = energy
-    exp.write("discrete", columns)
-
-    max_drift = float(np.max(np.abs(energy - energy[0])))
-    scale = energy[0] if energy[0] != 0 else 1.0
+    write("discrete",
+          _trajectory_columns(ws, vs, energy, step=np.arange(n_steps + 1, dtype=float)))
+    max_drift, relative = _drift(energy)
     print(
         f"eta={args.eta:g}, {n_steps} steps: max |I_t - I_0| = {max_drift:.3e} "
-        f"({max_drift / scale:.3%} of I_0)"
+        f"({relative:.3%} of I_0)"
     )
 
     if args.eta_halving:
         # drift_profile(eta, n_steps) is this run's own energy series, so
         # max_drift is its drift; only eta/2 needs a new run.
         _, drift_half = drift_profile(initial.w, initial.v, args.eta / 2, 2 * n_steps, landscape)
-        exp.write(
+        write(
             "discrete_halving",
             {
                 "eta": np.array([args.eta, args.eta / 2]),
@@ -391,40 +329,21 @@ def cmd_discrete(args) -> int:
         )
         if drift_half > 0:
             print(f"drift ratio eta vs eta/2 (same horizon): {max_drift / drift_half:.3f}")
-    return exp.finish()
 
 
-def cmd_stochastic(args) -> int:
-    landscape = landscape_from_name(args.landscape or "iso1d")
+@_experiment
+def cmd_stochastic(args, write) -> None:
+    landscape = landscape_from_name(args.landscape)
     initial = _initial(args, landscape)
     noise_kind, tau = _parse_noise(args.noise)
-    if args.method not in (None, "stochastic_splitting"):
+    if args.method != "stochastic_splitting":
         raise InvalidArgument("noisy dynamics require the stochastic_splitting method")
-    t_end = args.T if args.T is not None else 10.0
 
     spec = SystemSpec(
         landscape=landscape, gamma=args.gamma, sigma=args.sigma,
         noise_kind=noise_kind, tau=tau,
     )
-    config = IntegratorConfig(
-        method="stochastic_splitting", h=args.h, t_end=t_end, seed=args.seed
-    )
-    exp = _Experiment(
-        args,
-        "stochastic",
-        {
-            "landscape": args.landscape or "iso1d",
-            "gamma": args.gamma,
-            "sigma": args.sigma,
-            "noise": args.noise,
-            "members": args.members,
-            "h": args.h,
-            "T": t_end,
-            "w0": list(initial.w),
-            "v0": list(initial.v),
-        },
-        stochastic=True,
-    )
+    config = IntegratorConfig(method=args.method, h=args.h, t_end=args.T, seed=args.seed)
     result = ensemble_expected_decay(spec, initial, config, args.members)
     columns = {
         "t": result.times,
@@ -435,12 +354,11 @@ def cmd_stochastic(args) -> int:
     }
     if result.mean_noise_dot_v is not None:
         columns["mean_noise_dot_v"] = result.mean_noise_dot_v
-    exp.write("stochastic", columns)
+    write("stochastic", columns)
     print(
         f"balance residual = {format_float(result.balance_residual)} "
         f"+/- {format_float(result.balance_stderr)} ({args.members} members)"
     )
-    return exp.finish()
 
 
 def cmd_render(args) -> int:
@@ -449,12 +367,8 @@ def cmd_render(args) -> int:
     started = time.monotonic()
     render_csv(args.input, args.out, xy=args.xy)
     print(f"wrote {args.out}")
-    record_render(
-        out_dir,
-        os.path.basename(args.out),
-        {"input": args.input, "out": args.out, "xy": args.xy},
-        time.monotonic() - started,
-    )
+    record_render(out_dir, os.path.basename(args.out), _parameters(args),
+                  time.monotonic() - started)
     return 0
 
 
@@ -462,30 +376,31 @@ def cmd_render(args) -> int:
 # parser and entry point
 
 
-def _common_flags(names: str, v0_default: str | None = "0",
-                  sigma_default: float = 0.0) -> argparse.ArgumentParser:
+def _common_flags(names: str, **defaults) -> argparse.ArgumentParser:
     """Parent parser with the shared flags in ``names`` plus --out-dir and --format.
 
-    A subcommand lists only the flags it reads, so argparse refuses the rest.
+    A subcommand lists only the flags it reads, so argparse refuses the rest;
+    ``defaults`` overrides shared defaults for this subcommand.
     """
     # Built fresh per subcommand: argparse parents share action objects, so a
     # single parent would leak per-subcommand default overrides to the others.
     shared = {
         "gamma": dict(type=float, default=0.4, help="damping coefficient"),
-        "sigma": dict(type=float, default=sigma_default, help="noise amplitude"),
+        "sigma": dict(type=float, default=0.0, help="noise amplitude"),
         "noise": dict(default="white", help="noise kind: white or ou:<tau>"),
         "method": dict(choices=METHODS, default=None,
                        help="integrator (default: picked from gamma/noise)"),
         "h": dict(type=float, default=0.01, help="integration step size"),
-        "T": dict(type=float, default=None, help="time horizon"),
+        "T": dict(type=float, default=10.0, help="time horizon"),
         "seed": dict(type=int, default=0, help="RNG seed (stochastic runs)"),
-        "landscape": dict(default=None, help="loss surface: iso<N>d or diag:<d1,d2,...>"),
+        "landscape": dict(default="iso1d", help="loss surface: iso<N>d or diag:<d1,d2,...>"),
         "w0": dict(default="1", help="initial parameters, comma-separated"),
-        "v0": dict(default=v0_default, help="initial velocity, comma-separated"),
+        "v0": dict(default="0", help="initial velocity, comma-separated"),
     }
     common = argparse.ArgumentParser(add_help=False)
     for name in names.split():
         common.add_argument(f"--{name}", **shared[name])
+    common.set_defaults(**defaults)
     common.add_argument("--out-dir", default="out", help="output directory")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     return common
@@ -506,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma0-only", action="store_true", help="run only the gamma=0 case")
     p.set_defaults(func=cmd_conserve)
 
-    p = add_parser("phase", parents=[_common_flags("method h T landscape w0 v0")],
+    p = add_parser("phase", parents=[_common_flags("method h T landscape w0 v0", T=20.0)],
                    help="phase-space orbits and spirals")
     p.add_argument("--gammas", default="0,0.4", help="damping values, comma-separated")
     p.set_defaults(func=cmd_phase)
@@ -519,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("traj2d",
                    parents=[_common_flags("gamma method h T landscape v0",
-                                          v0_default=None)],
+                                          landscape="iso2d", v0=None)],
                    help="2D trajectories with energy coloring data")
     p.add_argument("--inits", default="1,0;0,1;1,1",
                    help="semicolon-separated initial points, e.g. '1,0;0,1'")
@@ -536,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("stochastic",
                    parents=[_common_flags("gamma sigma noise method h T seed landscape w0 v0",
-                                          sigma_default=0.3)],
+                                          sigma=0.3, method="stochastic_splitting")],
                    help="noisy ensemble decay balance")
     p.add_argument("--members", type=int, default=100, help="ensemble size")
     p.set_defaults(func=cmd_stochastic)

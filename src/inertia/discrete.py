@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _as_readonly_vector, inertia_rows
+from .dynamics import _as_readonly_vector, _require_dim, inertia_rows
 from .errors import InvalidArgument, NumericalFailure
 from .integrators import _BLOCK
 from .landscapes import LossLandscape
@@ -54,11 +54,7 @@ def momentum_step(state: DiscreteState, eta_step: float, landscape: LossLandscap
     """One velocity-first update; eta_step plays the role of a time step."""
     if eta_step <= 0:
         raise InvalidArgument(f"eta_step must be positive, got {eta_step}")
-    if state.w.shape[0] != landscape.dim:
-        raise InvalidArgument(
-            f"state dimension {state.w.shape[0]} does not match landscape dimension "
-            f"{landscape.dim}"
-        )
+    _require_dim(state.w.shape[0], landscape)
     v = state.v - eta_step * landscape.gradient(state.w)
     w = state.w + eta_step * v
     return DiscreteState(w, v, state.step_index + 1)
@@ -66,11 +62,7 @@ def momentum_step(state: DiscreteState, eta_step: float, landscape: LossLandscap
 
 def discrete_inertia(state: DiscreteState, landscape: LossLandscape) -> float:
     """1/2 ||v||^2 + L(w), the same functional as the continuous-time energy."""
-    if state.w.shape[0] != landscape.dim:
-        raise InvalidArgument(
-            f"state dimension {state.w.shape[0]} does not match landscape dimension "
-            f"{landscape.dim}"
-        )
+    _require_dim(state.w.shape[0], landscape)
     return 0.5 * float(state.v @ state.v) + float(landscape.value(state.w))
 
 

@@ -108,12 +108,16 @@ class SystemSpec:
         return self.noise_kind == "none"
 
 
+def _require_dim(dim: int, landscape: LossLandscape) -> None:
+    if dim != landscape.dim:
+        raise InvalidArgument(
+            f"state dimension {dim} does not match landscape dimension {landscape.dim}"
+        )
+
+
 def inertia(state: State, landscape: LossLandscape) -> float:
     """Kinetic plus potential energy: 1/2 ||v||^2 + L(w)."""
-    if state.dim != landscape.dim:
-        raise InvalidArgument(
-            f"state dimension {state.dim} does not match landscape dimension {landscape.dim}"
-        )
+    _require_dim(state.dim, landscape)
     return 0.5 * float(state.v @ state.v) + float(landscape.value(state.w))
 
 
@@ -143,11 +147,7 @@ def acceleration(
     if noise_value is None:
         noise_value = np.zeros(state.dim)
     noise_value = np.asarray(noise_value, dtype=float).reshape(-1)
-    if state.dim != spec.landscape.dim:
-        raise InvalidArgument(
-            f"state dimension {state.dim} does not match landscape dimension "
-            f"{spec.landscape.dim}"
-        )
+    _require_dim(state.dim, spec.landscape)
     if noise_value.shape[0] != state.dim:
         raise InvalidArgument(
             f"noise dimension {noise_value.shape[0]} does not match state dimension {state.dim}"

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import State, SystemSpec, inertia_rows
+from .dynamics import State, SystemSpec, _require_dim, inertia_rows
 from .errors import InvalidArgument, NumericalFailure
 
 __all__ = [
@@ -147,14 +147,6 @@ class Trajectory:
 # single-step operations
 
 
-def _require_dim(state: State, spec: SystemSpec):
-    if state.dim != spec.landscape.dim:
-        raise InvalidArgument(
-            f"state dimension {state.dim} does not match landscape dimension "
-            f"{spec.landscape.dim}"
-        )
-
-
 def _single_step(state: State, spec: SystemSpec, method: str, h: float, normal=None, eta=None):
     """One splitting step of the trajectory kernel from ``state``; returns (State, eta)."""
     step = _make_stepper(spec, method, h, normal)
@@ -164,7 +156,7 @@ def _single_step(state: State, spec: SystemSpec, method: str, h: float, normal=N
 
 def step_verlet(state: State, spec: SystemSpec, h: float) -> State:
     """One kick-drift-kick step; frictionless, noise-free dynamics only."""
-    _require_dim(state, spec)
+    _require_dim(state.dim, spec.landscape)
     if spec.gamma != 0:
         raise InvalidArgument("verlet handles gamma = 0 only; use damped_splitting")
     if not spec.deterministic:
@@ -180,7 +172,7 @@ def step_damped_splitting(state: State, spec: SystemSpec, h: float) -> State:
     velocity contracts by exactly exp(-gamma h) per step; with gamma = 0
     the step is identical to velocity Verlet.
     """
-    _require_dim(state, spec)
+    _require_dim(state.dim, spec.landscape)
     if not spec.deterministic:
         raise InvalidArgument("damped_splitting handles deterministic dynamics only")
     return _single_step(state, spec, "damped_splitting", h)[0]
@@ -207,7 +199,7 @@ def step_stochastic(state, spec, h, rng, eta=None):
     forcing advances by its exact exponential update between the two
     kicks, so the first kick sees the old value and the second the new.
     """
-    _require_dim(state, spec)
+    _require_dim(state.dim, spec.landscape)
     if spec.deterministic:
         raise InvalidArgument("step_stochastic requires a noisy spec")
     if spec.noise_kind == "white":
@@ -407,7 +399,7 @@ def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Tra
     stochastic method is bit-reproducible for a fixed seed. A NaN/Inf
     state aborts with the failing step index.
     """
-    _require_dim(initial, spec)
+    _require_dim(initial.dim, spec.landscape)
     _check_method(spec, config)
 
     n_steps = config.n_steps
@@ -520,7 +512,7 @@ def ensemble_samples(
     and raises ``NumericalFailure`` naming the step and the first member
     whose state left the finite range. Arguments are checked at the call.
     """
-    _require_dim(initial, spec)
+    _require_dim(initial.dim, spec.landscape)
     _check_method(spec, config)
     if config.method != "stochastic_splitting":
         raise InvalidArgument("ensembles are for the stochastic method")

@@ -2,12 +2,15 @@
 
 All numeric output uses Python's round-trip ``repr`` formatting, so parsing
 a written file recovers the exact doubles that were computed and re-running
-with the same parameters reproduces files byte for byte. Manifests are
-written atomically (temp file + rename) after the data files they describe.
+with the same parameters reproduces files byte for byte. Every file is
+written atomically (temp file + rename), so an interrupted write leaves no
+partial file under the real name; manifests follow the data files they
+describe.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -38,11 +41,25 @@ def _floats(column) -> list[float]:
     return np.asarray(column, dtype=float).tolist()
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A text handle on a temp file that replaces ``path`` once fully written."""
+    tmp = f"{path}.tmp"
+    fh = open(tmp, "w", newline="")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+
+
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:
     """Write named columns as CSV with a header row and LF line endings."""
     _validate_columns(columns)
     rows = zip(*(_floats(col) for col in columns.values()))
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         fh.write(",".join(columns) + "\n")
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
@@ -56,17 +73,13 @@ def write_json(path, columns: dict[str, np.ndarray]) -> None:
     """Columnar JSON mirror of the CSV schema; non-finite values become null."""
     _validate_columns(columns)
     doc = {name: _json_column(col) for name, col in columns.items()}
-    with open(path, "w", newline="") as fh:
-        json.dump({"columns": doc}, fh, indent=1)
-        fh.write("\n")
+    _write_json_atomically(path, {"columns": doc})
 
 
-def _write_json_atomically(path: str, doc: dict) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+def _write_json_atomically(path, doc: dict) -> None:
+    with _replacing(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def write_manifest(
@@ -77,8 +90,9 @@ def write_manifest(
     duration_seconds: float,
     seed: int | None = None,
     rng_algorithm: str | None = None,
+    status: dict | None = None,
 ) -> str:
-    """Atomically write ``manifest.json`` describing a finished run."""
+    """Atomically write ``manifest.json`` describing a run; ``status`` defaults to ok."""
     manifest = {
         "experiment": experiment,
         "parameters": parameters,
@@ -86,6 +100,7 @@ def write_manifest(
         "rng_algorithm": rng_algorithm,
         "version": __version__,
         "outputs": outputs,
+        "status": status or {"state": "ok"},
         "duration_seconds": duration_seconds,
     }
     path = os.path.join(out_dir, "manifest.json")

@@ -12,6 +12,7 @@ import csv
 import numpy as np
 
 from .errors import InvalidArgument
+from .output import _replacing
 
 __all__ = ["read_csv_columns", "render_csv"]
 
@@ -41,7 +42,7 @@ def read_csv_columns(path: str) -> dict[str, np.ndarray]:
                         column.append(float(field))
                     except ValueError:
                         raise InvalidArgument(f"{path} row {line}: not a number: {field!r}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidArgument(f"cannot read {path}: {exc}")
     if not values[0]:
         raise InvalidArgument(f"{path} contains no data rows")
@@ -139,5 +140,5 @@ def render_csv(input_path: str, out_path: str, xy: str | None = None) -> None:
         )
 
     parts.append("</svg>")
-    with open(out_path, "w", newline="") as fh:
+    with _replacing(out_path) as fh:
         fh.write("\n".join(parts) + "\n")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from inertia import InvalidArgument, __version__, drift_profile, quadratic_isotropic
 from inertia import render
-from inertia.cli import main
+from inertia.cli import build_parser, main
+from inertia.integrators import METHODS
 from inertia.output import format_float, write_csv, write_json, write_manifest
 from inertia.render import read_csv_columns, render_csv
 
@@ -114,6 +116,44 @@ def test_malformed_csv_names_the_fault(tmp_path, content, message):
     assert str(exc.value) == f"{path} {message}"
     with pytest.raises(InvalidArgument, match="cannot read"):
         read_csv_columns(str(tmp_path / "missing.csv"))
+
+
+def test_render_of_a_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"t,y\n1,\xff\n")
+    code = main(["render", "--input", str(path), "--out", str(tmp_path / "x.svg")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
+    assert not (tmp_path / "x.svg").exists()
+
+
+def _fail_midway(column):
+    values = np.asarray(column, dtype=float).tolist()
+    yield from values[:2]
+    raise OSError("disk full")
+
+
+def _dump_half(doc, fh, **kwargs):
+    fh.write('{"columns": {')
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("writer, target, failing", [
+    (write_csv, "inertia.output._floats", _fail_midway),
+    (write_json, "json.dump", _dump_half),
+])
+@pytest.mark.parametrize("existed", [False, True])
+def test_an_interrupted_write_leaves_no_partial_file(tmp_path, monkeypatch, writer, target,
+                                                      failing, existed):
+    path = tmp_path / "data.out"
+    if existed:
+        path.write_text("old\n")
+    monkeypatch.setattr(target, failing)
+    with pytest.raises(OSError, match="disk full"):
+        writer(path, {"t": np.arange(5.0), "y": np.ones(5)})
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["data.out"] if existed else [])
+    if existed:
+        assert path.read_text() == "old\n"
 
 
 def test_manifest_contents(tmp_path):
@@ -406,6 +446,7 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
         code = main(argv + ["--out-dir", str(tmp_path / "out")])
         assert code == 2, argv
         assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out" / "manifest.json").exists(), argv
     # render takes no --out-dir; exercised on its own
     code = main(["render", "--input", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "x.svg")])
@@ -451,3 +492,73 @@ def test_deterministic_subcommands_refuse_a_seed(tmp_path, capsys, command):
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# --- manifests -----------------------------------------------------------------------
+
+def _manifest(out_dir):
+    return json.loads(open(os.path.join(out_dir, "manifest.json")).read())
+
+
+def _declared_flags(command):
+    """The dests a subcommand's parser declares, less the ones that only place output."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for action in sub.choices[command]._actions}
+    return dests - {"help", "out_dir", "format", "seed"}
+
+
+@pytest.mark.parametrize("argv, derived", [
+    (["conserve", "--T", "1"], {"T": 1.0, "landscape": "iso1d"}),
+    (["phase"], {"T": 20.0, "landscape": "iso1d"}),
+    (["sweep", "--gammas", "0.4,0.8"], {"gammas": "0.4,0.8"}),
+    (["traj2d", "--T", "1"],
+     {"landscape": "iso2d", "v0": "0,0", "method": "damped_splitting"}),
+    (["discrete", "--eta", "0.1"], {"steps": 100, "landscape": "iso1d"}),
+    (["stochastic", "--T", "1", "--members", "100"], {"method": "stochastic_splitting"}),
+])
+def test_manifest_parameters_are_the_declared_flags(tmp_path, argv, derived):
+    code, out = run_cli(tmp_path, *argv)
+    assert code == 0
+    doc = _manifest(out)
+    assert doc["status"] == {"state": "ok"}
+    parameters = doc["parameters"]
+    assert set(parameters) == _declared_flags(argv[0])
+    # conserve and phase pick the integrator per gamma when --method is omitted
+    per_gamma = {"method"} if argv[0] in ("conserve", "phase") else set()
+    assert [k for k, v in parameters.items() if v is None and k not in per_gamma] == []
+    assert {k: parameters[k] for k in derived} == derived
+    if "method" in parameters and parameters["method"] is not None:
+        assert parameters["method"] in METHODS
+
+
+def test_phase_manifest_records_the_method(tmp_path):
+    _, plain = run_cli(tmp_path / "a", "phase")
+    _, rk4 = run_cli(tmp_path / "b", "phase", "--method", "rk4")
+    assert _manifest(plain)["parameters"]["method"] is None
+    assert _manifest(rk4)["parameters"]["method"] == "rk4"
+
+
+@pytest.mark.parametrize("argv, outputs, error, step_index, member", [
+    (["traj2d", "--gamma", "0", "--method", "rk4", "--T", "200", "--h", "0.5"],
+     ["traj2d_init0.csv"], "frictionless trajectory 0 drifted", None, None),
+    (["phase", "--method", "rk4", "--T", "200", "--h", "0.5"],
+     ["phase_g0.csv"], "frictionless orbit failed to close", None, None),
+    (["sweep", "--gammas", "0.1,2.5"], ["sweep.csv"], "1 of 2 fits failed", None, None),
+    (["discrete", "--eta", "2.1", "--steps", "2000"], [], "energy not finite at step 563",
+     563, None),
+    (["stochastic", "--h", "2.5", "--gamma", "0", "--T", "2000", "--members", "100"], [],
+     "non-finite state in member 19 at step 512", 512, 19),
+])
+def test_a_failed_run_writes_its_manifest(tmp_path, capsys, argv, outputs, error, step_index,
+                                          member):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run_cli(tmp_path, *argv)
+    assert code == 3
+    assert f"numerical failure: {error}" in capsys.readouterr().err
+    doc = _manifest(out)
+    assert doc["outputs"] == outputs
+    assert sorted(os.listdir(out)) == sorted(outputs + ["manifest.json"])
+    assert doc["status"]["state"] == "failed"
+    assert doc["status"]["exit_code"] == 3
+    assert doc["status"]["error"].startswith(error)
+    assert (doc["status"]["step_index"], doc["status"]["member"]) == (step_index, member)
