@@ -334,6 +334,12 @@ def ensemble_expected_decay(
     how members would be scheduled. The balance's per-member time means
     are sums accumulated block by block, so they match a full-array mean
     to rounding, not bitwise.
+
+    Finite member states can still overflow a statistic (the spread of
+    members near 1e154 overflows the variance), so a NaN or Inf in any
+    reduced series or in the balance raises ``NumericalFailure``. It names
+    the first bad sample as ``step_index`` (None when only the balance is
+    bad) and no member.
     """
     if n_members < 100:
         raise InvalidArgument(f"need at least 100 members for stable statistics, got {n_members}")
@@ -393,6 +399,14 @@ def ensemble_expected_decay(
             bufs[:, :, :2] = bufs[:, :, first - 1 - lo : first + 1 - lo]
             lo = first - 1
 
+    reduced = [*means.values(), *stderrs.values()]
+    if correlated:
+        reduced.append(mean_noise_dot_v)
+    finite = np.logical_and.reduce([np.isfinite(series) for series in reduced])
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NumericalFailure(f"ensemble statistics not finite at step {k}", step_index=k)
+
     n_window = stop - start
     residual = window_sums[0] / n_window + spec.gamma * (window_sums[1] / n_window)
     if correlated:
@@ -404,6 +418,8 @@ def ensemble_expected_decay(
         balance_stderr = float(residual.std(ddof=1) / math.sqrt(n_members))
     else:
         balance_stderr = 0.0
+    if not (math.isfinite(balance_residual) and math.isfinite(balance_stderr)):
+        raise NumericalFailure("ensemble balance not finite")
 
     stats = {q: EnsembleStats(n_members, means[q], stderrs[q], q) for q in quantities}
     return EnsembleResult(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import _as_readonly_vector, _require_dim, inertia_rows
 from .errors import InvalidArgument, NumericalFailure
-from .integrators import _BLOCK
+from .integrators import _BLOCK, _loop_value, _rows
 from .landscapes import LossLandscape
 
 __all__ = [
@@ -95,7 +95,10 @@ def discrete_trajectory(
     grad = landscape.raw_gradient()
     ws = np.empty((n_steps + 1, w.shape[0]))
     vs = np.empty((n_steps + 1, w.shape[0]))
-    ws[0], vs[0] = w, v
+    # a 1-D state steps as Python floats into flat views, as in integrate
+    w, v = _loop_value(w), _loop_value(v)
+    w_rows, v_rows = _rows(ws), _rows(vs)
+    w_rows[0], v_rows[0] = w, v
     # NaN and Inf stay non-finite under the map, so a finite state at the
     # end of a block means the whole block was; stop at the first that is not.
     last = n_steps
@@ -104,7 +107,7 @@ def discrete_trajectory(
         for k in range(start, stop):
             v = v - eta_step * grad(w)
             w = w + eta_step * v
-            ws[k], vs[k] = w, v
+            w_rows[k], v_rows[k] = w, v
         if not (np.isfinite(w).all() and np.isfinite(v).all()):
             last = stop - 1
             break

@@ -147,8 +147,9 @@ class Trajectory:
 # single-step operations
 
 
-def _single_step(state: State, spec: SystemSpec, method: str, h: float, normal=None, eta=None):
+def _single_step(state: State, spec: SystemSpec, method: str, h: float, rng=None, eta=None):
     """One splitting step of the trajectory kernel from ``state``; returns (State, eta)."""
+    normal = None if rng is None else _normal(rng, state.dim)
     step = _make_stepper(spec, method, h, normal)
     w, v, eta, _ = step(state.w, state.v, eta, _first_gradient(spec, method, state.w))
     return State(w, v, state.t + h), eta
@@ -205,7 +206,7 @@ def step_stochastic(state, spec, h, rng, eta=None):
     if spec.noise_kind == "white":
         if eta is not None:
             raise InvalidArgument("eta is only used with correlated noise")
-        return _single_step(state, spec, "stochastic_splitting", h, rng.standard_normal)[0]
+        return _single_step(state, spec, "stochastic_splitting", h, rng)[0]
 
     # correlated (exponentially decaying memory) forcing
     if eta is None:
@@ -213,7 +214,7 @@ def step_stochastic(state, spec, h, rng, eta=None):
     eta = np.asarray(eta, dtype=float).reshape(-1)
     if eta.shape[0] != state.dim:
         raise InvalidArgument("forcing dimension does not match state dimension")
-    return _single_step(state, spec, "stochastic_splitting", h, rng.standard_normal, eta)
+    return _single_step(state, spec, "stochastic_splitting", h, rng, eta)
 
 
 def initial_forcing(spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
@@ -226,11 +227,16 @@ def initial_forcing(spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # trajectory integration
 #
-# Every path steps raw arrays through the one kernel built by _make_stepper:
+# Every path steps raw values through the one kernel built by _make_stepper:
 # the trajectory loop, its failure replay, the ensemble (all members at once,
 # fed from per-member noise streams) and the public single-step functions.
-# The gradient is the bare ``w @ A`` (the dimension was checked once up
-# front). A splitting step's closing kick takes the gradient at the step's
+# The trajectory loop and its replay step a 1-D state as Python floats
+# (_loop_value): their *, + and - are the IEEE operations numpy applies to a
+# one-element array, without numpy's per-call cost, and the noise source
+# hands out floats (_normal). The other paths step arrays. The gradient is
+# the bare ``w @ A`` (the dimension was checked once up front); at dim 1 it
+# is the scalar form ``w * a + 0.0``, for floats and (M, 1) members alike.
+# A splitting step's closing kick takes the gradient at the step's
 # final ``w``, which is where the next step's opening kick takes it, so the
 # step returns that gradient and the next step reuses it: one gradient per
 # step, the same bits as evaluating it twice. The caller supplies the
@@ -239,8 +245,10 @@ def initial_forcing(spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
 # operations turns a NaN or Inf back into a finite number, so a finite
 # state at the end of a block proves every step in it finite, and a
 # non-finite one is replayed step by step to name the first bad step.
-# Energies are computed after the loop, over the recorded rows. The
-# ensemble checks finiteness every step so a failure names its member.
+# Energies are computed after the loop, over the recorded rows; at dim 1
+# the rows are written through flat views (_rows), a cheaper store than a
+# row assignment. The ensemble checks finiteness every step so a failure
+# names its member.
 
 _BLOCK = 1024  # steps between finiteness checks (the discrete map uses it too)
 
@@ -274,15 +282,16 @@ def _first_gradient(spec: SystemSpec, method: str, w):
 
 
 def _make_stepper(spec: SystemSpec, method: str, h: float, normal):
-    """Return step(w, v, eta, gw) -> (w, v, eta, gw) for raw arrays.
+    """Return step(w, v, eta, gw) -> (w, v, eta, gw) for raw states.
 
     For the splitting methods ``gw`` is the gradient at ``w`` on entry and
     at the new ``w`` on return, so a chain of steps evaluates one gradient
-    per step; the other methods ignore it and return None. ``normal(shape)``
-    returns the next standard-normal draws for the stochastic method. The
-    arithmetic is element-wise apart from ``w @ A``, so the same step
-    advances one state of shape (dim,) or a batch of members of shape
-    (M, dim).
+    per step; the other methods ignore it and return None. ``normal()``
+    takes no argument and returns the next standard-normal draws for the
+    stochastic method, shaped like ``v``: the caller binds the shape when it
+    builds the source (_normal). The arithmetic is element-wise apart from
+    the gradient, so the same step advances a 1-D state as Python floats,
+    one state of shape (dim,) or a batch of members of shape (M, dim).
     """
     grad = spec.landscape.raw_gradient()
     g = spec.gamma
@@ -332,12 +341,12 @@ def _make_stepper(spec: SystemSpec, method: str, h: float, normal):
         s = _white_noise_scale(spec, h)
 
         def step(w, v, eta, gw):
-            v = d * v + s * normal(v.shape)
+            v = d * v + s * normal()
             v = v - half_h * gw
             w = w + h * v
             gw = grad(w)
             v = v - half_h * gw
-            v = d * v + s * normal(v.shape)
+            v = d * v + s * normal()
             return w, v, None, gw
     else:  # correlated forcing
         d = math.exp(-g * h / 2.0)
@@ -349,7 +358,7 @@ def _make_stepper(spec: SystemSpec, method: str, h: float, normal):
             v = v + half_h * (eta - gw)
             w = w + h * v
             gw = grad(w)
-            eta = c * eta + q * normal(v.shape)
+            eta = c * eta + q * normal()
             v = v + half_h * (eta - gw)
             v = d * v
             return w, v, eta, gw
@@ -360,7 +369,7 @@ def _make_stepper(spec: SystemSpec, method: str, h: float, normal):
 def _raise_nonfinite(w, v, k: int):
     if np.all(np.isfinite(w)) and np.all(np.isfinite(v)):
         return
-    if w.ndim == 2:  # batched: identify the offending member
+    if np.ndim(w) == 2:  # batched: identify the offending member
         bad = ~(np.all(np.isfinite(w), axis=1) & np.all(np.isfinite(v), axis=1))
         member = int(np.flatnonzero(bad)[0])
         raise NumericalFailure(
@@ -369,18 +378,33 @@ def _raise_nonfinite(w, v, k: int):
     raise NumericalFailure(f"non-finite state at step {k}", step_index=k)
 
 
+def _normal(rng: np.random.Generator, dim: int):
+    """Zero-argument source of standard-normal draws shaped like a ``dim`` state."""
+    return rng.standard_normal if dim == 1 else lambda: rng.standard_normal(dim)
+
+
+def _loop_value(x: np.ndarray):
+    """A state vector as the trajectory loop steps it: a float at dim 1, else a copy."""
+    return float(x[0]) if x.shape[0] == 1 else np.array(x, dtype=float)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """Where a loop stores its states in an (n, dim) array: a flat view at dim 1."""
+    return a[:, 0] if a.shape[1] == 1 else a
+
+
 def _start(spec: SystemSpec, initial: State, config: IntegratorConfig):
-    """Stepper and starting arrays; a replay gets the same start, noise included."""
+    """Stepper and starting state; a replay gets the same start, noise included."""
     normal = None
     eta = None
     if config.method == "stochastic_splitting":
         rng = member_rng(config.seed, 0)
-        normal = rng.standard_normal
+        normal = _normal(rng, initial.dim)
         if spec.noise_kind == "ou":
-            eta = initial_forcing(spec, rng)
+            eta = _loop_value(initial_forcing(spec, rng))
     step = _make_stepper(spec, config.method, config.h, normal)
-    w = np.array(initial.w, dtype=float)
-    return step, w, np.array(initial.v, dtype=float), eta, _first_gradient(spec, config.method, w)
+    w = _loop_value(initial.w)
+    return step, w, _loop_value(initial.v), eta, _first_gradient(spec, config.method, w)
 
 
 def _replay_to_failure(spec: SystemSpec, initial: State, config: IntegratorConfig, last: int):
@@ -410,9 +434,11 @@ def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Tra
     ws = np.empty((n_rec, initial.dim))
     vs = np.empty((n_rec, initial.dim))
     etas = np.empty((n_rec, initial.dim)) if eta is not None else None
-    ws[0], vs[0] = w, v
-    if etas is not None:
-        etas[0] = eta
+    w_rows, v_rows = _rows(ws), _rows(vs)
+    eta_rows = None if etas is None else _rows(etas)
+    w_rows[0], v_rows[0] = w, v
+    if eta_rows is not None:
+        eta_rows[0] = eta
 
     targets = record.tolist() + [-1]  # sentinel: no step is recorded past the last
     pos = 1
@@ -421,9 +447,9 @@ def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Tra
         for k in range(start, stop):
             w, v, eta, gw = step(w, v, eta, gw)
             if k == targets[pos]:
-                ws[pos], vs[pos] = w, v
-                if etas is not None:
-                    etas[pos] = eta
+                w_rows[pos], v_rows[pos] = w, v
+                if eta_rows is not None:
+                    eta_rows[pos] = eta
                 pos += 1
         if not (np.isfinite(w).all() and np.isfinite(v).all()):
             _replay_to_failure(spec, initial, config, stop - 1)
@@ -476,11 +502,7 @@ def _ensemble_loop(spec, initial, config, n_members, record):
     if spec.noise_kind == "ou":
         eta = np.array([initial_forcing(spec, rng) for rng in rngs])
     draws = _member_draws(rngs, config.n_steps, 1 if eta is not None else 2, initial.dim)
-
-    def normal(shape):
-        return next(draws)
-
-    step = _make_stepper(spec, config.method, config.h, normal)
+    step = _make_stepper(spec, config.method, config.h, draws.__next__)
     value = spec.landscape.value
     w = np.tile(np.asarray(initial.w, dtype=float), (n_members, 1))
     v = np.tile(np.asarray(initial.v, dtype=float), (n_members, 1))

@@ -45,9 +45,18 @@ class LossLandscape(ABC):
         """``gradient`` as a bare callable for loops that checked the dimension once.
 
         It returns the same bits as ``gradient``; a subclass may skip the
-        per-call conversion and checks.
+        per-call conversion and checks. At dim 1 the trajectory loops step
+        Python floats, so the callable also takes a float and returns one.
         """
-        return self.gradient
+        if self.dim != 1:
+            return self.gradient
+        gradient = self.gradient
+
+        def raw(w):
+            if isinstance(w, np.ndarray):
+                return gradient(w)
+            return float(gradient(np.array([w]))[0])
+        return raw
 
     def row_values(self, ws: np.ndarray) -> np.ndarray:
         """``value(ws[i])`` for every row of an (n, dim) array.
@@ -99,7 +108,13 @@ class QuadraticLandscape(LossLandscape):
 
     def raw_gradient(self):
         # w @ A itself: no array conversion, no dimension check
-        return self._matrix.__rmatmul__
+        if self.dim != 1:
+            return self._matrix.__rmatmul__
+        # One coordinate: w @ A is the single product w * a summed onto 0.0,
+        # and the + 0.0 turns a -0.0 product into +0.0 as that sum does. It
+        # takes a float or an (m, 1) array, bit for bit as w @ A.
+        a = float(self._matrix[0, 0])
+        return lambda w: w * a + 0.0
 
     def row_values(self, ws):
         # Stacked vector-matrix products take the same BLAS kernel as a

@@ -58,10 +58,11 @@ def _replacing(path):
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:
     """Write named columns as CSV with a header row and LF line endings."""
     _validate_columns(columns)
-    rows = zip(*(_floats(col) for col in columns.values()))
+    # repr whole columns, then join rows: cheaper than a map and join per row
+    cells = zip(*(map(repr, _floats(col)) for col in columns.values()))
     with _replacing(path) as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        fh.writelines(",".join(row) + "\n" for row in cells)
 
 
 def _json_column(column) -> list[float | None]:

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from inertia import (
     IntegratorConfig,
     InvalidArgument,
+    NumericalFailure,
     State,
     SystemSpec,
     Trajectory,
@@ -292,6 +293,17 @@ def test_correlated_noise_balance_needs_the_work_term():
     broken = float(np.mean(res.inertia_rate.mean_series[sl])
                    + 0.4 * np.mean(res.speed_squared.mean_series[sl]))
     assert abs(broken) > 30.0 * (3.0 * res.balance_stderr)
+
+
+def test_overflowing_statistics_raise_instead_of_writing_inf():
+    """Members still finite, but their spread overflows the variance at step 128."""
+    spec = SystemSpec(landscape=ISO1, gamma=0.0, sigma=0.3, noise_kind="white")
+    cfg = IntegratorConfig(method="stochastic_splitting", h=2.5, t_end=500.0, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailure) as exc:
+            ensemble_expected_decay(spec, State([1.0], [0.0]), cfg, 100)
+    assert (exc.value.step_index, exc.value.member) == (128, None)
+    assert str(exc.value) == "ensemble statistics not finite at step 128"
 
 
 def test_ensemble_is_deterministic():

@@ -548,6 +548,9 @@ def test_phase_manifest_records_the_method(tmp_path):
      563, None),
     (["stochastic", "--h", "2.5", "--gamma", "0", "--T", "2000", "--members", "100"], [],
      "non-finite state in member 19 at step 512", 512, 19),
+    # finite members whose spread overflows the variance: inf in stderr_I from step 128
+    (["stochastic", "--h", "2.5", "--gamma", "0", "--T", "500", "--members", "100"], [],
+     "ensemble statistics not finite at step 128", 128, None),
 ])
 def test_a_failed_run_writes_its_manifest(tmp_path, capsys, argv, outputs, error, step_index,
                                           member):

@@ -148,6 +148,21 @@ def test_trajectory_matches_repeated_steps(landscape):
     assert np.array_equal(energy, np.array(energies))
 
 
+@pytest.mark.parametrize("v0", [0.7, -0.0])
+def test_1d_trajectory_keeps_the_bits_of_the_array_steps_from_minus_zero(v0):
+    """The 1-D map steps floats; from w0 = -0.0 it keeps every bit, signed zeros included."""
+    ws, vs, energy = discrete_trajectory([-0.0], [v0], 0.05, 300, ISO1)
+    states, energies, failed = replay([-0.0], [v0], 0.05, 300, ISO1)
+    assert failed is None
+    for got, expected in ((ws, [s.w for s in states]), (vs, [s.v for s in states]),
+                          (energy, energies)):
+        expected = np.array(expected)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    if v0 != 0:
+        assert ws.min() < 0 < ws.max()
+
+
 @pytest.mark.parametrize("eta, landscape", [
     (2.02, ISO1),                             # energy overflows inside the second block
     (0.7, landscape_from_name("diag:1,4,9")),  # only the curvature-9 mode is unstable

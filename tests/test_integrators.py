@@ -348,12 +348,19 @@ PIN_LANDSCAPES = {
 
 
 def two_gradient_reference(spec, method, h, n, w, v, normal=None, eta=None):
-    """States 0..n of a plain splitting loop that evaluates the gradient twice per step.
+    """States 0..n of a plain array loop; its splitting steps evaluate the gradient twice.
 
     Written out here, apart from the package's step kernel, with the
-    arithmetic in the order of the textbook kick-drift-kick layout.
+    arithmetic in the order of the textbook kick-drift-kick layout (and of
+    the classical Euler and Runge-Kutta stages). It steps numpy arrays and
+    takes ``landscape.gradient``, so 1-D runs, which the package steps as
+    Python floats, are checked against the array arithmetic.
     """
     grad = spec.landscape.gradient
+
+    def accel(w, v):
+        return -spec.gamma * v - grad(w)
+
     d = math.exp(-spec.gamma * h / 2.0)
     if spec.noise_kind == "white":
         if spec.gamma < 1e-12:
@@ -365,7 +372,16 @@ def two_gradient_reference(spec, method, h, n, w, v, normal=None, eta=None):
         q = spec.sigma * math.sqrt(1.0 - c * c)
     ws, vs, etas = [w], [v], [eta]
     for _ in range(n):
-        if method != "stochastic_splitting":
+        if method == "explicit_euler":
+            w, v = w + h * v, v + h * accel(w, v)
+        elif method == "rk4":
+            k1w, k1v = v, accel(w, v)
+            k2w, k2v = v + 0.5 * h * k1v, accel(w + 0.5 * h * k1w, v + 0.5 * h * k1v)
+            k3w, k3v = v + 0.5 * h * k2v, accel(w + 0.5 * h * k2w, v + 0.5 * h * k2v)
+            k4w, k4v = v + h * k3v, accel(w + h * k3w, v + h * k3v)
+            w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        elif method != "stochastic_splitting":
             v = d * v
             v = v - 0.5 * h * grad(w)
             w = w + h * v
@@ -419,6 +435,56 @@ def test_one_gradient_steps_equal_the_two_gradient_reference(name, case):
         assert np.array_equal(np.array(chain_etas), np.array(etas))
 
 
+DIM1_CASES = {
+    **STEP_CASES,
+    "explicit_euler": ("explicit_euler", dict(gamma=0.4)),
+    "rk4": ("rk4", dict(gamma=0.4)),
+}
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes: unlike array_equal, tells -0.0 from +0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("v0", [0.7, -0.0])
+@pytest.mark.parametrize("case", sorted(DIM1_CASES))
+def test_scalar_path_equals_the_array_reference_from_minus_zero(case, v0):
+    """1-D runs step Python floats; from w0 = -0.0 they keep every bit of the array loop.
+
+    With v0 = 0.7 the run crosses the origin. With v0 = -0.0 the noise-free
+    runs rest on signed zeros, which a -0.0 gradient would flip.
+    """
+    method, spec_args = DIM1_CASES[case]
+    spec = SystemSpec(landscape=ISO1, **spec_args)
+    cfg = IntegratorConfig(method=method, h=0.01, t_end=4.0, seed=9)
+    start = State([-0.0], [v0])
+    ws, vs, etas = reference_for_member(spec, cfg, start)
+    traj = integrate(spec, start, cfg)
+    assert same_bits(traj.ws, ws)
+    assert same_bits(traj.vs, vs)
+    if spec.noise_kind == "ou":
+        assert same_bits(traj.noise, np.array(etas))
+    if v0 != 0:
+        assert ws.min() < 0 < ws.max()
+
+
+@pytest.mark.parametrize("case", sorted(DIM1_CASES))
+def test_1d_records_stay_float64_columns(case):
+    method, spec_args = DIM1_CASES[case]
+    spec = SystemSpec(landscape=ISO1, **spec_args)
+    cfg = IntegratorConfig(method=method, h=0.01, t_end=0.5, seed=1, record_every=7)
+    traj = integrate(spec, UNIT_START, cfg)
+    recorded = [traj.ws, traj.vs] + ([traj.noise] if spec.noise_kind == "ou" else [])
+    for values in recorded:
+        assert type(values) is np.ndarray
+        assert values.dtype == np.float64 and values.shape == (len(traj), 1)
+    assert traj.inertia.dtype == np.float64 and traj.inertia.shape == (len(traj),)
+    if spec.noise_kind != "ou":
+        assert traj.noise is None
+
+
 @pytest.mark.parametrize("noise, tau", [("white", None), ("ou", 0.5)])
 def test_ensemble_rows_equal_the_two_gradient_reference(noise, tau):
     spec = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
@@ -447,6 +513,19 @@ class CountingLandscape(LossLandscape):
     def gradient(self, w):
         self.gradient_calls += 1
         return self.inner.gradient(w)
+
+
+@pytest.mark.parametrize("case", sorted(DIM1_CASES))
+def test_a_1d_landscape_without_a_scalar_gradient_steps_floats_too(case):
+    """The default raw_gradient adapts a 1-D ``gradient`` to floats, same bits."""
+    counting = CountingLandscape(ISO1)
+    method, spec_args = DIM1_CASES[case]
+    cfg = IntegratorConfig(method=method, h=0.01, t_end=1.0, seed=4)
+    start = State([0.8], [-0.3])
+    ref = integrate(SystemSpec(landscape=ISO1, **spec_args), start, cfg)
+    got = integrate(SystemSpec(landscape=counting, **spec_args), start, cfg)
+    assert same_bits(got.ws, ref.ws) and same_bits(got.vs, ref.vs)
+    assert counting.gradient_calls > 0
 
 
 @pytest.mark.parametrize("case, per_step", [
@@ -591,6 +670,7 @@ def first_bad_step(spec, cfg, start, member=0):
     (ISO1, 2.05, 0.0),              # unstable verlet, fails inside the second block
     (MULTI_D["diag"], 0.7, 0.0),    # only the curvature-9 mode is unstable
     (ISO1, 2.05, 0.3),              # the failure replay must redraw the same noise
+    (landscape_from_name("diag:1e6"), 3.0, 0.0),  # 1-D floats overflow within a few steps
 ])
 def test_failure_step_matches_per_step_replay(landscape, h, sigma):
     spec = (SystemSpec(landscape=landscape) if sigma == 0 else

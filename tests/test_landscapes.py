@@ -117,6 +117,32 @@ def test_row_values_and_raw_gradient_match_single_points(dim):
         assert np.array_equal(grad(w), ls.gradient(w))
 
 
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300,
+               1e300, -1e300, 1.5, -2.5, np.inf, -np.inf, np.nan, -np.nan]
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("curvature", [1.0, 4.0, 0.0, 1e-300, 1e300, 3.7])
+def test_scalar_raw_gradient_is_the_matmul_bit_for_bit(curvature):
+    """At dim 1 raw_gradient takes floats and (m, 1) arrays; its bits are those of w @ A.
+
+    The signed zeros pin the + 0.0: a -0.0 product must come out as +0.0.
+    """
+    ls = quadratic_general([[curvature]])
+    grad = ls.raw_gradient()
+    batch = np.array(EDGE_VALUES)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in EDGE_VALUES:
+            got = grad(x)
+            assert type(got) is float
+            assert bits(got) == bits(ls.gradient(np.array([x]))[0]), x
+        assert bits(grad(batch)) == bits(ls.gradient(batch))
+        assert grad(batch).shape == batch.shape
+
+
 @given(
     st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
 )
