@@ -185,10 +185,10 @@ def cmd_conserve(args, write) -> None:
         energy = trajectory.inertia
         print(f"gamma={gamma:g} ({method}): max relative inertia drift = {_drift(energy)[1]:.3e}")
         if gamma > 0:
-            print(
-                f"gamma={gamma:g}: I(T)/I(0) = {energy[-1] / energy[0]:.6f}, "
-                f"exp(-gamma*T) = {np.exp(-gamma * args.T):.6f}"
-            )
+            # a run from rest at the minimum has no ratio; print I(T) itself
+            ratio = (f"I(T)/I(0) = {energy[-1] / energy[0]:.6f}" if energy[0] != 0
+                     else f"I(T) = {energy[-1]:.6f} (I(0) = 0)")
+            print(f"gamma={gamma:g}: {ratio}, exp(-gamma*T) = {np.exp(-gamma * args.T):.6f}")
         if method == "explicit_euler" and np.all(np.diff(energy) > 0):
             print(
                 "warning: explicit_euler grows the energy monotonically; "
@@ -297,8 +297,8 @@ def cmd_traj2d(args, write) -> None:
 @_experiment
 def cmd_discrete(args, write) -> None:
     landscape = landscape_from_name(args.landscape)
-    if args.eta <= 0:
-        raise InvalidArgument(f"--eta must be positive, got {args.eta}")
+    if not 0 < args.eta < np.inf:
+        raise InvalidArgument(f"--eta must be positive and finite, got {args.eta}")
     if args.steps is None:
         args.steps = int(round(10.0 / args.eta))
     n_steps = args.steps

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _as_readonly_vector, _require_dim, inertia_rows
-from .errors import InvalidArgument, NumericalFailure
-from .integrators import _BLOCK, _loop_value, _rows
+from .dynamics import _as_readonly_vector, _require_dim, inertia
+from .errors import InvalidArgument
+from .integrators import _finite_energies, _run
 from .landscapes import LossLandscape
 
 __all__ = [
@@ -50,20 +50,30 @@ class DiscreteState:
             raise InvalidArgument(f"step_index must be >= 0, got {self.step_index}")
 
 
+def _momentum_map(eta_step: float, landscape: LossLandscape):
+    """The map as a step of the trajectory loop; like rk4 it ignores ``eta`` and ``gw``."""
+    if not 0 < eta_step < np.inf:
+        raise InvalidArgument(f"eta_step must be positive and finite, got {eta_step}")
+    grad = landscape.raw_gradient()
+
+    def step(w, v, eta, gw):
+        v = v - eta_step * grad(w)
+        w = w + eta_step * v
+        return w, v, None, None
+    return step
+
+
 def momentum_step(state: DiscreteState, eta_step: float, landscape: LossLandscape) -> DiscreteState:
     """One velocity-first update; eta_step plays the role of a time step."""
-    if eta_step <= 0:
-        raise InvalidArgument(f"eta_step must be positive, got {eta_step}")
+    step = _momentum_map(eta_step, landscape)
     _require_dim(state.w.shape[0], landscape)
-    v = state.v - eta_step * landscape.gradient(state.w)
-    w = state.w + eta_step * v
+    w, v, _, _ = step(state.w, state.v, None, None)
     return DiscreteState(w, v, state.step_index + 1)
 
 
 def discrete_inertia(state: DiscreteState, landscape: LossLandscape) -> float:
     """1/2 ||v||^2 + L(w), the same functional as the continuous-time energy."""
-    _require_dim(state.w.shape[0], landscape)
-    return 0.5 * float(state.v @ state.v) + float(landscape.value(state.w))
+    return inertia(state, landscape)
 
 
 def discrete_trajectory(
@@ -80,42 +90,18 @@ def discrete_trajectory(
     ``energy[t]`` its ``discrete_inertia``, bit for bit. Raises
     NumericalFailure at the first step whose energy is not finite.
     """
-    if eta_step <= 0:
-        raise InvalidArgument(f"eta_step must be positive, got {eta_step}")
+    step = _momentum_map(eta_step, landscape)
     if n_steps < 1:
         raise InvalidArgument(f"n_steps must be >= 1, got {n_steps}")
-    w = np.array(w0, dtype=float).reshape(-1)
-    v = np.array(v0, dtype=float).reshape(-1)
-    if w.shape != v.shape:
-        raise InvalidArgument("w0 and v0 must have equal dimension")
-    if w.shape[0] != landscape.dim:
-        raise InvalidArgument(
-            f"initial dimension {w.shape[0]} does not match landscape dimension {landscape.dim}"
-        )
-    grad = landscape.raw_gradient()
-    ws = np.empty((n_steps + 1, w.shape[0]))
-    vs = np.empty((n_steps + 1, w.shape[0]))
-    # a 1-D state steps as Python floats into flat views, as in integrate
-    w, v = _loop_value(w), _loop_value(v)
-    w_rows, v_rows = _rows(ws), _rows(vs)
-    w_rows[0], v_rows[0] = w, v
-    # NaN and Inf stay non-finite under the map, so a finite state at the
-    # end of a block means the whole block was; stop at the first that is not.
-    last = n_steps
-    for start in range(1, n_steps + 1, _BLOCK):
-        stop = min(start + _BLOCK, n_steps + 1)
-        for k in range(start, stop):
-            v = v - eta_step * grad(w)
-            w = w + eta_step * v
-            w_rows[k], v_rows[k] = w, v
-        if not (np.isfinite(w).all() and np.isfinite(v).all()):
-            last = stop - 1
-            break
-    energy = inertia_rows(ws[: last + 1], vs[: last + 1], landscape)
-    bad = np.flatnonzero(~np.isfinite(energy))
-    if bad.size:
-        k = int(bad[0])
-        raise NumericalFailure(f"energy not finite at step {k}", step_index=k)
+    start = DiscreteState(w0, v0)
+    _require_dim(start.w.shape[0], landscape)
+    # _run stops after the first block whose final state is not finite, and
+    # a non-finite state has a non-finite energy, so the first bad energy is
+    # among the rows it stored.
+    record = np.arange(n_steps + 1)
+    ws, vs, _, bad = _run(step, None, start.w, start.v, None, record)
+    rows = slice(None if bad is None else bad + 1)
+    energy = _finite_energies(ws[rows], vs[rows], landscape, record)
     return ws, vs, energy
 
 

@@ -87,10 +87,11 @@ class SystemSpec:
     tau: float | None = None
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise InvalidArgument(f"gamma must be >= 0, got {self.gamma}")
-        if self.sigma < 0:
-            raise InvalidArgument(f"sigma must be >= 0, got {self.sigma}")
+        # written so that a NaN fails them
+        if not 0 <= self.gamma < np.inf:
+            raise InvalidArgument(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not 0 <= self.sigma < np.inf:
+            raise InvalidArgument(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.noise_kind not in NOISE_KINDS:
             raise InvalidArgument(
                 f"noise_kind must be one of {NOISE_KINDS}, got {self.noise_kind!r}"
@@ -98,8 +99,8 @@ class SystemSpec:
         if self.noise_kind == "none" and self.sigma > 0:
             raise InvalidArgument("sigma > 0 requires a noise kind")
         if self.noise_kind == "ou":
-            if self.tau is None or self.tau <= 0:
-                raise InvalidArgument(f"ou noise requires tau > 0, got {self.tau}")
+            if self.tau is None or not 0 < self.tau < np.inf:
+                raise InvalidArgument(f"ou noise requires a finite tau > 0, got {self.tau}")
         elif self.tau is not None:
             raise InvalidArgument("tau is only meaningful for ou noise")
 
@@ -116,8 +117,8 @@ def _require_dim(dim: int, landscape: LossLandscape) -> None:
 
 
 def inertia(state: State, landscape: LossLandscape) -> float:
-    """Kinetic plus potential energy: 1/2 ||v||^2 + L(w)."""
-    _require_dim(state.dim, landscape)
+    """Kinetic plus potential energy 1/2 ||v||^2 + L(w) of a State or DiscreteState."""
+    _require_dim(state.w.shape[0], landscape)
     return 0.5 * float(state.v @ state.v) + float(landscape.value(state.w))
 
 

@@ -86,8 +86,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidArgument(f"method must be one of {METHODS}, got {self.method!r}")
-        if not self.h > 0:
-            raise InvalidArgument(f"step size must be positive, got {self.h}")
+        if not 0 < self.h < np.inf:
+            raise InvalidArgument(f"step size must be positive and finite, got {self.h}")
         if not self.t_end > 0:
             raise InvalidArgument(f"horizon must be positive, got {self.t_end}")
         if self.t_end / self.h > 1e8:
@@ -148,10 +148,13 @@ class Trajectory:
 
 
 def _single_step(state: State, spec: SystemSpec, method: str, h: float, rng=None, eta=None):
-    """One splitting step of the trajectory kernel from ``state``; returns (State, eta)."""
+    """One splitting step of the trajectory kernel from ``state``; returns (State, eta).
+
+    Serves the splitting methods only, whose ``grad`` is never None.
+    """
     normal = None if rng is None else _normal(rng, state.dim)
-    step = _make_stepper(spec, method, h, normal)
-    w, v, eta, _ = step(state.w, state.v, eta, _first_gradient(spec, method, state.w))
+    step, grad = _make_stepper(spec, method, h, normal)
+    w, v, eta, _ = step(state.w, state.v, eta, grad(state.w))
     return State(w, v, state.t + h), eta
 
 
@@ -227,30 +230,32 @@ def initial_forcing(spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # trajectory integration
 #
-# Every path steps raw values through the one kernel built by _make_stepper:
-# the trajectory loop, its failure replay, the ensemble (all members at once,
-# fed from per-member noise streams) and the public single-step functions.
-# The trajectory loop and its replay step a 1-D state as Python floats
-# (_loop_value): their *, + and - are the IEEE operations numpy applies to a
-# one-element array, without numpy's per-call cost, and the noise source
-# hands out floats (_normal). The other paths step arrays. The gradient is
-# the bare ``w @ A`` (the dimension was checked once up front); at dim 1 it
-# is the scalar form ``w * a + 0.0``, for floats and (M, 1) members alike.
-# A splitting step's closing kick takes the gradient at the step's
-# final ``w``, which is where the next step's opening kick takes it, so the
-# step returns that gradient and the next step reuses it: one gradient per
-# step, the same bits as evaluating it twice. The caller supplies the
-# gradient at the start state (_first_gradient).
+# _make_stepper builds the one step kernel of each method. A single
+# trajectory is stepped by one loop, _run: integrate, its failure replay and
+# the discrete momentum map (discrete.py) run through it, and the public
+# single-step functions make one call of the kernel. The ensemble steps all
+# members at once in a loop of its own (below).
+# _run steps a 1-D state as Python floats: their *, + and - are the IEEE
+# operations numpy applies to a one-element array, without numpy's per-call
+# cost, and the noise source hands out floats (_normal); recorded rows are
+# written through flat views. The gradient is the bare ``w @ A`` (the
+# dimension was checked once up front); at dim 1 it is the scalar form
+# ``w * a + 0.0``, for floats and (M, 1) members alike.
+# A splitting step's closing kick takes the gradient at the step's final
+# ``w``, where the next step's opening kick takes it, so the step returns it
+# for the next step to reuse: one gradient per step, the same bits as
+# evaluating it twice. _make_stepper also returns the gradient function
+# that gives it at the start (None for methods that take none).
 # Finiteness is checked once per block of _BLOCK steps: none of the step
 # operations turns a NaN or Inf back into a finite number, so a finite
-# state at the end of a block proves every step in it finite, and a
-# non-finite one is replayed step by step to name the first bad step.
-# Energies are computed after the loop, over the recorded rows; at dim 1
-# the rows are written through flat views (_rows), a cheaper store than a
-# row assignment. The ensemble checks finiteness every step so a failure
-# names its member.
+# state at the end of a block proves every step in it finite. _run stops
+# after the first block that is not, and integrate replays the run in
+# blocks of one step to name the first non-finite state. A finite state can
+# still overflow the energy, so both runs end by checking the energies of
+# their recorded rows (_finite_energies). The ensemble checks finiteness
+# every step so a failure names its member.
 
-_BLOCK = 1024  # steps between finiteness checks (the discrete map uses it too)
+_BLOCK = 1024  # steps between finiteness checks
 
 
 def _check_method(spec: SystemSpec, config: IntegratorConfig):
@@ -273,20 +278,13 @@ def _record_indices(n_steps: int, stride: int) -> np.ndarray:
     return np.asarray(idx, dtype=int)
 
 
-_SPLITTING = ("verlet", "damped_splitting", "stochastic_splitting")
-
-
-def _first_gradient(spec: SystemSpec, method: str, w):
-    """The gradient at the start that a splitting step expects; None for the other methods."""
-    return spec.landscape.raw_gradient()(w) if method in _SPLITTING else None
-
-
 def _make_stepper(spec: SystemSpec, method: str, h: float, normal):
-    """Return step(w, v, eta, gw) -> (w, v, eta, gw) for raw states.
+    """Return ``(step, grad)`` with step(w, v, eta, gw) -> (w, v, eta, gw) for raw states.
 
     For the splitting methods ``gw`` is the gradient at ``w`` on entry and
     at the new ``w`` on return, so a chain of steps evaluates one gradient
-    per step; the other methods ignore it and return None. ``normal()``
+    per step, and ``grad`` gives it at the start; the other methods ignore
+    ``gw``, return None for it, and come with ``grad`` None. ``normal()``
     takes no argument and returns the next standard-normal draws for the
     stochastic method, shaped like ``v``: the caller binds the shape when it
     builds the source (_normal). The arithmetic is element-wise apart from
@@ -302,7 +300,8 @@ def _make_stepper(spec: SystemSpec, method: str, h: float, normal):
             w_new = w + h * v
             v_new = v + h * (-g * v - grad(w))
             return w_new, v_new, None, None
-    elif method == "rk4":
+        return step, None
+    if method == "rk4":
         def accel(w, v):
             return -g * v - grad(w)
 
@@ -318,7 +317,8 @@ def _make_stepper(spec: SystemSpec, method: str, h: float, normal):
             w_new = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
             v_new = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             return w_new, v_new, None, None
-    elif method in ("verlet", "damped_splitting"):
+        return step, None
+    if method in ("verlet", "damped_splitting"):
         d = math.exp(-g * h / 2.0)
         if d == 1.0:  # frictionless: 1.0 * v is v bit for bit, so skip it
             def step(w, v, eta, gw):
@@ -363,87 +363,38 @@ def _make_stepper(spec: SystemSpec, method: str, h: float, normal):
             v = d * v
             return w, v, eta, gw
 
-    return step
+    return step, grad
 
 
-def _raise_nonfinite(w, v, k: int):
-    if np.all(np.isfinite(w)) and np.all(np.isfinite(v)):
-        return
-    if np.ndim(w) == 2:  # batched: identify the offending member
-        bad = ~(np.all(np.isfinite(w), axis=1) & np.all(np.isfinite(v), axis=1))
-        member = int(np.flatnonzero(bad)[0])
-        raise NumericalFailure(
-            f"non-finite state in member {member} at step {k}", step_index=k, member=member
-        )
-    raise NumericalFailure(f"non-finite state at step {k}", step_index=k)
+def _run(step, grad, w: np.ndarray, v: np.ndarray, eta, record: np.ndarray, block: int = _BLOCK):
+    """Step ``(w, v, eta)`` to step ``record[-1]``; returns ``(ws, vs, etas, bad)``.
 
-
-def _normal(rng: np.random.Generator, dim: int):
-    """Zero-argument source of standard-normal draws shaped like a ``dim`` state."""
-    return rng.standard_normal if dim == 1 else lambda: rng.standard_normal(dim)
-
-
-def _loop_value(x: np.ndarray):
-    """A state vector as the trajectory loop steps it: a float at dim 1, else a copy."""
-    return float(x[0]) if x.shape[0] == 1 else np.array(x, dtype=float)
-
-
-def _rows(a: np.ndarray) -> np.ndarray:
-    """Where a loop stores its states in an (n, dim) array: a flat view at dim 1."""
-    return a[:, 0] if a.shape[1] == 1 else a
-
-
-def _start(spec: SystemSpec, initial: State, config: IntegratorConfig):
-    """Stepper and starting state; a replay gets the same start, noise included."""
-    normal = None
-    eta = None
-    if config.method == "stochastic_splitting":
-        rng = member_rng(config.seed, 0)
-        normal = _normal(rng, initial.dim)
-        if spec.noise_kind == "ou":
-            eta = _loop_value(initial_forcing(spec, rng))
-    step = _make_stepper(spec, config.method, config.h, normal)
-    w = _loop_value(initial.w)
-    return step, w, _loop_value(initial.v), eta, _first_gradient(spec, config.method, w)
-
-
-def _replay_to_failure(spec: SystemSpec, initial: State, config: IntegratorConfig, last: int):
-    """Re-run steps 1..last checking every state; raises at the first non-finite one."""
-    step, w, v, eta, gw = _start(spec, initial, config)
-    for k in range(1, last + 1):
-        w, v, eta, gw = step(w, v, eta, gw)
-        _raise_nonfinite(w, v, k)
-    raise AssertionError(f"replay of steps 1..{last} stayed finite")
-
-
-def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Trajectory:
-    """Run ``initial`` forward to ``config.t_end`` and record samples.
-
-    Deterministic methods are bit-reproducible unconditionally; the
-    stochastic method is bit-reproducible for a fixed seed. A NaN/Inf
-    state aborts with the failing step index.
+    Row i of the (len(record), dim) arrays holds step ``record[i]``; ``etas``
+    is None when ``eta`` is. ``grad`` gives the start gradient a splitting
+    step expects, or is None. ``bad`` is None when every block ends finite;
+    else the run stopped at step ``bad``, the end of the first block of
+    ``block`` steps whose final state is not finite, with later rows
+    unwritten: with ``block=1``, ``bad`` is the first non-finite step.
     """
-    _require_dim(initial.dim, spec.landscape)
-    _check_method(spec, config)
-
-    n_steps = config.n_steps
-    record = _record_indices(n_steps, config.record_every)
-    step, w, v, eta, gw = _start(spec, initial, config)
-
-    n_rec = record.shape[0]
-    ws = np.empty((n_rec, initial.dim))
-    vs = np.empty((n_rec, initial.dim))
-    etas = np.empty((n_rec, initial.dim)) if eta is not None else None
-    w_rows, v_rows = _rows(ws), _rows(vs)
-    eta_rows = None if etas is None else _rows(etas)
+    n_rec, dim = record.shape[0], w.shape[0]
+    ws, vs = np.empty((n_rec, dim)), np.empty((n_rec, dim))
+    etas = None if eta is None else np.empty((n_rec, dim))
+    w_rows, v_rows, eta_rows = ws, vs, etas
+    if dim == 1:  # step floats, store through flat views
+        w, v = float(w[0]), float(v[0])
+        w_rows, v_rows = ws[:, 0], vs[:, 0]
+        if eta is not None:
+            eta, eta_rows = float(eta[0]), etas[:, 0]
     w_rows[0], v_rows[0] = w, v
     if eta_rows is not None:
         eta_rows[0] = eta
+    gw = None if grad is None else grad(w)
 
+    n_steps = int(record[-1])
     targets = record.tolist() + [-1]  # sentinel: no step is recorded past the last
     pos = 1
-    for start in range(1, n_steps + 1, _BLOCK):
-        stop = min(start + _BLOCK, n_steps + 1)
+    for start in range(1, n_steps + 1, block):
+        stop = min(start + block, n_steps + 1)
         for k in range(start, stop):
             w, v, eta, gw = step(w, v, eta, gw)
             if k == targets[pos]:
@@ -452,9 +403,65 @@ def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Tra
                     eta_rows[pos] = eta
                 pos += 1
         if not (np.isfinite(w).all() and np.isfinite(v).all()):
-            _replay_to_failure(spec, initial, config, stop - 1)
+            return ws, vs, etas, stop - 1
+    return ws, vs, etas, None
 
-    energies = inertia_rows(ws, vs, spec.landscape)
+
+def _finite_energies(ws: np.ndarray, vs: np.ndarray, landscape, record: np.ndarray) -> np.ndarray:
+    """``inertia_rows`` of rows stored at steps ``record``; raises at the first not finite."""
+    energies = inertia_rows(ws, vs, landscape)
+    bad = np.flatnonzero(~np.isfinite(energies))
+    if bad.size:
+        k = int(record[bad[0]])
+        raise NumericalFailure(f"energy not finite at step {k}", step_index=k)
+    return energies
+
+
+def _raise_nonfinite(w, v, k: int):
+    """Raise naming the first member of a batched state that is not finite at step ``k``."""
+    if np.all(np.isfinite(w)) and np.all(np.isfinite(v)):
+        return
+    bad = ~(np.all(np.isfinite(w), axis=1) & np.all(np.isfinite(v), axis=1))
+    member = int(np.flatnonzero(bad)[0])
+    raise NumericalFailure(
+        f"non-finite state in member {member} at step {k}", step_index=k, member=member
+    )
+
+
+def _normal(rng: np.random.Generator, dim: int):
+    """Zero-argument source of standard-normal draws shaped like a ``dim`` state."""
+    return rng.standard_normal if dim == 1 else lambda: rng.standard_normal(dim)
+
+
+def _start(spec: SystemSpec, initial: State, config: IntegratorConfig):
+    """``_run``'s arguments up to ``record``; a replay gets the same start, noise included."""
+    normal = eta = None
+    if config.method == "stochastic_splitting":
+        rng = member_rng(config.seed, 0)
+        normal = _normal(rng, initial.dim)
+        if spec.noise_kind == "ou":
+            eta = initial_forcing(spec, rng)
+    step, grad = _make_stepper(spec, config.method, config.h, normal)
+    return step, grad, initial.w, initial.v, eta
+
+
+def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Trajectory:
+    """Run ``initial`` forward to ``config.t_end`` and record samples.
+
+    Deterministic methods are bit-reproducible unconditionally; the
+    stochastic method is bit-reproducible for a fixed seed. Raises
+    NumericalFailure naming the first step whose state is not finite, or
+    else the first recorded step whose energy is not finite.
+    """
+    _require_dim(initial.dim, spec.landscape)
+    _check_method(spec, config)
+
+    record = _record_indices(config.n_steps, config.record_every)
+    ws, vs, etas, bad = _run(*_start(spec, initial, config), record)
+    if bad is not None:
+        bad = _run(*_start(spec, initial, config), record, block=1)[3]
+        raise NumericalFailure(f"non-finite state at step {bad}", step_index=bad)
+    energies = _finite_energies(ws, vs, spec.landscape, record)
     return Trajectory(record * config.h, ws, vs, energies, spec, config, noise=etas)
 
 
@@ -502,11 +509,11 @@ def _ensemble_loop(spec, initial, config, n_members, record):
     if spec.noise_kind == "ou":
         eta = np.array([initial_forcing(spec, rng) for rng in rngs])
     draws = _member_draws(rngs, config.n_steps, 1 if eta is not None else 2, initial.dim)
-    step = _make_stepper(spec, config.method, config.h, draws.__next__)
+    step, grad = _make_stepper(spec, config.method, config.h, draws.__next__)
     value = spec.landscape.value
     w = np.tile(np.asarray(initial.w, dtype=float), (n_members, 1))
     v = np.tile(np.asarray(initial.v, dtype=float), (n_members, 1))
-    gw = _first_gradient(spec, config.method, w)
+    gw = grad(w)
 
     yield _sample(w, v, eta, value)  # record[0] is step 0
     targets = record.tolist()[1:] + [-1]  # sentinel: no step is recorded past the last

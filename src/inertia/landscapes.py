@@ -75,6 +75,8 @@ class QuadraticLandscape(LossLandscape):
         a = np.array(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidArgument(f"curvature matrix must be square, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise InvalidArgument("curvature matrix must be finite")
         if not np.array_equal(a, a.T):
             raise InvalidArgument("curvature matrix must be exactly symmetric")
         eigenvalues = np.linalg.eigvalsh(a)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,18 @@ def test_conserve_writes_both_cases(tmp_path, capsys):
     assert "I(T)/I(0)" in stdout
 
 
+def test_conserve_from_rest_at_the_minimum_prints_the_final_energy(tmp_path, capsys):
+    """I(0) = 0 has no decay ratio; the line shows I(T) itself, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _ = run_cli(tmp_path, "conserve", "--T", "20", "--gamma", "0.4",
+                          "--w0=-0.0", "--v0=-0.0")
+    assert code == 0
+    stdout = capsys.readouterr().out
+    assert "gamma=0.4: I(T) = 0.000000 (I(0) = 0), exp(-gamma*T) = 0.000335\n" in stdout
+    assert "nan" not in stdout
+
+
 def test_conserve_gamma0_only(tmp_path):
     code, out = run_cli(tmp_path, "conserve", "--T", "2", "--gamma0-only")
     assert code == 0
@@ -441,6 +454,14 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
         ["stochastic", "--members", "10"],
         ["sweep", "--w0", "1,2"],
         ["conserve", "--method", "verlet", "--gamma", "0.4"],
+        # non-finite numbers
+        ["conserve", "--h", "inf"],
+        ["discrete", "--eta", "nan"],
+        ["conserve", "--gamma", "nan"],
+        ["stochastic", "--sigma", "nan"],
+        ["stochastic", "--noise", "ou:nan"],
+        ["conserve", "--landscape", "diag:inf"],
+        ["conserve", "--landscape", "diag:nan"],
     ]
     for argv in cases:
         code = main(argv + ["--out-dir", str(tmp_path / "out")])
@@ -551,6 +572,10 @@ def test_phase_manifest_records_the_method(tmp_path):
     # finite members whose spread overflows the variance: inf in stderr_I from step 128
     (["stochastic", "--h", "2.5", "--gamma", "0", "--T", "500", "--members", "100"], [],
      "ensemble statistics not finite at step 128", 128, None),
+    # finite states whose energy overflows from the start
+    (["conserve", "--w0", "1e200"], [], "energy not finite at step 0", 0, None),
+    (["traj2d", "--gamma", "0", "--inits", "1e200,0"], [], "energy not finite at step 0", 0,
+     None),
 ])
 def test_a_failed_run_writes_its_manifest(tmp_path, capsys, argv, outputs, error, step_index,
                                           member):

@@ -29,19 +29,25 @@ def coupled5():
 
 
 def replay(w0, v0, eta, n, landscape):
-    """Every state from momentum_step and its energy, or the first step that fails."""
-    s = DiscreteState(w0, v0)
-    states, energies = [s], [discrete_inertia(s, landscape)]
-    for k in range(1, n + 1):
-        try:
-            s = momentum_step(s, eta, landscape)
-        except NumericalFailure:  # DiscreteState refuses non-finite components
-            return states, energies, k
-        states.append(s)
-        energies.append(discrete_inertia(s, landscape))
+    """States 0..n of the map and their energies, or up to the first non-finite energy.
+
+    Written out here, apart from the package's step code: the velocity
+    update takes ``landscape.gradient`` and the position drifts with the new
+    velocity. Returns ``(ws, vs, energies, failed)``, ``failed`` being the
+    first step whose energy is not finite, or None.
+    """
+    w, v = np.array(w0, dtype=float), np.array(v0, dtype=float)
+    ws, vs, energies = [], [], []
+    for k in range(n + 1):
+        if k > 0:
+            v = v - eta * landscape.gradient(w)
+            w = w + eta * v
+        ws.append(w)
+        vs.append(v)
+        energies.append(0.5 * float(v @ v) + float(landscape.value(w)))
         if not np.isfinite(energies[-1]):
-            return states, energies, k
-    return states, energies, None
+            return np.array(ws), np.array(vs), np.array(energies), k
+    return np.array(ws), np.array(vs), np.array(energies), None
 
 
 def test_single_step_worked_example():
@@ -89,6 +95,11 @@ def test_argument_validation():
         DiscreteState([1.0], [0.0], step_index=-1)
     with pytest.raises(InvalidArgument):
         drift_profile([1.0], [0.0], 0.01, 0, ISO1)
+    for eta in (float("nan"), float("inf")):  # the step size must be finite too
+        with pytest.raises(InvalidArgument):
+            momentum_step(DiscreteState([1.0], [0.0]), eta, ISO1)
+        with pytest.raises(InvalidArgument):
+            discrete_trajectory([1.0], [0.0], eta, 10, ISO1)
 
 
 def test_drift_small_step_stays_within_one_percent():
@@ -141,22 +152,26 @@ def test_trajectory_matches_repeated_steps(landscape):
     dim = landscape.dim
     w0, v0 = np.linspace(1.0, -0.5, dim), np.linspace(0.0, 0.3, dim)
     ws, vs, energy = discrete_trajectory(w0, v0, 0.05, 300, landscape)
-    states, energies, failed = replay(w0, v0, 0.05, 300, landscape)
+    ref_ws, ref_vs, energies, failed = replay(w0, v0, 0.05, 300, landscape)
     assert failed is None
-    assert np.array_equal(ws, np.array([s.w for s in states]))
-    assert np.array_equal(vs, np.array([s.v for s in states]))
-    assert np.array_equal(energy, np.array(energies))
+    assert np.array_equal(ws, ref_ws)
+    assert np.array_equal(vs, ref_vs)
+    assert np.array_equal(energy, energies)
+    # the single step chains to the same states
+    s = DiscreteState(w0, v0)
+    for k in range(1, 301):
+        s = momentum_step(s, 0.05, landscape)
+        assert np.array_equal(s.w, ref_ws[k]) and np.array_equal(s.v, ref_vs[k])
+        assert discrete_inertia(s, landscape) == energies[k]
 
 
 @pytest.mark.parametrize("v0", [0.7, -0.0])
 def test_1d_trajectory_keeps_the_bits_of_the_array_steps_from_minus_zero(v0):
     """The 1-D map steps floats; from w0 = -0.0 it keeps every bit, signed zeros included."""
     ws, vs, energy = discrete_trajectory([-0.0], [v0], 0.05, 300, ISO1)
-    states, energies, failed = replay([-0.0], [v0], 0.05, 300, ISO1)
+    ref_ws, ref_vs, energies, failed = replay([-0.0], [v0], 0.05, 300, ISO1)
     assert failed is None
-    for got, expected in ((ws, [s.w for s in states]), (vs, [s.v for s in states]),
-                          (energy, energies)):
-        expected = np.array(expected)
+    for got, expected in ((ws, ref_ws), (vs, ref_vs), (energy, energies)):
         assert got.dtype == np.float64 and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
     if v0 != 0:
@@ -170,7 +185,7 @@ def test_1d_trajectory_keeps_the_bits_of_the_array_steps_from_minus_zero(v0):
 def test_failure_step_matches_per_step_replay(eta, landscape):
     w0, v0 = np.ones(landscape.dim), np.zeros(landscape.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, expected = replay(w0, v0, eta, 4000, landscape)
+        expected = replay(w0, v0, eta, 4000, landscape)[3]
         with pytest.raises(NumericalFailure) as exc:
             drift_profile(w0, v0, eta, 4000, landscape)
     assert expected is not None and expected % 1024 not in (0, 1)  # mid-block

@@ -67,6 +67,12 @@ def test_spec_validation():
         SystemSpec(landscape=ISO1, sigma=0.3, noise_kind="ou", tau=0.0)
     with pytest.raises(InvalidArgument):
         SystemSpec(landscape=ISO1, sigma=0.3, noise_kind="white", tau=0.5)
+    # every parameter must be finite; a NaN fails each check
+    for x in (float("nan"), float("inf")):
+        for kwargs in (dict(gamma=x), dict(sigma=x, noise_kind="white"),
+                       dict(sigma=0.3, noise_kind="ou", tau=x)):
+            with pytest.raises(InvalidArgument):
+                SystemSpec(landscape=ISO1, **kwargs)
 
 
 def test_spec_allows_degenerate_noise():

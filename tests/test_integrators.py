@@ -70,6 +70,9 @@ def test_config_rejects_unknown_method():
     dict(h=1e-9, t_end=1e3),      # more than 1e8 steps
     dict(h=0.01, t_end=1.0, record_every=0),
     dict(h=0.01, t_end=1.0, seed=-1),
+    dict(h=math.inf, t_end=1.0),  # would run zero steps
+    dict(h=math.nan, t_end=1.0),
+    dict(h=0.01, t_end=math.nan),
 ])
 def test_config_rejects_bad_numbers(kwargs):
     with pytest.raises(InvalidArgument):
@@ -643,12 +646,21 @@ def test_record_every_keeps_the_final_sample():
 
 
 def test_blowup_raises_with_step_index():
+    """667 steps make one block, so the failure falls in the final block."""
     spec = SystemSpec(landscape=ISO1)
     cfg = IntegratorConfig(method="explicit_euler", h=3.0, t_end=2000.0)
+    w, v, expected = 1.0, 0.0, None
     with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cfg.n_steps + 1):  # explicit Euler on L = w^2/2, written out
+            w, v = w + cfg.h * v, v - cfg.h * w
+            if not (math.isfinite(w) and math.isfinite(v)):
+                expected = k
+                break
         with pytest.raises(NumericalFailure) as exc:
             integrate(spec, State([1.0], [0.0]), cfg)
-    assert exc.value.step_index > 0
+    assert cfg.n_steps < 1024 and expected is not None
+    assert exc.value.step_index == expected
+    assert str(exc.value) == f"non-finite state at step {expected}"
 
 
 def first_bad_step(spec, cfg, start, member=0):
@@ -666,17 +678,13 @@ def first_bad_step(spec, cfg, start, member=0):
     return None
 
 
-@pytest.mark.parametrize("landscape, h, sigma", [
-    (ISO1, 2.05, 0.0),              # unstable verlet, fails inside the second block
-    (MULTI_D["diag"], 0.7, 0.0),    # only the curvature-9 mode is unstable
-    (ISO1, 2.05, 0.3),              # the failure replay must redraw the same noise
-    (landscape_from_name("diag:1e6"), 3.0, 0.0),  # 1-D floats overflow within a few steps
-])
-def test_failure_step_matches_per_step_replay(landscape, h, sigma):
+def check_failure_step(landscape, h, sigma, n):
+    """integrate's failure names the step a per-step replay first leaves the finite."""
     spec = (SystemSpec(landscape=landscape) if sigma == 0 else
             SystemSpec(landscape=landscape, gamma=0.1, sigma=sigma, noise_kind="white"))
     method = "verlet" if sigma == 0 else "stochastic_splitting"
-    cfg = IntegratorConfig(method=method, h=h, t_end=4000 * h, seed=3, record_every=7)
+    cfg = IntegratorConfig(method=method, h=h, t_end=n * h, seed=3, record_every=7)
+    assert cfg.n_steps == n
     start = State(np.ones(landscape.dim), np.zeros(landscape.dim))
     with np.errstate(over="ignore", invalid="ignore"):
         expected = first_bad_step(spec, cfg, start)
@@ -685,6 +693,56 @@ def test_failure_step_matches_per_step_replay(landscape, h, sigma):
     assert expected is not None and expected % 1024 not in (0, 1)  # mid-block
     assert exc.value.step_index == expected
     assert str(exc.value) == f"non-finite state at step {expected}"
+    return expected
+
+
+@pytest.mark.parametrize("landscape, h, sigma", [
+    (ISO1, 2.05, 0.0),              # unstable verlet, fails inside the second block
+    (MULTI_D["diag"], 0.7, 0.0),    # only the curvature-9 mode is unstable
+    (ISO1, 2.05, 0.3),              # the failure replay must redraw the same noise
+    (landscape_from_name("diag:1e6"), 3.0, 0.0),  # 1-D floats overflow within a few steps
+])
+def test_failure_step_matches_per_step_replay(landscape, h, sigma):
+    check_failure_step(landscape, h, sigma, 4000)
+
+
+@pytest.mark.parametrize("landscape, h, sigma, n", [
+    (ISO1, 2.05, 0.0, 2000),
+    (MULTI_D["diag"], 0.7, 0.0, 1200),
+    (ISO1, 2.05, 0.3, 2000),
+    (landscape_from_name("diag:1e6"), 3.0, 0.0, 300),  # a single block
+])
+def test_failure_in_the_final_block_matches_per_step_replay(landscape, h, sigma, n):
+    """The run ends at step n inside the block that fails, and is still replayed."""
+    expected = check_failure_step(landscape, h, sigma, n)
+    assert expected > (n - 1) // 1024 * 1024
+
+
+@pytest.mark.parametrize("name, w0, h, n", [
+    ("iso1d", [1e200], 0.01, 100),          # the energy overflows at the start
+    ("iso1d", [1e150], 2.05, 100),          # unstable: passes 1e154 within a few dozen steps
+    ("diag:1,4", [1e200, 0.0], 0.01, 100),
+    ("diag:1,4", [1.0, 1e150], 1.05, 60),   # only the curvature-4 mode is unstable
+])
+def test_energy_overflow_with_a_finite_state_names_its_step(name, w0, h, n):
+    """A state can stay finite while 1/2 |v|^2 + L(w) overflows; integrate refuses the run."""
+    landscape = landscape_from_name(name)
+    spec = SystemSpec(landscape=landscape)
+    cfg = IntegratorConfig(method="verlet", h=h, t_end=n * h)
+    assert cfg.n_steps == n
+    start = State(w0, np.zeros(len(w0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ws, vs, _ = two_gradient_reference(spec, "verlet", h, n, start.w, start.v)
+        energies = np.array([0.5 * float(v @ v) + float(landscape.value(w))
+                             for w, v in zip(ws, vs)])
+        with pytest.raises(NumericalFailure) as exc:
+            integrate(spec, start, cfg)
+    assert np.all(np.isfinite(ws)) and np.all(np.isfinite(vs))
+    expected = int(np.flatnonzero(~np.isfinite(energies))[0])
+    assert (expected == 0) == (max(w0) == 1e200)
+    assert expected < n
+    assert (exc.value.step_index, exc.value.member) == (expected, None)
+    assert str(exc.value) == f"energy not finite at step {expected}"
 
 
 def test_ensemble_failure_names_the_first_bad_member():

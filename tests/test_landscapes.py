@@ -67,6 +67,12 @@ def test_rejects_asymmetric_matrix():
         quadratic_general([[1.0, 0.5], [0.25, 1.0]])
 
 
+@pytest.mark.parametrize("entry", [float("inf"), float("nan")])
+def test_rejects_non_finite_matrix(entry):
+    with pytest.raises(InvalidArgument, match="finite"):
+        quadratic_general([[1.0, 0.0], [0.0, entry]])
+
+
 def test_rejects_indefinite_matrix():
     with pytest.raises(InvalidArgument):
         quadratic_general([[1.0, 0.0], [0.0, -0.5]])
