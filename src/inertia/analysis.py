@@ -266,48 +266,29 @@ class EnsembleResult:
     burn_in: float
 
 
-def _centered_rate(series: np.ndarray, dt: float) -> np.ndarray:
-    """d/dt by centered differences; one-sided O(h^2) stencils at the ends."""
-    rate = np.empty_like(series)
-    # written in place: the same operations as (a - b) / (2 dt), no temporaries
-    inner = rate[..., 1:-1]
-    np.subtract(series[..., 2:], series[..., :-2], out=inner)
-    inner /= 2.0 * dt
-    rate[..., 0] = (-3.0 * series[..., 0] + 4.0 * series[..., 1] - series[..., 2]) / (2.0 * dt)
-    rate[..., -1] = (3.0 * series[..., -1] - 4.0 * series[..., -2] + series[..., -3]) / (2.0 * dt)
-    return rate
+def _with_rates(samples, n_rec: int, dt: float):
+    """Each recorded sample with its energy rate, in order.
 
-
-def _stats(values: np.ndarray, n: int, quantity: str) -> EnsembleStats:
-    mean = values.mean(axis=0)
-    if n > 1:
-        stderr = values.std(axis=0, ddof=1) / math.sqrt(n)
-        # Columns where every member agrees bitwise have zero sample scatter
-        # by definition; the two-pass std can still leave ~1 ulp of the mean
-        # behind, so force those to exact zero.
-        degenerate = values.max(axis=0) == values.min(axis=0)
-        if degenerate.any():
-            stderr = np.where(degenerate, 0.0, stderr)
-    else:
-        stderr = np.zeros_like(mean)
-    return EnsembleStats(n, mean, stderr, quantity)
-
-
-_REDUCE_BLOCK = 64  # recorded samples per block of the ensemble reduction
-
-
-def _reduce_blocks(n_samples: int) -> list[tuple[int, int]]:
-    """[first, stop) sample ranges of the ensemble reduction blocks.
-
-    Every block has at least two samples: numpy reduces a one-column block
-    as a contiguous vector (pairwise summation), whose last bits differ
-    from the column of a wider array, so a one-sample tail joins the block
-    before it.
+    Yields ``(inertia, inertia_rate, speed_squared, noise_dot_v)``. The rate
+    of sample k is the centered difference (E[k+1] - E[k-1]) / (2 dt), so it
+    is yielded once sample k + 1 arrives; the first and last samples use
+    one-sided O(h^2) stencils. Only the last three samples are held.
     """
-    edges = list(range(0, n_samples, _REDUCE_BLOCK)) + [n_samples]
-    if len(edges) > 2 and edges[-1] - edges[-2] < 2:
-        del edges[-2]
-    return list(zip(edges[:-1], edges[1:]))
+    two_dt = 2.0 * dt
+    ring = []
+    for k, sample in enumerate(samples):
+        ring = ring[-2:] + [sample]
+        if k < 2:
+            continue
+        (e0, *rest0), (e1, *rest1), (e2, *rest2) = ring
+        if k == 2:
+            yield e0, (-3.0 * e0 + 4.0 * e1 - e2) / two_dt, *rest0
+        yield e1, (e2 - e0) / two_dt, *rest1
+        if k == n_rec - 1:
+            yield e2, (3.0 * e2 - 4.0 * e1 + e0) / two_dt, *rest2
+
+
+_GROUP_FLOATS = 1 << 15  # floats per group of finished samples in the ensemble reduction
 
 
 def ensemble_expected_decay(
@@ -326,14 +307,20 @@ def ensemble_expected_decay(
     transient from the balance time averages; the recorded series always
     cover the full run.
 
-    The reduction streams: samples go into blocks of _REDUCE_BLOCK columns
-    plus one halo sample on each side for the centered difference, so
-    memory is O(n_members * dim + n_samples). Each column is reduced over
-    members in a fixed order, so the series equal those of a reduction of
-    the full (n_members, n_samples) arrays bit for bit and do not depend on
-    how members would be scheduled. The balance's per-member time means
-    are sums accumulated block by block, so they match a full-array mean
-    to rounding, not bitwise.
+    The reduction is sample-major and streams. Each sample's per-member
+    rows (energy, its rate, squared speed and, for correlated noise,
+    <eta, v>) are copied into a group of finished samples, sized by a fixed
+    budget of _GROUP_FLOATS floats (one sample at 10^4 members, dozens at
+    a few hundred). A full group is reduced over members with member-order
+    folds, ``np.add.accumulate`` along the member axis, so each sum adds
+    member after member exactly as the column sum of a full
+    (n_members, n_samples) array does: the series equal that reduction bit
+    for bit and do not depend on the group size. (A contiguous
+    ``np.add.reduce`` sums pairwise and would move the last bits.) Memory
+    is O(n_members * dim + n_samples): the group and its scratch copy hold
+    _GROUP_FLOATS floats each, or one sample's rows where those are more.
+    The balance's per-member time sums are accumulated group by group, so
+    they match a full-array mean to rounding, not bitwise.
 
     Finite member states can still overflow a statistic (the spread of
     members near 1e154 overflows the variance), so a NaN or Inf in any
@@ -359,50 +346,40 @@ def ensemble_expected_decay(
     if stop - start < 10:
         raise InvalidArgument("burn_in leaves too few samples for the balance average")
 
-    dt = config.h
     correlated = spec.noise_kind == "ou"
-    quantities = ("inertia", "inertia_rate", "speed_squared")
-    means = {q: np.empty(n_rec) for q in quantities}
-    stderrs = {q: np.empty(n_rec) for q in quantities}
-    mean_noise_dot_v = np.empty(n_rec) if correlated else None
+    # rows: inertia, inertia_rate, speed_squared and, if correlated, noise_dot_v
+    n_rows = 4 if correlated else 3
+    size = max(1, min(n_rec, _GROUP_FLOATS // (n_rows * n_members)))
+    group = np.empty((n_rows, size, n_members))  # group[:, r] holds sample first + r
+    folds = np.empty_like(group)
+    means = np.empty((n_rows, n_rec))
+    stderrs = np.empty((3, n_rec))
     # window sums per member of dI/dt, ||v||^2 and <eta, v>
-    window_sums = np.zeros((3, n_members))
-    # inertia, speed_squared and noise_dot_v; column j holds sample lo + j
-    bufs = np.empty((3 if correlated else 2, n_members, _REDUCE_BLOCK + 2))
+    window_sums = np.zeros((n_rows - 1, n_members))
 
-    blocks = iter(_reduce_blocks(n_rec))
-    first, last = next(blocks)
-    lo = 0
-    for k, sample in enumerate(samples):
-        for buf, values in zip(bufs, sample):
-            buf[:, k - lo] = values
-        if k != min(last, n_rec - 1):  # the block's right halo is not in yet
+    for k, sample in enumerate(_with_rates(samples, n_rec, config.h)):
+        r = k % size
+        for row, values in zip(group, sample):
+            row[r] = values
+        if r + 1 < size and k + 1 < n_rec:
             continue
-        block = slice(first - lo, last - lo)
-        window = slice(max(start, first) - lo, min(stop, last) - lo)
-        energy = bufs[0, :, : k - lo + 1]
-        rate = _centered_rate(energy, dt)
-        for q, values in (("inertia", energy), ("inertia_rate", rate),
-                          ("speed_squared", bufs[1])):
-            block_stats = _stats(values[:, block], n_members, q)
-            means[q][first:last] = block_stats.mean_series
-            stderrs[q][first:last] = block_stats.stderr_series
-        window_sums[0] += rate[:, window].sum(axis=1)
-        for row, buf in enumerate(bufs[1:], start=1):
-            window_sums[row] += buf[:, window].sum(axis=1)
-        if correlated:
-            mean_noise_dot_v[first:last] = bufs[2, :, block].mean(axis=0)
-        following = next(blocks, None)
-        if following is not None:
-            # keep the next block's left halo and first sample
-            first, last = following
-            bufs[:, :, :2] = bufs[:, :, first - 1 - lo : first + 1 - lo]
-            lo = first - 1
+        first, filled = k - r, r + 1
+        rows, fold = group[:, :filled], folds[:, :filled]
+        mean = np.add.accumulate(rows, axis=-1, out=fold)[..., -1] / n_members
+        means[:, first : k + 1] = mean
+        spread = np.subtract(rows[:3], mean[:3, :, None], out=fold[:3])
+        spread *= spread
+        variance = np.add.accumulate(spread, axis=-1, out=spread)[..., -1] / (n_members - 1)
+        stderr = np.sqrt(variance) / math.sqrt(n_members)
+        # Rows where every member agrees bitwise have zero sample scatter by
+        # definition; the two-pass variance can still leave ~1 ulp of the
+        # mean behind, so force those to exact zero.
+        stderr[rows[:3].max(axis=-1) == rows[:3].min(axis=-1)] = 0.0
+        stderrs[:, first : k + 1] = stderr
+        window = slice(max(start - first, 0), stop - first)
+        window_sums += rows[1:, window].sum(axis=1)
 
-    reduced = [*means.values(), *stderrs.values()]
-    if correlated:
-        reduced.append(mean_noise_dot_v)
-    finite = np.logical_and.reduce([np.isfinite(series) for series in reduced])
+    finite = np.isfinite(means).all(axis=0) & np.isfinite(stderrs).all(axis=0)
     if not finite.all():
         k = int(np.argmin(finite))
         raise NumericalFailure(f"ensemble statistics not finite at step {k}", step_index=k)
@@ -421,14 +398,15 @@ def ensemble_expected_decay(
     if not (math.isfinite(balance_residual) and math.isfinite(balance_stderr)):
         raise NumericalFailure("ensemble balance not finite")
 
-    stats = {q: EnsembleStats(n_members, means[q], stderrs[q], q) for q in quantities}
+    quantities = ("inertia", "inertia_rate", "speed_squared")
+    stats = {q: EnsembleStats(n_members, means[i], stderrs[i], q) for i, q in enumerate(quantities)}
     return EnsembleResult(
         times=times,
         n_members=n_members,
         inertia=stats["inertia"],
         inertia_rate=stats["inertia_rate"],
         speed_squared=stats["speed_squared"],
-        mean_noise_dot_v=mean_noise_dot_v,
+        mean_noise_dot_v=means[3] if correlated else None,
         balance_residual=balance_residual,
         balance_stderr=balance_stderr,
         burn_in=float(burn_in),

@@ -22,7 +22,8 @@ from .analysis import ensemble_expected_decay, sweep_gamma
 from .discrete import discrete_trajectory, drift_profile
 from .dynamics import State, SystemSpec
 from .errors import InvalidArgument, NumericalFailure
-from .integrators import METHODS, RNG_ALGORITHM, IntegratorConfig, Trajectory, integrate
+from .integrators import (METHODS, RNG_ALGORITHM, IntegratorConfig, Trajectory, check_method,
+                          integrate)
 from .landscapes import landscape_from_name
 from .output import format_float, record_render, write_csv, write_json, write_manifest
 from .render import render_csv
@@ -87,14 +88,28 @@ def _initial(args, landscape) -> State:
     return State(w0, v0)
 
 
-def _trajectory(args, write, stem, landscape, gamma, initial) -> tuple[str, Trajectory]:
-    """Integrate at ``gamma`` with --method or the method gamma picks; write it as ``stem``."""
-    method = _resolve_method(gamma, args.method)
-    config = IntegratorConfig(method=method, h=args.h, t_end=args.T)
-    trajectory = integrate(SystemSpec(landscape=landscape, gamma=gamma), initial, config)
+def _runs(args, landscape, gammas) -> list[tuple[SystemSpec, IntegratorConfig]]:
+    """Spec and config per gamma, with --method or the method gamma picks.
+
+    Every gamma is checked before any is integrated, so a refused gamma
+    exits 2 before an earlier one has written its file.
+    """
+    runs = []
+    for gamma in gammas:
+        spec = SystemSpec(landscape=landscape, gamma=gamma)
+        config = IntegratorConfig(method=_resolve_method(gamma, args.method), h=args.h,
+                                  t_end=args.T)
+        check_method(spec, config)
+        runs.append((spec, config))
+    return runs
+
+
+def _trajectory(write, stem, spec, initial, config) -> Trajectory:
+    """Integrate ``initial`` and write the run as ``stem``."""
+    trajectory = integrate(spec, initial, config)
     write(stem, _trajectory_columns(trajectory.ws, trajectory.vs, trajectory.inertia,
                                     t=trajectory.times))
-    return method, trajectory
+    return trajectory
 
 
 def _trajectory_columns(ws, vs, inertia, **axis) -> dict[str, np.ndarray]:
@@ -179,9 +194,9 @@ def cmd_conserve(args, write) -> None:
         gammas.append(args.gamma)
 
     combined: dict[str, np.ndarray] = {}
-    for gamma in gammas:
-        method, trajectory = _trajectory(args, write, f"conserve_g{gamma:g}", landscape,
-                                         gamma, initial)
+    for spec, config in _runs(args, landscape, gammas):
+        gamma, method = spec.gamma, config.method
+        trajectory = _trajectory(write, f"conserve_g{gamma:g}", spec, initial, config)
         energy = trajectory.inertia
         print(f"gamma={gamma:g} ({method}): max relative inertia drift = {_drift(energy)[1]:.3e}")
         if gamma > 0:
@@ -205,8 +220,9 @@ def cmd_conserve(args, write) -> None:
 def cmd_phase(args, write) -> None:
     landscape = landscape_from_name(args.landscape)
     initial = _initial(args, landscape)
-    for gamma in _parse_floats(args.gammas, "--gammas"):
-        _, trajectory = _trajectory(args, write, f"phase_g{gamma:g}", landscape, gamma, initial)
+    for spec, config in _runs(args, landscape, _parse_floats(args.gammas, "--gammas")):
+        gamma = spec.gamma
+        trajectory = _trajectory(write, f"phase_g{gamma:g}", spec, initial, config)
         if gamma == 0:
             # a frictionless orbit must return near its starting point
             late = trajectory.times >= 0.5 * args.T
@@ -273,10 +289,11 @@ def cmd_traj2d(args, write) -> None:
     if len(v0) != landscape.dim:
         raise InvalidArgument(f"--v0 must have {landscape.dim} coordinates")
     args.method = _resolve_method(args.gamma, args.method)
+    (spec, config), = _runs(args, landscape, [args.gamma])
+    starts = [State(w0, v0) for w0 in inits]  # all checked before the first run
 
-    for index, w0 in enumerate(inits):
-        _, trajectory = _trajectory(args, write, f"traj2d_init{index}", landscape, args.gamma,
-                                    State(w0, v0))
+    for index, (w0, start) in enumerate(zip(inits, starts)):
+        trajectory = _trajectory(write, f"traj2d_init{index}", spec, start, config)
         energy = trajectory.inertia
         if args.gamma == 0:
             drift = _drift(energy)[1]

@@ -45,6 +45,7 @@ __all__ = [
     "RNG_ALGORITHM",
     "IntegratorConfig",
     "Trajectory",
+    "check_method",
     "member_rng",
     "integrate",
     "step_verlet",
@@ -258,7 +259,8 @@ def initial_forcing(spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
 _BLOCK = 1024  # steps between finiteness checks
 
 
-def _check_method(spec: SystemSpec, config: IntegratorConfig):
+def check_method(spec: SystemSpec, config: IntegratorConfig) -> None:
+    """Raise InvalidArgument unless ``config.method`` can integrate ``spec``."""
     if config.method == "stochastic_splitting":
         if spec.deterministic:
             raise InvalidArgument("stochastic_splitting requires a noisy spec")
@@ -408,8 +410,12 @@ def _run(step, grad, w: np.ndarray, v: np.ndarray, eta, record: np.ndarray, bloc
 
 
 def _finite_energies(ws: np.ndarray, vs: np.ndarray, landscape, record: np.ndarray) -> np.ndarray:
-    """``inertia_rows`` of rows stored at steps ``record``; raises at the first not finite."""
-    energies = inertia_rows(ws, vs, landscape)
+    """``inertia_rows`` of rows stored at steps ``record``; raises at the first not finite.
+
+    An overflow is reported by that failure, so numpy's warnings are silenced.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = inertia_rows(ws, vs, landscape)
     bad = np.flatnonzero(~np.isfinite(energies))
     if bad.size:
         k = int(record[bad[0]])
@@ -454,7 +460,7 @@ def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Tra
     else the first recorded step whose energy is not finite.
     """
     _require_dim(initial.dim, spec.landscape)
-    _check_method(spec, config)
+    check_method(spec, config)
 
     record = _record_indices(config.n_steps, config.record_every)
     ws, vs, etas, bad = _run(*_start(spec, initial, config), record)
@@ -542,7 +548,7 @@ def ensemble_samples(
     whose state left the finite range. Arguments are checked at the call.
     """
     _require_dim(initial.dim, spec.landscape)
-    _check_method(spec, config)
+    check_method(spec, config)
     if config.method != "stochastic_splitting":
         raise InvalidArgument("ensembles are for the stochastic method")
     if n_members < 1:

@@ -24,7 +24,7 @@ from inertia import (
     quadratic_isotropic,
     sweep_gamma,
 )
-from inertia.analysis import _REDUCE_BLOCK, _centered_rate, _stats
+from inertia.analysis import _GROUP_FLOATS
 from inertia.integrators import ensemble_series
 
 ISO1 = quadratic_isotropic(1)
@@ -327,11 +327,27 @@ ENSEMBLE_LANDSCAPES = {
 }
 
 
+def centred_rate(energy, dt):
+    """d/dt along axis 1: centred inside, one-sided O(h^2) at both ends."""
+    rate = np.empty_like(energy)
+    rate[:, 1:-1] = (energy[:, 2:] - energy[:, :-2]) / (2.0 * dt)
+    rate[:, 0] = (-3.0 * energy[:, 0] + 4.0 * energy[:, 1] - energy[:, 2]) / (2.0 * dt)
+    rate[:, -1] = (3.0 * energy[:, -1] - 4.0 * energy[:, -2] + energy[:, -3]) / (2.0 * dt)
+    return rate
+
+
+def column_stats(values):
+    """Mean and standard error of each column; exactly 0 where all members agree."""
+    stderr = values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
+    stderr[values.max(axis=0) == values.min(axis=0)] = 0.0
+    return values.mean(axis=0), stderr
+
+
 def full_array_reduction(spec, start, cfg, n_members, burn_in):
     """The ensemble reduction over whole (n_members, n_samples) arrays."""
     series = ensemble_series(spec, start, cfg, n_members)
     times, energy = series["times"], series["inertia"]
-    rate = _centered_rate(energy, cfg.h)
+    rate = centred_rate(energy, cfg.h)
     sl = slice(max(int(np.searchsorted(times, burn_in - 1e-9)), 1), times.shape[0] - 1)
     residual = rate[:, sl].mean(axis=1) + spec.gamma * series["speed_squared"][:, sl].mean(axis=1)
     if spec.noise_kind == "white":
@@ -340,50 +356,78 @@ def full_array_reduction(spec, start, cfg, n_members, burn_in):
         residual -= series["noise_dot_v"][:, sl].mean(axis=1)
     return {
         "times": times,
-        "inertia": _stats(energy, n_members, "inertia"),
-        "inertia_rate": _stats(rate, n_members, "inertia_rate"),
-        "speed_squared": _stats(series["speed_squared"], n_members, "speed_squared"),
+        "inertia": column_stats(energy),
+        "inertia_rate": column_stats(rate),
+        "speed_squared": column_stats(series["speed_squared"]),
         "noise_dot_v": series["noise_dot_v"].mean(axis=0) if "noise_dot_v" in series else None,
         "residual": float(residual.mean()),
         "stderr": float(residual.std(ddof=1) / math.sqrt(n_members)),
     }
 
 
-B = _REDUCE_BLOCK
-BLOCKED_CASES = [
-    (11, 0.0),           # the shortest run the balance accepts: one block
-    (2 * B, 0.0),        # n_samples = 1 (mod B): the one-sample tail joins a block
-    (2 * B, 0.37),
-    (2 * B + 1, 0.5),    # a two-sample last block
-    (3 * B + 20, 0.0),
-    (3 * B + 20, 1.5),
-]
-
-
-@pytest.mark.parametrize("n_steps, burn_in", BLOCKED_CASES)
-@pytest.mark.parametrize("noise, tau", [("white", None), ("ou", 0.5)])
-@pytest.mark.parametrize("name", list(ENSEMBLE_LANDSCAPES))
-def test_streamed_reduction_equals_the_full_array_reduction(name, noise, tau, n_steps, burn_in):
+def check_streamed_reduction(name, noise, tau, n_steps, burn_in, n_members=100):
     """Series bit for bit; the balance up to the order of its time sums."""
     landscape = ENSEMBLE_LANDSCAPES[name]
     spec = SystemSpec(landscape=landscape, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
     cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=n_steps * 0.01, seed=4)
     assert cfg.n_steps == n_steps
     start = State(np.linspace(1.0, 0.2, landscape.dim), np.full(landscape.dim, 0.1))
-    res = ensemble_expected_decay(spec, start, cfg, 100, burn_in=burn_in)
-    ref = full_array_reduction(spec, start, cfg, 100, burn_in)
+    res = ensemble_expected_decay(spec, start, cfg, n_members, burn_in=burn_in)
+    ref = full_array_reduction(spec, start, cfg, n_members, burn_in)
 
     assert np.array_equal(res.times, ref["times"])
     for q in ("inertia", "inertia_rate", "speed_squared"):
-        got, want = getattr(res, q), ref[q]
-        assert np.array_equal(got.mean_series, want.mean_series), q
-        assert np.array_equal(got.stderr_series, want.stderr_series), q
+        got, (mean, stderr) = getattr(res, q), ref[q]
+        assert np.array_equal(got.mean_series, mean), q
+        assert np.array_equal(got.stderr_series, stderr), q
     if noise == "ou":
         assert np.array_equal(res.mean_noise_dot_v, ref["noise_dot_v"])
     else:
         assert res.mean_noise_dot_v is None
     assert res.balance_residual == pytest.approx(ref["residual"], rel=0, abs=1e-14)
     assert res.balance_stderr == pytest.approx(ref["stderr"], rel=1e-9)
+
+
+RUN_CASES = [
+    (11, 0.0),     # the shortest run the balance accepts: one group, longer than the run
+    (128, 0.0),
+    (128, 0.37),
+    (129, 0.5),
+    (212, 0.0),
+    (212, 1.5),
+]
+
+
+@pytest.mark.parametrize("n_steps, burn_in", RUN_CASES)
+@pytest.mark.parametrize("noise, tau", [("white", None), ("ou", 0.5)])
+@pytest.mark.parametrize("name", list(ENSEMBLE_LANDSCAPES))
+def test_streamed_reduction_equals_the_full_array_reduction(name, noise, tau, n_steps, burn_in):
+    check_streamed_reduction(name, noise, tau, n_steps, burn_in)
+
+
+def group_size(noise, n_members):
+    """Samples per reduction group: the float budget over the rows of one sample."""
+    rows = 4 if noise == "ou" else 3
+    return _GROUP_FLOATS // (rows * n_members)
+
+
+@pytest.mark.parametrize("residue", [0, 1, 2])
+@pytest.mark.parametrize("noise, tau", [("white", None), ("ou", 0.5)])
+@pytest.mark.parametrize("name", ["iso1d", "coupled5"])
+def test_streamed_reduction_at_group_boundaries(name, noise, tau, residue):
+    """Runs of 2 * size + residue samples: full groups, then a tail of 0, 1 or 2."""
+    size = group_size(noise, 100)
+    assert 1 < size < 250  # two full groups still make a short run
+    n_samples = 2 * size + residue
+    check_streamed_reduction(name, noise, tau, n_samples - 1, burn_in=0.5)
+
+
+@pytest.mark.parametrize("noise, tau", [("white", None), ("ou", 0.5)])
+@pytest.mark.parametrize("name", ["iso1d", "coupled5"])
+def test_streamed_reduction_in_groups_of_one_sample(name, noise, tau):
+    """At 6000 members the budget holds a single sample: every sample is its own group."""
+    assert group_size(noise, 6000) == 1
+    check_streamed_reduction(name, noise, tau, 11, burn_in=0.0, n_members=6000)
 
 
 def test_ensemble_memory_does_not_grow_with_the_horizon():

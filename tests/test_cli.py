@@ -454,6 +454,9 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
         ["stochastic", "--members", "10"],
         ["sweep", "--w0", "1,2"],
         ["conserve", "--method", "verlet", "--gamma", "0.4"],
+        # a later gamma is refused before the first gamma writes its file
+        ["phase", "--method", "verlet", "--gammas", "0,0.4"],
+        ["phase", "--gammas", "0,nan"],
         # non-finite numbers
         ["conserve", "--h", "inf"],
         ["discrete", "--eta", "nan"],
@@ -467,12 +470,23 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
         code = main(argv + ["--out-dir", str(tmp_path / "out")])
         assert code == 2, argv
         assert capsys.readouterr().err.startswith("error:")
-        assert not (tmp_path / "out" / "manifest.json").exists(), argv
+        assert not (tmp_path / "out").exists(), argv  # no manifest, no data file
     # render takes no --out-dir; exercised on its own
     code = main(["render", "--input", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "x.svg")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["conserve", "discrete"])
+def test_an_overflowing_energy_fails_without_numpy_warnings(tmp_path, capsys, command):
+    """integrate (conserve) and discrete_trajectory (discrete) report the overflow alone."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, command, "--w0", "1e200")
+    assert code == 3
+    assert capsys.readouterr().err == "numerical failure: energy not finite at step 0\n"
+    assert _manifest(out)["status"]["step_index"] == 0
 
 
 IGNORED_FLAGS = {
@@ -576,6 +590,8 @@ def test_phase_manifest_records_the_method(tmp_path):
     (["conserve", "--w0", "1e200"], [], "energy not finite at step 0", 0, None),
     (["traj2d", "--gamma", "0", "--inits", "1e200,0"], [], "energy not finite at step 0", 0,
      None),
+    # a bad later start is refused before the first start runs
+    (["traj2d", "--inits", "1,0;inf,0"], [], "w contains non-finite components", None, None),
 ])
 def test_a_failed_run_writes_its_manifest(tmp_path, capsys, argv, outputs, error, step_index,
                                           member):
