@@ -57,17 +57,20 @@ def _parse_noise(text: str) -> tuple[str, float | None]:
     raise InvalidArgument(f"--noise must be 'white' or 'ou:<tau>', got {text!r}")
 
 
+def _coords(text: str, flag: str, dim: int) -> list[float]:
+    """The point ``text`` given to ``flag``: ``dim`` finite, comma-separated numbers."""
+    point = _parse_floats(text, flag)
+    if len(point) != dim:
+        raise InvalidArgument(
+            f"{flag} point {text!r} has {len(point)} coordinates, landscape needs {dim}"
+        )
+    if not np.all(np.isfinite(point)):
+        raise InvalidArgument(f"{flag} point {text!r} is not finite")
+    return point
+
+
 def _parse_inits(text: str, dim: int) -> list[list[float]]:
-    inits = []
-    for piece in text.split(";"):
-        if piece.strip() == "":
-            continue
-        init = _parse_floats(piece, "--inits")
-        if len(init) != dim:
-            raise InvalidArgument(
-                f"initialization {piece!r} has {len(init)} coordinates, landscape needs {dim}"
-            )
-        inits.append(init)
+    inits = [_coords(piece, "--inits", dim) for piece in text.split(";") if piece.strip() != ""]
     if not inits:
         raise InvalidArgument(f"--inits needs at least one initialization, got {text!r}")
     return inits
@@ -79,13 +82,7 @@ def _resolve_method(gamma: float, override: str | None) -> str:
 
 
 def _initial(args, landscape) -> State:
-    w0 = _parse_floats(args.w0, "--w0")
-    v0 = _parse_floats(args.v0, "--v0")
-    if len(w0) != landscape.dim or len(v0) != landscape.dim:
-        raise InvalidArgument(
-            f"--w0/--v0 must have {landscape.dim} coordinates for this landscape"
-        )
-    return State(w0, v0)
+    return State(_coords(args.w0, "--w0", landscape.dim), _coords(args.v0, "--v0", landscape.dim))
 
 
 def _runs(args, landscape, gammas) -> list[tuple[SystemSpec, IntegratorConfig]]:
@@ -99,7 +96,7 @@ def _runs(args, landscape, gammas) -> list[tuple[SystemSpec, IntegratorConfig]]:
         spec = SystemSpec(landscape=landscape, gamma=gamma)
         config = IntegratorConfig(method=_resolve_method(gamma, args.method), h=args.h,
                                   t_end=args.T)
-        check_method(spec, config)
+        check_method(spec, config.method)
         runs.append((spec, config))
     return runs
 
@@ -190,7 +187,7 @@ def cmd_conserve(args, write) -> None:
     landscape = landscape_from_name(args.landscape)
     initial = _initial(args, landscape)
     gammas = [0.0]
-    if not args.gamma0_only and args.gamma != 0.0:
+    if args.gamma != 0.0:
         gammas.append(args.gamma)
 
     combined: dict[str, np.ndarray] = {}
@@ -285,9 +282,7 @@ def cmd_traj2d(args, write) -> None:
     inits = _parse_inits(args.inits, landscape.dim)
     if args.v0 is None:
         args.v0 = ",".join(["0"] * landscape.dim)
-    v0 = _parse_floats(args.v0, "--v0")
-    if len(v0) != landscape.dim:
-        raise InvalidArgument(f"--v0 must have {landscape.dim} coordinates")
+    v0 = _coords(args.v0, "--v0", landscape.dim)
     args.method = _resolve_method(args.gamma, args.method)
     (spec, config), = _runs(args, landscape, [args.gamma])
     starts = [State(w0, v0) for w0 in inits]  # all checked before the first run
@@ -353,14 +348,13 @@ def cmd_stochastic(args, write) -> None:
     landscape = landscape_from_name(args.landscape)
     initial = _initial(args, landscape)
     noise_kind, tau = _parse_noise(args.noise)
-    if args.method != "stochastic_splitting":
-        raise InvalidArgument("noisy dynamics require the stochastic_splitting method")
 
     spec = SystemSpec(
         landscape=landscape, gamma=args.gamma, sigma=args.sigma,
         noise_kind=noise_kind, tau=tau,
     )
-    config = IntegratorConfig(method=args.method, h=args.h, t_end=args.T, seed=args.seed)
+    config = IntegratorConfig(method="stochastic_splitting", h=args.h, t_end=args.T,
+                              seed=args.seed)
     result = ensemble_expected_decay(spec, initial, config, args.members)
     columns = {
         "t": result.times,
@@ -406,7 +400,7 @@ def _common_flags(names: str, **defaults) -> argparse.ArgumentParser:
         "sigma": dict(type=float, default=0.0, help="noise amplitude"),
         "noise": dict(default="white", help="noise kind: white or ou:<tau>"),
         "method": dict(choices=METHODS, default=None,
-                       help="integrator (default: picked from gamma/noise)"),
+                       help="integrator (default: verlet at gamma = 0, else damped_splitting)"),
         "h": dict(type=float, default=0.01, help="integration step size"),
         "T": dict(type=float, default=10.0, help="time horizon"),
         "seed": dict(type=int, default=0, help="RNG seed (stochastic runs)"),
@@ -435,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("conserve",
                    parents=[_common_flags("gamma method h T landscape w0 v0")],
                    help="frictionless vs damped energy traces")
-    p.add_argument("--gamma0-only", action="store_true", help="run only the gamma=0 case")
     p.set_defaults(func=cmd_conserve)
 
     p = add_parser("phase", parents=[_common_flags("method h T landscape w0 v0", T=20.0)],
@@ -467,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_discrete)
 
     p = add_parser("stochastic",
-                   parents=[_common_flags("gamma sigma noise method h T seed landscape w0 v0",
-                                          sigma=0.3, method="stochastic_splitting")],
+                   parents=[_common_flags("gamma sigma noise h T seed landscape w0 v0",
+                                          sigma=0.3)],
                    help="noisy ensemble decay balance")
     p.add_argument("--members", type=int, default=100, help="ensemble size")
     p.set_defaults(func=cmd_stochastic)

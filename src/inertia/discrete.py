@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _as_readonly_vector, _require_dim, inertia
+from .dynamics import _require_dim, _set_phase_point, inertia
 from .errors import InvalidArgument
 from .integrators import _finite_energies, _run
 from .landscapes import LossLandscape
@@ -40,12 +40,7 @@ class DiscreteState:
     step_index: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "w", _as_readonly_vector(self.w, "w"))
-        object.__setattr__(self, "v", _as_readonly_vector(self.v, "v"))
-        if self.w.shape != self.v.shape:
-            raise InvalidArgument(
-                f"w and v must have equal dimension, got {self.w.shape[0]} and {self.v.shape[0]}"
-            )
+        _set_phase_point(self)
         if self.step_index < 0:
             raise InvalidArgument(f"step_index must be >= 0, got {self.step_index}")
 

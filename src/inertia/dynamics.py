@@ -44,6 +44,16 @@ def _as_readonly_vector(x, name: str) -> np.ndarray:
     return arr
 
 
+def _set_phase_point(point) -> None:
+    """Store ``point.w`` and ``point.v`` of a frozen dataclass as finite read-only vectors."""
+    object.__setattr__(point, "w", _as_readonly_vector(point.w, "w"))
+    object.__setattr__(point, "v", _as_readonly_vector(point.v, "v"))
+    if point.w.shape != point.v.shape:
+        raise InvalidArgument(
+            f"w and v must have equal dimension, got {point.w.shape[0]} and {point.v.shape[0]}"
+        )
+
+
 @dataclass(frozen=True)
 class State:
     """A phase-space point: parameters ``w``, velocity ``v``, time ``t``."""
@@ -53,12 +63,7 @@ class State:
     t: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "w", _as_readonly_vector(self.w, "w"))
-        object.__setattr__(self, "v", _as_readonly_vector(self.v, "v"))
-        if self.w.shape != self.v.shape:
-            raise InvalidArgument(
-                f"w and v must have equal dimension, got {self.w.shape[0]} and {self.v.shape[0]}"
-            )
+        _set_phase_point(self)
         if not np.isfinite(self.t):
             raise NumericalFailure(f"time is not finite: {self.t}")
 

@@ -153,6 +153,8 @@ def _single_step(state: State, spec: SystemSpec, method: str, h: float, rng=None
 
     Serves the splitting methods only, whose ``grad`` is never None.
     """
+    _require_dim(state.dim, spec.landscape)
+    check_method(spec, method)
     normal = None if rng is None else _normal(rng, state.dim)
     step, grad = _make_stepper(spec, method, h, normal)
     w, v, eta, _ = step(state.w, state.v, eta, grad(state.w))
@@ -161,11 +163,6 @@ def _single_step(state: State, spec: SystemSpec, method: str, h: float, rng=None
 
 def step_verlet(state: State, spec: SystemSpec, h: float) -> State:
     """One kick-drift-kick step; frictionless, noise-free dynamics only."""
-    _require_dim(state.dim, spec.landscape)
-    if spec.gamma != 0:
-        raise InvalidArgument("verlet handles gamma = 0 only; use damped_splitting")
-    if not spec.deterministic:
-        raise InvalidArgument("verlet handles deterministic dynamics only")
     return _single_step(state, spec, "verlet", h)[0]
 
 
@@ -177,9 +174,6 @@ def step_damped_splitting(state: State, spec: SystemSpec, h: float) -> State:
     velocity contracts by exactly exp(-gamma h) per step; with gamma = 0
     the step is identical to velocity Verlet.
     """
-    _require_dim(state.dim, spec.landscape)
-    if not spec.deterministic:
-        raise InvalidArgument("damped_splitting handles deterministic dynamics only")
     return _single_step(state, spec, "damped_splitting", h)[0]
 
 
@@ -204,10 +198,7 @@ def step_stochastic(state, spec, h, rng, eta=None):
     forcing advances by its exact exponential update between the two
     kicks, so the first kick sees the old value and the second the new.
     """
-    _require_dim(state.dim, spec.landscape)
-    if spec.deterministic:
-        raise InvalidArgument("step_stochastic requires a noisy spec")
-    if spec.noise_kind == "white":
+    if spec.noise_kind != "ou":
         if eta is not None:
             raise InvalidArgument("eta is only used with correlated noise")
         return _single_step(state, spec, "stochastic_splitting", h, rng)[0]
@@ -254,22 +245,25 @@ def initial_forcing(spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
 # blocks of one step to name the first non-finite state. A finite state can
 # still overflow the energy, so both runs end by checking the energies of
 # their recorded rows (_finite_energies). The ensemble checks finiteness
-# every step so a failure names its member.
+# every step so a failure names its member. Every overflow thus ends in a
+# NumericalFailure that reports it, so _run, _finite_energies and the
+# ensemble reduction (analysis.py) step and reduce with numpy's overflow and
+# invalid-value warnings silenced.
 
 _BLOCK = 1024  # steps between finiteness checks
 
 
-def check_method(spec: SystemSpec, config: IntegratorConfig) -> None:
-    """Raise InvalidArgument unless ``config.method`` can integrate ``spec``."""
-    if config.method == "stochastic_splitting":
+def check_method(spec: SystemSpec, method: str) -> None:
+    """Raise InvalidArgument unless ``method`` can integrate ``spec``; the one such rule."""
+    if method == "stochastic_splitting":
         if spec.deterministic:
             raise InvalidArgument("stochastic_splitting requires a noisy spec")
     else:
         if not spec.deterministic:
             raise InvalidArgument(
-                f"{config.method} cannot integrate noisy dynamics; use stochastic_splitting"
+                f"{method} cannot integrate noisy dynamics; use stochastic_splitting"
             )
-        if config.method == "verlet" and spec.gamma != 0:
+        if method == "verlet" and spec.gamma != 0:
             raise InvalidArgument("verlet requires gamma = 0; use damped_splitting")
 
 
@@ -368,6 +362,7 @@ def _make_stepper(spec: SystemSpec, method: str, h: float, normal):
     return step, grad
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run(step, grad, w: np.ndarray, v: np.ndarray, eta, record: np.ndarray, block: int = _BLOCK):
     """Step ``(w, v, eta)`` to step ``record[-1]``; returns ``(ws, vs, etas, bad)``.
 
@@ -409,13 +404,10 @@ def _run(step, grad, w: np.ndarray, v: np.ndarray, eta, record: np.ndarray, bloc
     return ws, vs, etas, None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _finite_energies(ws: np.ndarray, vs: np.ndarray, landscape, record: np.ndarray) -> np.ndarray:
-    """``inertia_rows`` of rows stored at steps ``record``; raises at the first not finite.
-
-    An overflow is reported by that failure, so numpy's warnings are silenced.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        energies = inertia_rows(ws, vs, landscape)
+    """``inertia_rows`` of rows stored at steps ``record``; raises at the first not finite."""
+    energies = inertia_rows(ws, vs, landscape)
     bad = np.flatnonzero(~np.isfinite(energies))
     if bad.size:
         k = int(record[bad[0]])
@@ -460,7 +452,7 @@ def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Tra
     else the first recorded step whose energy is not finite.
     """
     _require_dim(initial.dim, spec.landscape)
-    check_method(spec, config)
+    check_method(spec, config.method)
 
     record = _record_indices(config.n_steps, config.record_every)
     ws, vs, etas, bad = _run(*_start(spec, initial, config), record)
@@ -548,7 +540,7 @@ def ensemble_samples(
     whose state left the finite range. Arguments are checked at the call.
     """
     _require_dim(initial.dim, spec.landscape)
-    check_method(spec, config)
+    check_method(spec, config.method)
     if config.method != "stochastic_splitting":
         raise InvalidArgument("ensembles are for the stochastic method")
     if n_members < 1:

@@ -268,20 +268,20 @@ def test_conserve_from_rest_at_the_minimum_prints_the_final_energy(tmp_path, cap
 
 
 def test_conserve_gamma0_only(tmp_path):
-    code, out = run_cli(tmp_path, "conserve", "--T", "2", "--gamma0-only")
+    code, out = run_cli(tmp_path, "conserve", "--T", "2", "--gamma", "0")
     assert code == 0
     assert sorted(os.listdir(out)) == ["conserve_g0.csv", "manifest.json"]
 
 
 def test_conserve_euler_warning(tmp_path, capsys):
-    code, _ = run_cli(tmp_path, "conserve", "--T", "2", "--gamma0-only",
+    code, _ = run_cli(tmp_path, "conserve", "--T", "2", "--gamma", "0",
                       "--method", "explicit_euler")
     assert code == 0
     assert "negative control" in capsys.readouterr().out
 
 
 def test_conserve_trajectory_schema(tmp_path):
-    code, out = run_cli(tmp_path, "conserve", "--T", "1", "--gamma0-only")
+    code, out = run_cli(tmp_path, "conserve", "--T", "1", "--gamma", "0")
     assert code == 0
     cols = read_csv_columns(os.path.join(out, "conserve_g0.csv"))
     assert list(cols) == ["t", "w0", "v0", "inertia"]
@@ -411,7 +411,7 @@ def test_render_into_a_fresh_directory_writes_a_render_manifest(tmp_path):
 
 
 def test_render_subcommand(tmp_path):
-    code, out = run_cli(tmp_path, "conserve", "--T", "1", "--gamma0-only")
+    code, out = run_cli(tmp_path, "conserve", "--T", "1", "--gamma", "0")
     assert code == 0
     svg = str(tmp_path / "plot.svg")
     assert main(["render", "--input", os.path.join(out, "conserve_g0.csv"),
@@ -420,7 +420,7 @@ def test_render_subcommand(tmp_path):
 
 
 def test_json_format_flag(tmp_path):
-    code, out = run_cli(tmp_path, "conserve", "--T", "1", "--gamma0-only",
+    code, out = run_cli(tmp_path, "conserve", "--T", "1", "--gamma", "0",
                         "--format", "json")
     assert code == 0
     doc = json.loads(open(os.path.join(out, "conserve_g0.json")).read())
@@ -465,6 +465,9 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
         ["stochastic", "--noise", "ou:nan"],
         ["conserve", "--landscape", "diag:inf"],
         ["conserve", "--landscape", "diag:nan"],
+        # non-finite start points
+        ["conserve", "--w0", "inf"],
+        ["stochastic", "--v0", "nan"],
     ]
     for argv in cases:
         code = main(argv + ["--out-dir", str(tmp_path / "out")])
@@ -478,25 +481,48 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("command", ["conserve", "discrete"])
-def test_an_overflowing_energy_fails_without_numpy_warnings(tmp_path, capsys, command):
-    """integrate (conserve) and discrete_trajectory (discrete) report the overflow alone."""
+def test_a_bad_later_start_is_refused_before_the_first_run(tmp_path, capsys):
+    """Every --inits point is checked before any start runs: exit 2, no output directory."""
+    code = main(["traj2d", "--inits", "1,0;inf,0", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --inits point 'inf,0' is not finite\n"
+    assert not (tmp_path / "out").exists()  # traj2d_init0.csv was not written first
+
+
+OVERFLOWING_ENSEMBLE = ["stochastic", "--h", "2.5", "--gamma", "0", "--members", "100"]
+
+
+@pytest.mark.parametrize("argv, error, step_index", [
+    pytest.param(["conserve", "--w0", "1e200"], "energy not finite at step 0", 0, id="conserve"),
+    pytest.param(["discrete", "--w0", "1e200"], "energy not finite at step 0", 0, id="discrete"),
+    pytest.param([*OVERFLOWING_ENSEMBLE, "--T", "500"],
+                 "ensemble statistics not finite at step 128", 128, id="ensemble-statistics"),
+    pytest.param([*OVERFLOWING_ENSEMBLE, "--T", "2000"],
+                 "non-finite state in member 19 at step 512", 512, id="ensemble-member"),
+    pytest.param(["conserve", "--landscape", "iso2d", "--w0", "1,0", "--v0", "0,0",
+                  "--method", "explicit_euler", "--h", "3", "--T", "6000"],
+                 "non-finite state at step 617", 617, id="conserve-2d"),
+])
+def test_an_overflowing_energy_fails_without_numpy_warnings(tmp_path, capsys, argv, error,
+                                                            step_index):
+    """integrate, its replay, discrete_trajectory and the ensemble report the overflow alone."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out = run_cli(tmp_path, command, "--w0", "1e200")
+        code, out = run_cli(tmp_path, *argv)
     assert code == 3
-    assert capsys.readouterr().err == "numerical failure: energy not finite at step 0\n"
-    assert _manifest(out)["status"]["step_index"] == 0
+    assert capsys.readouterr().err == f"numerical failure: {error}\n"
+    assert _manifest(out)["status"]["step_index"] == step_index
 
 
 IGNORED_FLAGS = {
-    "conserve": ["--sigma=0.1", "--noise=white"],
+    "conserve": ["--sigma=0.1", "--noise=white", "--gamma0-only"],
     "phase": ["--gamma=0.1", "--sigma=0.1", "--noise=white"],
     "sweep": ["--gamma=0.1", "--sigma=0.1", "--noise=white", "--method=rk4", "--T=3",
               "--landscape=iso1d"],
     "traj2d": ["--sigma=0.1", "--noise=white", "--w0=1,0"],
     "discrete": ["--gamma=0.1", "--sigma=0.1", "--noise=white", "--method=rk4", "--h=0.1",
                  "--T=3"],
+    "stochastic": ["--method=stochastic_splitting"],
 }
 
 
@@ -549,7 +575,7 @@ def _declared_flags(command):
     (["traj2d", "--T", "1"],
      {"landscape": "iso2d", "v0": "0,0", "method": "damped_splitting"}),
     (["discrete", "--eta", "0.1"], {"steps": 100, "landscape": "iso1d"}),
-    (["stochastic", "--T", "1", "--members", "100"], {"method": "stochastic_splitting"}),
+    (["stochastic", "--T", "1", "--members", "100"], {"sigma": 0.3, "noise": "white"}),
 ])
 def test_manifest_parameters_are_the_declared_flags(tmp_path, argv, derived):
     code, out = run_cli(tmp_path, *argv)
@@ -590,8 +616,6 @@ def test_phase_manifest_records_the_method(tmp_path):
     (["conserve", "--w0", "1e200"], [], "energy not finite at step 0", 0, None),
     (["traj2d", "--gamma", "0", "--inits", "1e200,0"], [], "energy not finite at step 0", 0,
      None),
-    # a bad later start is refused before the first start runs
-    (["traj2d", "--inits", "1,0;inf,0"], [], "w contains non-finite components", None, None),
 ])
 def test_a_failed_run_writes_its_manifest(tmp_path, capsys, argv, outputs, error, step_index,
                                           member):

@@ -101,6 +101,38 @@ def test_method_spec_compatibility():
         integrate(damped, State([1.0, 0.0], [0.0, 0.0]), cfg("damped_splitting"))
 
 
+DAMPED = SystemSpec(landscape=ISO1, gamma=0.4)
+NOISY = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind="white")
+
+
+@pytest.mark.parametrize("spec, method, call", [
+    pytest.param(DAMPED, "verlet", lambda: step_verlet(UNIT_START, DAMPED, 0.01),
+                 id="step_verlet"),
+    pytest.param(NOISY, "damped_splitting",
+                 lambda: step_damped_splitting(UNIT_START, NOISY, 0.01),
+                 id="step_damped_splitting"),
+    pytest.param(NOISY, "damped_splitting",
+                 lambda: integrate(NOISY, UNIT_START,
+                                   IntegratorConfig(method="damped_splitting", h=0.01, t_end=1.0)),
+                 id="integrate"),
+    pytest.param(DAMPED, "stochastic_splitting",
+                 lambda: step_stochastic(UNIT_START, DAMPED, 0.01, member_rng(0)),
+                 id="step_stochastic"),
+    pytest.param(DAMPED, "stochastic_splitting",
+                 lambda: ensemble_expected_decay(
+                     DAMPED, UNIT_START,
+                     IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=1.0), 100),
+                 id="ensemble_expected_decay"),
+])
+def test_every_method_spec_refusal_is_check_method(spec, method, call):
+    """Each entry point refuses a method/spec mismatch with check_method's own message."""
+    with pytest.raises(InvalidArgument) as expected:
+        integrators.check_method(spec, method)
+    with pytest.raises(InvalidArgument) as refused:
+        call()
+    assert str(refused.value) == str(expected.value)
+
+
 # --- single steps ------------------------------------------------------------
 
 def test_verlet_single_step_worked_example():
