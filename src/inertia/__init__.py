@@ -24,13 +24,7 @@ from .analysis import (
     fit_decay_rate,
     sweep_gamma,
 )
-from .discrete import (
-    DiscreteState,
-    discrete_inertia,
-    discrete_trajectory,
-    drift_profile,
-    momentum_step,
-)
+from .discrete import discrete_trajectory, drift_profile, momentum_step
 from .dynamics import (
     State,
     SystemSpec,
@@ -83,9 +77,7 @@ __all__ = [
     "step_verlet",
     "step_damped_splitting",
     "step_stochastic",
-    "DiscreteState",
     "momentum_step",
-    "discrete_inertia",
     "discrete_trajectory",
     "drift_profile",
     "ClosedFormSolution",

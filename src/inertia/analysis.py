@@ -204,23 +204,27 @@ def sweep_gamma(
     """Fit the decay rate of one damped run per gamma on the unit 1D quadratic.
 
     Each run covers ``n_periods`` damped periods of its own gamma, and the
-    fit averages ln I over one period. Fit failures, a gamma outside the
-    underdamped range included, are captured per entry instead of aborting
-    the sweep. Output is sorted by gamma.
+    fit averages ln I over one period. A gamma that ``SystemSpec`` refuses,
+    ``n_periods`` < 1 and an ``h`` that ``IntegratorConfig`` refuses for the
+    shortest run (gamma = 0) raise before the first run; other failures, a
+    gamma >= 2 included, are captured per entry. Output is sorted by gamma.
     """
+    if not n_periods >= 1:
+        raise InvalidArgument(f"n_periods must be >= 1, got {n_periods}")
     landscape = quadratic_isotropic(1)
+    specs = [SystemSpec(landscape=landscape, gamma=g) for g in sorted(float(g) for g in gammas)]
+    IntegratorConfig(method="damped_splitting", h=h, t_end=n_periods * damped_period(0.0))
+    start = State([w0], [v0])
     entries = []
-    for gamma in sorted(float(g) for g in gammas):
+    for spec in specs:
         try:
-            period = damped_period(gamma)
-            t_end = n_periods * period
-            spec = SystemSpec(landscape=landscape, gamma=gamma)
-            config = IntegratorConfig(method="damped_splitting", h=h, t_end=t_end)
-            trajectory = integrate(spec, State([w0], [v0]), config)
+            period = damped_period(spec.gamma)
+            config = IntegratorConfig(method="damped_splitting", h=h, t_end=n_periods * period)
+            trajectory = integrate(spec, start, config)
             fit = fit_decay_rate(trajectory, (0.0, trajectory.times[-1]), smooth_period=period)
-            entries.append(SweepEntry(gamma, fit.gamma_hat, fit.r_squared))
+            entries.append(SweepEntry(spec.gamma, fit.gamma_hat, fit.r_squared))
         except (InvalidArgument, NumericalFailure) as exc:
-            entries.append(SweepEntry(gamma, None, None, error=str(exc)))
+            entries.append(SweepEntry(spec.gamma, None, None, error=str(exc)))
     return entries
 
 
@@ -228,10 +232,8 @@ def sweep_gamma(
 class EnsembleStats:
     """Per-time-index sample mean and standard error of one quantity."""
 
-    n_members: int
     mean_series: np.ndarray
     stderr_series: np.ndarray
-    quantity: str  # "inertia", "inertia_rate", or "speed_squared"
 
 
 @dataclass(frozen=True)
@@ -393,14 +395,12 @@ def ensemble_expected_decay(
     if not (math.isfinite(balance_residual) and math.isfinite(balance_stderr)):
         raise NumericalFailure("ensemble balance not finite")
 
-    quantities = ("inertia", "inertia_rate", "speed_squared")
-    stats = {q: EnsembleStats(n_members, means[i], stderrs[i], q) for i, q in enumerate(quantities)}
     return EnsembleResult(
         times=times,
         n_members=n_members,
-        inertia=stats["inertia"],
-        inertia_rate=stats["inertia_rate"],
-        speed_squared=stats["speed_squared"],
+        inertia=EnsembleStats(means[0], stderrs[0]),
+        inertia_rate=EnsembleStats(means[1], stderrs[1]),
+        speed_squared=EnsembleStats(means[2], stderrs[2]),
         mean_noise_dot_v=means[3] if correlated else None,
         balance_residual=balance_residual,
         balance_stderr=balance_stderr,

@@ -23,7 +23,7 @@ from .discrete import discrete_trajectory, drift_profile
 from .dynamics import State, SystemSpec
 from .errors import InvalidArgument, NumericalFailure
 from .integrators import (METHODS, RNG_ALGORITHM, IntegratorConfig, Trajectory, check_method,
-                          integrate)
+                          check_step_count, integrate)
 from .landscapes import landscape_from_name
 from .output import format_float, record_render, write_csv, write_json, write_manifest
 from .render import render_csv
@@ -312,6 +312,7 @@ def cmd_discrete(args, write) -> None:
     if not 0 < args.eta < np.inf:
         raise InvalidArgument(f"--eta must be positive and finite, got {args.eta}")
     if args.steps is None:
+        check_step_count(10.0 / args.eta)  # 10 / eta may overflow to inf, which int() refuses
         args.steps = int(round(10.0 / args.eta))
     n_steps = args.steps
     if n_steps < 1:
@@ -399,7 +400,8 @@ def _common_flags(names: str, **defaults) -> argparse.ArgumentParser:
         "gamma": dict(type=float, default=0.4, help="damping coefficient"),
         "sigma": dict(type=float, default=0.0, help="noise amplitude"),
         "noise": dict(default="white", help="noise kind: white or ou:<tau>"),
-        "method": dict(choices=METHODS, default=None,
+        # the subcommands that take --method integrate noise-free systems only
+        "method": dict(choices=[m for m in METHODS if m != "stochastic_splitting"], default=None,
                        help="integrator (default: verlet at gamma = 0, else damped_splitting)"),
         "h": dict(type=float, default=0.01, help="integration step size"),
         "T": dict(type=float, default=10.0, help="time horizon"),

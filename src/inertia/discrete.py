@@ -15,34 +15,18 @@ quadratic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dynamics import _require_dim, _set_phase_point, inertia
+from .dynamics import State, _require_dim
 from .errors import InvalidArgument
-from .integrators import _finite_energies, _run
+from .integrators import _finite_energies, _run, check_step_count
 from .landscapes import LossLandscape
 
 __all__ = [
-    "DiscreteState",
     "momentum_step",
-    "discrete_inertia",
     "discrete_trajectory",
     "drift_profile",
 ]
-
-
-@dataclass(frozen=True)
-class DiscreteState:
-    w: np.ndarray
-    v: np.ndarray
-    step_index: int = 0
-
-    def __post_init__(self):
-        _set_phase_point(self)
-        if self.step_index < 0:
-            raise InvalidArgument(f"step_index must be >= 0, got {self.step_index}")
 
 
 def _momentum_map(eta_step: float, landscape: LossLandscape):
@@ -58,17 +42,12 @@ def _momentum_map(eta_step: float, landscape: LossLandscape):
     return step
 
 
-def momentum_step(state: DiscreteState, eta_step: float, landscape: LossLandscape) -> DiscreteState:
-    """One velocity-first update; eta_step plays the role of a time step."""
+def momentum_step(state: State, eta_step: float, landscape: LossLandscape) -> State:
+    """One velocity-first update; eta_step plays the role of a time step and advances ``t``."""
     step = _momentum_map(eta_step, landscape)
-    _require_dim(state.w.shape[0], landscape)
+    _require_dim(state.dim, landscape)
     w, v, _, _ = step(state.w, state.v, None, None)
-    return DiscreteState(w, v, state.step_index + 1)
-
-
-def discrete_inertia(state: DiscreteState, landscape: LossLandscape) -> float:
-    """1/2 ||v||^2 + L(w), the same functional as the continuous-time energy."""
-    return inertia(state, landscape)
+    return State(w, v, state.t + eta_step)
 
 
 def discrete_trajectory(
@@ -78,18 +57,19 @@ def discrete_trajectory(
     n_steps: int,
     landscape: LossLandscape,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every state of the map for t = 0..n_steps, and its energy series.
+    """Every state of the map for steps 0..n_steps, and its energy series.
 
     Returns ``(ws, vs, energy)`` with ``ws``/``vs`` of shape
-    (n_steps + 1, dim); row t is ``momentum_step`` applied t times and
-    ``energy[t]`` its ``discrete_inertia``, bit for bit. Raises
-    NumericalFailure at the first step whose energy is not finite.
+    (n_steps + 1, dim); row k is ``momentum_step`` applied k times and
+    ``energy[k]`` its ``inertia``, bit for bit. Raises NumericalFailure at
+    the first step whose energy is not finite.
     """
     step = _momentum_map(eta_step, landscape)
     if n_steps < 1:
         raise InvalidArgument(f"n_steps must be >= 1, got {n_steps}")
-    start = DiscreteState(w0, v0)
-    _require_dim(start.w.shape[0], landscape)
+    check_step_count(n_steps)
+    start = State(w0, v0)
+    _require_dim(start.dim, landscape)
     # _run stops after the first block whose final state is not finite, and
     # a non-finite state has a non-finite energy, so the first bad energy is
     # among the rows it stored.

@@ -44,16 +44,6 @@ def _as_readonly_vector(x, name: str) -> np.ndarray:
     return arr
 
 
-def _set_phase_point(point) -> None:
-    """Store ``point.w`` and ``point.v`` of a frozen dataclass as finite read-only vectors."""
-    object.__setattr__(point, "w", _as_readonly_vector(point.w, "w"))
-    object.__setattr__(point, "v", _as_readonly_vector(point.v, "v"))
-    if point.w.shape != point.v.shape:
-        raise InvalidArgument(
-            f"w and v must have equal dimension, got {point.w.shape[0]} and {point.v.shape[0]}"
-        )
-
-
 @dataclass(frozen=True)
 class State:
     """A phase-space point: parameters ``w``, velocity ``v``, time ``t``."""
@@ -63,7 +53,12 @@ class State:
     t: float = 0.0
 
     def __post_init__(self):
-        _set_phase_point(self)
+        object.__setattr__(self, "w", _as_readonly_vector(self.w, "w"))
+        object.__setattr__(self, "v", _as_readonly_vector(self.v, "v"))
+        if self.w.shape != self.v.shape:
+            raise InvalidArgument(
+                f"w and v must have equal dimension, got {self.w.shape[0]} and {self.v.shape[0]}"
+            )
         if not np.isfinite(self.t):
             raise NumericalFailure(f"time is not finite: {self.t}")
 
@@ -122,7 +117,7 @@ def _require_dim(dim: int, landscape: LossLandscape) -> None:
 
 
 def inertia(state: State, landscape: LossLandscape) -> float:
-    """Kinetic plus potential energy 1/2 ||v||^2 + L(w) of a State or DiscreteState."""
+    """Kinetic plus potential energy 1/2 ||v||^2 + L(w) of a State."""
     _require_dim(state.w.shape[0], landscape)
     return 0.5 * float(state.v @ state.v) + float(landscape.value(state.w))
 

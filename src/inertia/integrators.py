@@ -46,13 +46,13 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "check_method",
+    "check_step_count",
     "member_rng",
     "integrate",
     "step_verlet",
     "step_damped_splitting",
     "step_stochastic",
     "ensemble_samples",
-    "ensemble_series",
 ]
 
 METHODS = ("explicit_euler", "rk4", "verlet", "damped_splitting", "stochastic_splitting")
@@ -63,6 +63,12 @@ RNG_ALGORITHM = "PCG64"
 # Below this damping the exact noise-variance formula sigma^2 (1-a^2)/(2 gamma)
 # degenerates to 0/0; switch to its gamma -> 0 limit sigma^2 * (half-step).
 _GAMMA_TINY = 1e-12
+
+
+def check_step_count(n_steps: float) -> None:
+    """Raise InvalidArgument for a run of more than 1e8 steps; the one such limit."""
+    if not n_steps <= 1e8:  # written so that a NaN fails it
+        raise InvalidArgument(f"refusing a run of {n_steps:.3g} steps (limit 1e8)")
 
 
 def member_rng(seed: int, member_index: int = 0) -> np.random.Generator:
@@ -91,10 +97,7 @@ class IntegratorConfig:
             raise InvalidArgument(f"step size must be positive and finite, got {self.h}")
         if not self.t_end > 0:
             raise InvalidArgument(f"horizon must be positive, got {self.t_end}")
-        if self.t_end / self.h > 1e8:
-            raise InvalidArgument(
-                f"refusing a run of {self.t_end / self.h:.3g} steps (limit 1e8)"
-            )
+        check_step_count(self.t_end / self.h)
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= int(self.seed) < 2**64):
             raise InvalidArgument(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not (isinstance(self.record_every, (int, np.integer)) and self.record_every >= 1):
@@ -127,17 +130,6 @@ class Trajectory:
 
     def __len__(self):
         return self.times.shape[0]
-
-    def state_at(self, k: int) -> State:
-        return State(self.ws[k], self.vs[k], float(self.times[k]))
-
-    @property
-    def states(self) -> list[State]:
-        return [self.state_at(k) for k in range(len(self))]
-
-    @property
-    def final_state(self) -> State:
-        return self.state_at(len(self) - 1)
 
     @property
     def speed_squared(self) -> np.ndarray:
@@ -538,6 +530,14 @@ def ensemble_samples(
     for white noise. It holds O(n_members * dim) state whatever the horizon,
     and raises ``NumericalFailure`` naming the step and the first member
     whose state left the finite range. Arguments are checked at the call.
+
+    All members start from ``initial`` and member i draws from
+    ``member_rng(config.seed, i)``, so member 0 follows ``integrate`` with
+    the same config and noise. On a 1-D landscape its samples equal that
+    run's ``inertia`` and ``speed_squared`` bit for bit; at dim >= 2 they
+    agree to a few ulps only, because the batched ``W @ A`` and per-member
+    sums take different BLAS kernels than a single trajectory's ``w @ A``
+    and ``v @ v``.
     """
     _require_dim(initial.dim, spec.landscape)
     check_method(spec, config.method)
@@ -548,35 +548,3 @@ def ensemble_samples(
     record = _record_indices(config.n_steps, config.record_every)
     return record * config.h, _ensemble_loop(spec, initial, config, n_members, record)
 
-
-def ensemble_series(
-    spec: SystemSpec,
-    initial: State,
-    config: IntegratorConfig,
-    n_members: int,
-) -> dict[str, np.ndarray]:
-    """Reduced per-member time series for an independent-member ensemble.
-
-    All members start from ``initial`` and use streams derived from
-    (config.seed, member_index), so member 0 follows ``integrate`` with
-    the same config and noise. On a 1-D landscape it reproduces it
-    bit-for-bit; at dim >= 2 it agrees to a few ulps only, because the
-    batched ``W @ A`` and the per-member energy sums take different BLAS
-    kernels than a single trajectory's ``w @ A`` and ``v @ v``. The series
-    are collected from ``ensemble_samples``, which steps all members at
-    once with noise drawn a chunk of steps at a time.
-
-    Returns arrays of shape (n_members, n_samples): ``inertia``,
-    ``speed_squared``, and for correlated noise ``noise_dot_v``; plus the
-    sample ``times``. These take O(n_members * n_samples) memory; reduce
-    ``ensemble_samples`` directly to avoid that.
-    """
-    times, samples = ensemble_samples(spec, initial, config, n_members)
-    names = ["inertia", "speed_squared"]
-    if spec.noise_kind == "ou":
-        names.append("noise_dot_v")
-    series = {name: np.empty((n_members, times.shape[0])) for name in names}
-    for pos, sample in enumerate(samples):
-        for name, values in zip(names, sample):
-            series[name][:, pos] = values
-    return {"times": times, **series}

@@ -28,7 +28,6 @@ from inertia import (
     sweep_gamma,
 )
 from inertia.cli import main
-from inertia.discrete import DiscreteState
 from inertia.errors import NumericalFailure
 
 ISO1 = quadratic_isotropic(1)
@@ -157,8 +156,8 @@ def test_criterion_08_discrete_map(capsys):
 
     dets = []
     for eta in (0.005, 0.01, 0.02, 0.1, 0.5):
-        e_w = momentum_step(DiscreteState([1.0], [0.0]), eta, ISO1)
-        e_v = momentum_step(DiscreteState([0.0], [1.0]), eta, ISO1)
+        e_w = momentum_step(State([1.0], [0.0]), eta, ISO1)
+        e_v = momentum_step(State([0.0], [1.0]), eta, ISO1)
         dets.append(e_w.w[0] * e_v.v[0] - e_v.w[0] * e_w.v[0])
 
     series, _ = drift_profile([1.0], [0.0], 1.9, 1_000_000, ISO1)

@@ -25,7 +25,8 @@ from inertia import (
     sweep_gamma,
 )
 from inertia.analysis import _GROUP_FLOATS
-from inertia.integrators import ensemble_series
+
+from ensemble_arrays import ensemble_arrays
 
 ISO1 = quadratic_isotropic(1)
 
@@ -345,7 +346,7 @@ def column_stats(values):
 
 def full_array_reduction(spec, start, cfg, n_members, burn_in):
     """The ensemble reduction over whole (n_members, n_samples) arrays."""
-    series = ensemble_series(spec, start, cfg, n_members)
+    series = ensemble_arrays(spec, start, cfg, n_members)
     times, energy = series["times"], series["inertia"]
     rate = centred_rate(energy, cfg.h)
     sl = slice(max(int(np.searchsorted(times, burn_in - 1e-9)), 1), times.shape[0] - 1)

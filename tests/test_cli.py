@@ -468,6 +468,14 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
         # non-finite start points
         ["conserve", "--w0", "inf"],
         ["stochastic", "--v0", "nan"],
+        # the sweep's own arguments, refused before its first run
+        ["sweep", "--h", "0"],
+        ["sweep", "--h", "nan"],
+        ["sweep", "--periods", "0"],
+        ["sweep", "--gammas", "-0.1"],
+        ["sweep", "--gammas", "nan"],
+        # 1e301 steps: over the 1e8 limit, refused before anything is allocated
+        ["discrete", "--eta", "1e-300"],
     ]
     for argv in cases:
         code = main(argv + ["--out-dir", str(tmp_path / "out")])
@@ -534,6 +542,16 @@ def test_subcommands_refuse_flags_they_do_not_read(tmp_path, capsys, command, fl
         main([command, flag, "--out-dir", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["conserve", "phase", "traj2d"])
+def test_method_takes_only_the_noise_free_methods(tmp_path, capsys, command):
+    """These subcommands build noise-free systems, which stochastic_splitting cannot run."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--method=stochastic_splitting", "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --method: invalid choice: 'stochastic_splitting'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

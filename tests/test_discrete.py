@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from inertia import (
-    DiscreteState,
     InvalidArgument,
     NumericalFailure,
     State,
-    discrete_inertia,
     discrete_trajectory,
     drift_profile,
     inertia,
@@ -51,53 +49,54 @@ def replay(w0, v0, eta, n, landscape):
 
 
 def test_single_step_worked_example():
-    out = momentum_step(DiscreteState([1.0], [0.0]), 0.1, ISO1)
+    out = momentum_step(State([1.0], [0.0]), 0.1, ISO1)
     assert_allclose(out.v, [-0.1], rtol=1e-15)
     assert_allclose(out.w, [0.99], rtol=1e-15)
-    assert out.step_index == 1
+    assert out.t == 0.1  # eta plays the time step
+    assert momentum_step(State([1.0], [0.0], t=2.5), 0.1, ISO1).t == 2.5 + 0.1
 
 
 def test_small_step_example():
-    out = momentum_step(DiscreteState([1.0], [0.0]), 0.01, ISO1)
+    out = momentum_step(State([1.0], [0.0]), 0.01, ISO1)
     assert_allclose(out.v, [-0.01], rtol=1e-15)
     assert_allclose(out.w, [0.9999], rtol=1e-15)
 
 
 def test_minimum_is_a_fixed_point():
-    out = momentum_step(DiscreteState([0.0], [0.0]), 0.1, ISO1)
+    out = momentum_step(State([0.0], [0.0]), 0.1, ISO1)
     assert np.array_equal(out.w, [0.0])
     assert np.array_equal(out.v, [0.0])
 
 
 def test_energy_values():
-    assert discrete_inertia(DiscreteState([1.0], [0.0]), ISO1) == 0.5
-    assert discrete_inertia(DiscreteState([0.0], [0.0]), ISO1) == 0.0
-    after = momentum_step(DiscreteState([1.0], [0.0]), 0.1, ISO1)
-    assert discrete_inertia(after, ISO1) == pytest.approx(0.49505, abs=1e-10)
+    assert inertia(State([1.0], [0.0]), ISO1) == 0.5
+    assert inertia(State([0.0], [0.0]), ISO1) == 0.0
+    after = momentum_step(State([1.0], [0.0]), 0.1, ISO1)
+    assert inertia(after, ISO1) == pytest.approx(0.49505, abs=1e-10)
 
 
 @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
 def test_energy_matches_continuous_functional(w, v):
-    """Same (w, v) must give the same number through either energy function."""
-    a = discrete_inertia(DiscreteState([w], [v]), ISO1)
-    b = inertia(State([w], [v]), ISO1)
-    assert a == b
+    """The map's energy series is the continuous-time inertia of each state."""
+    ws, vs, energy = discrete_trajectory([w], [v], 0.1, 1, ISO1)
+    for k in range(2):
+        assert energy[k] == inertia(State(ws[k], vs[k]), ISO1)
 
 
 def test_argument_validation():
     with pytest.raises(InvalidArgument):
-        momentum_step(DiscreteState([1.0], [0.0]), 0.0, ISO1)
+        momentum_step(State([1.0], [0.0]), 0.0, ISO1)
     with pytest.raises(InvalidArgument):
-        momentum_step(DiscreteState([1.0, 2.0], [0.0, 0.0]), 0.1, ISO1)
+        momentum_step(State([1.0, 2.0], [0.0, 0.0]), 0.1, ISO1)
     with pytest.raises(InvalidArgument):
-        DiscreteState([1.0, 2.0], [0.0])
-    with pytest.raises(InvalidArgument):
-        DiscreteState([1.0], [0.0], step_index=-1)
+        discrete_trajectory([1.0, 2.0], [0.0], 0.1, 10, ISO1)  # the start is a State
     with pytest.raises(InvalidArgument):
         drift_profile([1.0], [0.0], 0.01, 0, ISO1)
+    with pytest.raises(InvalidArgument, match=r"limit 1e8"):  # refused before any allocation
+        discrete_trajectory([1.0], [0.0], 1e-300, 10**301, ISO1)
     for eta in (float("nan"), float("inf")):  # the step size must be finite too
         with pytest.raises(InvalidArgument):
-            momentum_step(DiscreteState([1.0], [0.0]), eta, ISO1)
+            momentum_step(State([1.0], [0.0]), eta, ISO1)
         with pytest.raises(InvalidArgument):
             discrete_trajectory([1.0], [0.0], eta, 10, ISO1)
 
@@ -127,8 +126,8 @@ def test_transition_determinant_is_exactly_one(eta):
     On the unit quadratic the update is linear:
         (w, v) -> ((1 - eta^2) w + eta v, -eta w + v)
     """
-    e_w = momentum_step(DiscreteState([1.0], [0.0]), eta, ISO1)
-    e_v = momentum_step(DiscreteState([0.0], [1.0]), eta, ISO1)
+    e_w = momentum_step(State([1.0], [0.0]), eta, ISO1)
+    e_v = momentum_step(State([0.0], [1.0]), eta, ISO1)
     det = e_w.w[0] * e_v.v[0] - e_v.w[0] * e_w.v[0]
     assert det == 1.0
 
@@ -157,12 +156,13 @@ def test_trajectory_matches_repeated_steps(landscape):
     assert np.array_equal(ws, ref_ws)
     assert np.array_equal(vs, ref_vs)
     assert np.array_equal(energy, energies)
-    # the single step chains to the same states
-    s = DiscreteState(w0, v0)
+    # the single step chains to the same states, and t advances by eta per step
+    s, t = State(w0, v0), 0.0
     for k in range(1, 301):
-        s = momentum_step(s, 0.05, landscape)
+        s, t = momentum_step(s, 0.05, landscape), t + 0.05
         assert np.array_equal(s.w, ref_ws[k]) and np.array_equal(s.v, ref_vs[k])
-        assert discrete_inertia(s, landscape) == energies[k]
+        assert inertia(s, landscape) == energies[k]
+        assert s.t == t
 
 
 @pytest.mark.parametrize("v0", [0.7, -0.0])
@@ -195,7 +195,7 @@ def test_failure_step_matches_per_step_replay(eta, landscape):
 
 def test_profile_matches_repeated_steps():
     series, _ = drift_profile([1.0], [0.5], 0.1, 20, ISO1)
-    s = DiscreteState([1.0], [0.5])
+    s = State([1.0], [0.5])
     for k in range(1, 21):
         s = momentum_step(s, 0.1, ISO1)
-        assert series[k] == discrete_inertia(s, ISO1)
+        assert series[k] == inertia(s, ISO1)

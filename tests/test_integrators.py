@@ -26,7 +26,9 @@ from inertia import (
 )
 from inertia import integrators
 from inertia.analysis import ensemble_expected_decay
-from inertia.integrators import ensemble_series, initial_forcing, member_rng
+from inertia.integrators import initial_forcing, member_rng
+
+from ensemble_arrays import ensemble_arrays
 
 ISO1 = quadratic_isotropic(1)
 UNIT_START = State([1.0], [0.0])
@@ -525,7 +527,7 @@ def test_ensemble_rows_equal_the_two_gradient_reference(noise, tau):
     spec = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
     cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=1.0, seed=5)
     start = State([0.8], [-0.1])
-    series = ensemble_series(spec, start, cfg, 4)
+    series = ensemble_arrays(spec, start, cfg, 4)
     for i in range(4):
         ws, vs, _ = reference_for_member(spec, cfg, start, member=i)
         assert np.array_equal(series["inertia"][i], 0.5 * vs[:, 0] * vs[:, 0] + 0.5 * ws[:, 0] * ws[:, 0])
@@ -579,7 +581,7 @@ def test_gradient_calls_per_run(case, per_step):
     assert counting.gradient_calls == expected
     if method == "stochastic_splitting":
         counting.gradient_calls = 0
-        ensemble_series(spec, start, cfg, 6)
+        ensemble_arrays(spec, start, cfg, 6)
         assert counting.gradient_calls == cfg.n_steps + 1  # one batched call per step
 
 
@@ -592,7 +594,7 @@ def test_white_noise_velocity_variance_growth():
     spec = SystemSpec(landscape=flat, gamma=0.0, sigma=0.3, noise_kind="white")
     cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=0.5, seed=3)
     m = 2000
-    series = ensemble_series(spec, State([0.0], [0.0]), cfg, m)
+    series = ensemble_arrays(spec, State([0.0], [0.0]), cfg, m)
     var_hat = float(series["speed_squared"][:, -1].mean())
     expected = 0.3 ** 2 * 0.5
     se = expected * math.sqrt(2.0 / m)  # chi-square spread of a variance estimate
@@ -610,7 +612,7 @@ def test_ensemble_member_zero_is_the_single_trajectory():
         spec = SystemSpec(landscape=landscape, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
         cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=2.0, seed=11)
         traj = integrate(spec, start, cfg)
-        series = ensemble_series(spec, start, cfg, 4)
+        series = ensemble_arrays(spec, start, cfg, 4)
         if landscape.dim == 1:
             assert np.array_equal(series["inertia"][0], traj.inertia)
             assert np.array_equal(series["speed_squared"][0], traj.speed_squared)
@@ -623,7 +625,7 @@ def test_ensemble_rows_match_independent_runs():
     """Batched stepping must agree bitwise with one-member-at-a-time runs."""
     spec = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind="ou", tau=0.5)
     cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=1.0, seed=5)
-    series = ensemble_series(spec, State([1.0], [0.0]), cfg, 4)
+    series = ensemble_arrays(spec, State([1.0], [0.0]), cfg, 4)
     for i in range(4):
         # member i's stream, replayed through the scalar path
         rng = member_rng(5, i)
@@ -644,10 +646,10 @@ def test_ensemble_noise_refills_do_not_change_the_draws(monkeypatch, noise, tau)
     cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=0.5, seed=8,
                            record_every=3)
     start = State([1.0, 0.5, -0.2], [0.0, 0.1, 0.0])
-    whole = ensemble_series(spec, start, cfg, 4)
+    whole = ensemble_arrays(spec, start, cfg, 4)
     assert integrators._NOISE_FLOATS >= 2 * 4 * 3 * cfg.n_steps  # one refill above
     monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * 4 * 3 * 3 + 5)  # 3 or 6 steps
-    chunked = ensemble_series(spec, start, cfg, 4)
+    chunked = ensemble_arrays(spec, start, cfg, 4)
     assert whole.keys() == chunked.keys()
     for key in whole:
         assert np.array_equal(whole[key], chunked[key]), key
@@ -657,7 +659,7 @@ def test_ensemble_requires_stochastic_method():
     spec = SystemSpec(landscape=ISO1, gamma=0.4)
     cfg = IntegratorConfig(method="damped_splitting", h=0.01, t_end=1.0)
     with pytest.raises(InvalidArgument):
-        ensemble_series(spec, UNIT_START, cfg, 4)
+        ensemble_arrays(spec, UNIT_START, cfg, 4)
 
 
 # --- recording and failure handling -------------------------------------------
@@ -788,7 +790,7 @@ def test_ensemble_failure_names_the_first_bad_member():
     with np.errstate(over="ignore", invalid="ignore"):
         firsts = [first_bad_step(spec, cfg, start, member=i) for i in range(200)]
         failures = []
-        for run_ensemble in (ensemble_series, ensemble_expected_decay):
+        for run_ensemble in (ensemble_arrays, ensemble_expected_decay):
             with pytest.raises(NumericalFailure) as exc:
                 run_ensemble(spec, start, cfg, 200)
             failures.append(exc.value)
@@ -812,13 +814,9 @@ def test_single_run_failure_has_no_member():
 def test_trajectory_accessors():
     traj = run("verlet", t_end=0.1)
     assert len(traj) == 11
-    s = traj.state_at(3)
-    assert s.t == pytest.approx(0.03)
-    assert np.array_equal(s.w, traj.ws[3])
-    last = traj.final_state
-    assert last.t == pytest.approx(0.1)
+    assert traj.times[3] == pytest.approx(0.03)
+    assert traj.times[-1] == pytest.approx(0.1)
     assert np.array_equal(traj.speed_squared, np.sum(traj.vs ** 2, axis=1))
-    assert len(traj.states) == len(traj)
 
 
 # --- properties ----------------------------------------------------------------
