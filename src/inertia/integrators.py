@@ -33,6 +33,9 @@ manifests as ``RNG_ALGORITHM``.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -461,29 +464,116 @@ def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Tra
 # An ensemble advances all members at once through the stepper above, on
 # (n_members, dim) arrays. Member i draws from member_rng(seed, i) in the
 # order a single run consumes its stream, so each member's noise does not
-# depend on the ensemble size. The draws are served from a buffer refilled a
-# chunk of steps at a time, and recorded samples are handed out one at a
-# time, so memory does not grow with the horizon.
+# depend on the ensemble size. The draws are served a chunk of steps at a
+# time from two slots of one buffer, and recorded samples are handed out one
+# at a time, so memory does not grow with the horizon.
+# A run that needs more than one refill forks a producer process, where
+# os.fork exists and this process may run on two CPUs or more: it fills one
+# slot while this process steps and reduces from the other, and one-byte
+# tokens over two pipes hand each slot back and forth. Each fill writes every member's draws into that member's own
+# column, so which process draws them moves no bit. Threads gain nothing
+# here: each member's call of a few hundred normals hands off the GIL, and
+# two filling threads ran slower than one.
 
-_NOISE_FLOATS = 1 << 21  # size of the ensemble noise buffer (16 MB of float64)
+_NOISE_FLOATS = 1 << 21  # floats in the two ensemble noise slots together (16 MB)
+_TILE_FLOATS = 1 << 13  # floats in one member-major tile of draws (64 KB)
+
+
+def _fill(slot: np.ndarray, n: int, rngs) -> None:
+    """Draw every member's next ``n`` steps into ``slot[:n]``; column i from ``rngs[i]``.
+
+    ``slot`` is step-major, (rows, per_step, n_members, dim). Each member
+    draws its ``n`` steps in one call into a row of a member-major tile of
+    _TILE_FLOATS floats (78 members at 10^4 members, where a refill holds
+    52 steps of white noise), which one transposed copy writes into the slot.
+    """
+    _, per_step, n_members, dim = slot.shape
+    per_member = n * per_step * dim
+    tile = np.empty((max(1, min(n_members, _TILE_FLOATS // per_member)), per_member))
+    for first in range(0, n_members, tile.shape[0]):
+        members = rngs[first : first + tile.shape[0]]
+        drawn = tile[: len(members)]
+        for row, rng in zip(drawn, members):
+            rng.standard_normal(out=row)
+        columns = drawn.reshape(len(members), n, per_step, dim).transpose(1, 2, 0, 3)
+        slot[:n, :, first : first + len(members)] = columns
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (a cgroup's CPU quota is not seen)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _member_draws(rngs, n_steps: int, per_step: int, dim: int):
     """Yield ``per_step`` (n_members, dim) draws per step; row i comes from ``rngs[i]``.
 
-    Each refill draws every member's next whole steps. Chunked PCG64 draws
-    equal one long draw bit for bit, so the values are those of step-by-step
-    draws. A yielded block is overwritten by the next refill.
+    Each refill draws every member's next whole steps into one of two slots
+    (_fill). Chunked PCG64 draws equal one long draw bit for bit, so the
+    values are those of step-by-step draws. Use a yielded block before
+    asking for the next: its slot may then be refilled.
+
+    A run that needs more than one refill forks a producer, where os.fork
+    exists and this process may run on two CPUs or more, that fills the
+    slots of one anonymous shared mapping ahead of the consumer and takes no
+    other ``rngs`` draws; the caller must not use ``rngs`` once iteration
+    starts. Closing the generator, or the producer ending early (which
+    raises RuntimeError), stops and reaps the producer.
     """
     n_members = len(rngs)
-    rows = max(1, min(n_steps, _NOISE_FLOATS // (per_step * n_members * dim)))
-    buf = np.empty((rows, per_step, n_members, dim))
-    for first in range(0, n_steps, rows):
-        n = min(rows, n_steps - first)
-        for i, rng in enumerate(rngs):
-            buf[:n, :, i, :] = rng.standard_normal((n, per_step, dim))
-        for j in range(n):
-            yield from buf[j]
+    rows = max(1, min(n_steps, _NOISE_FLOATS // (2 * per_step * n_members * dim)))
+    counts = [min(rows, n_steps - first) for first in range(0, n_steps, rows)]
+    shape = (rows, per_step, n_members, dim)
+    if len(counts) == 1 or not hasattr(os, "fork") or _usable_cpus() < 2:
+        slot = np.empty(shape)
+        for n in counts:
+            _fill(slot, n, rngs)
+            for j in range(n):
+                yield from slot[j]
+        return
+
+    slots = np.ndarray((2, *shape), buffer=mmap.mmap(-1, 2 * math.prod(shape) * 8))
+    filled_r, filled_w = os.pipe()  # producer -> consumer: a slot is full
+    freed_r, freed_w = os.pipe()  # consumer -> producer: a slot may be refilled
+    pid = os.fork()
+    if pid == 0:  # the producer; it never returns into the caller
+        code = 1
+        try:
+            # Without the consumer's ends here, its death, however abrupt,
+            # reads as a broken pipe or an end of file.
+            os.close(filled_r)
+            os.close(freed_w)
+            for r, n in enumerate(counts):
+                if r >= 2 and os.read(freed_r, 1) != b"\0":
+                    break  # the consumer went away
+                _fill(slots[r % 2], n, rngs)
+                os.write(filled_w, b"\0")
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(filled_w)
+    os.close(freed_r)
+    try:
+        for r, n in enumerate(counts):
+            if 0 < r < len(counts) - 1:
+                try:
+                    os.write(freed_w, b"\0")  # refill r + 1 may overwrite refill r - 1
+                except BrokenPipeError:
+                    pass  # the producer is gone: the read below finds it out
+            if os.read(filled_r, 1) != b"\0":
+                raise RuntimeError(f"the ensemble noise producer ended before refill {r}")
+            slot = slots[r % 2]
+            for j in range(n):
+                yield from slot[j]
+    finally:
+        os.close(filled_r)
+        os.close(freed_w)
+        # An end of file alone may not stop it, since a producer forked later
+        # holds copies of these pipe ends; a producer that has exited is
+        # still unreaped, so the kill is then a no-op.
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _sample(w, v, eta, value):
@@ -508,12 +598,15 @@ def _ensemble_loop(spec, initial, config, n_members, record):
     yield _sample(w, v, eta, value)  # record[0] is step 0
     targets = record.tolist()[1:] + [-1]  # sentinel: no step is recorded past the last
     pos = 0
-    for k in range(1, config.n_steps + 1):
-        w, v, eta, gw = step(w, v, eta, gw)
-        _raise_nonfinite(w, v, k)
-        if k == targets[pos]:
-            yield _sample(w, v, eta, value)
-            pos += 1
+    try:
+        for k in range(1, config.n_steps + 1):
+            w, v, eta, gw = step(w, v, eta, gw)
+            _raise_nonfinite(w, v, k)
+            if k == targets[pos]:
+                yield _sample(w, v, eta, value)
+                pos += 1
+    finally:
+        draws.close()  # a failure's traceback must not keep the producer alive
 
 
 def ensemble_samples(
@@ -530,6 +623,9 @@ def ensemble_samples(
     for white noise. It holds O(n_members * dim) state whatever the horizon,
     and raises ``NumericalFailure`` naming the step and the first member
     whose state left the finite range. Arguments are checked at the call.
+    A run whose noise takes more than one refill draws it in a forked
+    producer process (_member_draws); finishing, failing, closing or
+    dropping ``samples`` ends and reaps that process.
 
     All members start from ``initial`` and member i draws from
     ``member_rng(config.seed, i)``, so member 0 follows ``integrate`` with

@@ -1,6 +1,9 @@
-"""Whole-run ensemble arrays for tests that compare members or reduce them in one pass."""
+"""Ensemble test helpers: whole-run arrays, and a watch on the noise producer process."""
+
+import os
 
 import numpy as np
+import pytest
 
 from inertia.integrators import ensemble_samples
 
@@ -17,3 +20,27 @@ def ensemble_arrays(spec, initial, config, n_members):
     columns = zip(names, zip(*samples))
     return {"times": times, **{name: np.column_stack(col) for name, col in columns
                                if col[0] is not None}}
+
+
+def spy_on_fork(monkeypatch):
+    """The pids of the processes this process forks from now on, in order.
+
+    The process is also shown two usable CPUs, so that an ensemble that
+    takes several noise refills forks on any machine.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_no_child_process():
+    """No child of this process is running or left unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -15,6 +15,8 @@ from inertia.integrators import METHODS
 from inertia.output import format_float, write_csv, write_json, write_manifest
 from inertia.render import read_csv_columns, render_csv
 
+from ensemble_arrays import assert_no_child_process
+
 
 # --- float formatting and file round-trips -------------------------------------
 
@@ -381,6 +383,16 @@ def test_stochastic_correlated_adds_work_column(tmp_path):
     assert "mean_noise_dot_v" in cols
 
 
+@pytest.mark.parametrize("noise", ["white", "ou:0.5"])
+def test_desk_scale_ensembles_draw_their_noise_in_process(tmp_path, monkeypatch, noise):
+    """reproduce_all.py's 200-member runs take one noise refill, so they never fork."""
+    def no_fork():
+        raise AssertionError("a desk-scale ensemble forked a producer")
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, _ = run_cli(tmp_path, "stochastic", "--members", "200", "--noise", noise)
+    assert code == 0
+
+
 def test_render_adds_to_the_experiment_manifest(tmp_path):
     code, out = run_cli(tmp_path, "conserve", "--T", "1")
     assert code == 0
@@ -497,29 +509,36 @@ def test_a_bad_later_start_is_refused_before_the_first_run(tmp_path, capsys):
     assert not (tmp_path / "out").exists()  # traj2d_init0.csv was not written first
 
 
-OVERFLOWING_ENSEMBLE = ["stochastic", "--h", "2.5", "--gamma", "0", "--members", "100"]
+OVERFLOWING_ENSEMBLE = ["stochastic", "--h", "2.5", "--gamma", "0"]
 
 
 @pytest.mark.parametrize("argv, error, step_index", [
     pytest.param(["conserve", "--w0", "1e200"], "energy not finite at step 0", 0, id="conserve"),
     pytest.param(["discrete", "--w0", "1e200"], "energy not finite at step 0", 0, id="discrete"),
-    pytest.param([*OVERFLOWING_ENSEMBLE, "--T", "500"],
+    pytest.param([*OVERFLOWING_ENSEMBLE, "--members", "100", "--T", "500"],
                  "ensemble statistics not finite at step 128", 128, id="ensemble-statistics"),
-    pytest.param([*OVERFLOWING_ENSEMBLE, "--T", "2000"],
+    pytest.param([*OVERFLOWING_ENSEMBLE, "--members", "100", "--T", "2000"],
                  "non-finite state in member 19 at step 512", 512, id="ensemble-member"),
+    pytest.param([*OVERFLOWING_ENSEMBLE, "--members", "10000", "--T", "2000"],
+                 "non-finite state in member 19 at step 512", 512, id="ensemble-member-forked"),
     pytest.param(["conserve", "--landscape", "iso2d", "--w0", "1,0", "--v0", "0,0",
                   "--method", "explicit_euler", "--h", "3", "--T", "6000"],
                  "non-finite state at step 617", 617, id="conserve-2d"),
 ])
 def test_an_overflowing_energy_fails_without_numpy_warnings(tmp_path, capsys, argv, error,
                                                             step_index):
-    """integrate, its replay, discrete_trajectory and the ensemble report the overflow alone."""
+    """integrate, its replay, discrete_trajectory and the ensemble report the overflow alone.
+
+    At 10^4 members the ensemble's noise comes from a forked producer, which
+    the failure must not leave behind.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = run_cli(tmp_path, *argv)
     assert code == 3
     assert capsys.readouterr().err == f"numerical failure: {error}\n"
     assert _manifest(out)["status"]["step_index"] == step_index
+    assert_no_child_process()
 
 
 IGNORED_FLAGS = {

@@ -1,5 +1,10 @@
 import itertools
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -26,9 +31,9 @@ from inertia import (
 )
 from inertia import integrators
 from inertia.analysis import ensemble_expected_decay
-from inertia.integrators import initial_forcing, member_rng
+from inertia.integrators import ensemble_samples, initial_forcing, member_rng
 
-from ensemble_arrays import ensemble_arrays
+from ensemble_arrays import assert_no_child_process, ensemble_arrays, spy_on_fork
 
 ISO1 = quadratic_isotropic(1)
 UNIT_START = State([1.0], [0.0])
@@ -640,19 +645,131 @@ def test_ensemble_rows_match_independent_runs():
 
 @pytest.mark.parametrize("noise, tau", [("white", None), ("ou", 0.5)])
 def test_ensemble_noise_refills_do_not_change_the_draws(monkeypatch, noise, tau):
-    """Members' draws are the same however many steps one buffer refill holds."""
+    """Members' draws are the same however many steps a slot holds and whoever fills it.
+
+    One refill is filled in place. Several are filled by a forked producer
+    or, where os.fork is missing or one CPU is usable, in place; all four
+    runs agree bitwise.
+    """
     landscape = MULTI_D["diag"]
     spec = SystemSpec(landscape=landscape, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
     cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=0.5, seed=8,
                            record_every=3)
     start = State([1.0, 0.5, -0.2], [0.0, 0.1, 0.0])
+    pids = spy_on_fork(monkeypatch)
     whole = ensemble_arrays(spec, start, cfg, 4)
-    assert integrators._NOISE_FLOATS >= 2 * 4 * 3 * cfg.n_steps  # one refill above
-    monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * 4 * 3 * 3 + 5)  # 3 or 6 steps
-    chunked = ensemble_arrays(spec, start, cfg, 4)
-    assert whole.keys() == chunked.keys()
+    assert pids == []
+    assert integrators._NOISE_FLOATS >= 2 * 2 * 4 * 3 * cfg.n_steps  # one refill above
+    monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * (2 * 4 * 3 * 3 + 5))  # slots of 3 or 6 steps
+    forked = ensemble_arrays(spec, start, cfg, 4)
+    assert len(pids) == 1
+    assert_no_child_process()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one_cpu = ensemble_arrays(spec, start, cfg, 4)
+    assert len(pids) == 1
+    monkeypatch.delattr(os, "fork")
+    in_place = ensemble_arrays(spec, start, cfg, 4)
+    assert whole.keys() == forked.keys() == one_cpu.keys() == in_place.keys()
     for key in whole:
-        assert np.array_equal(whole[key], chunked[key]), key
+        assert np.array_equal(whole[key], forked[key]), key
+        assert np.array_equal(whole[key], one_cpu[key]), key
+        assert np.array_equal(whole[key], in_place[key]), key
+
+
+@pytest.mark.parametrize("can_fork", [True, False])
+def test_member_draws_are_each_members_own_stream(monkeypatch, can_fork):
+    """Refills of 3, 3 and 1 steps, the first two in tiles of 64, 64 and 22 members:
+    member i's column is its own stream drawn step by step, forked or filled in place."""
+    n_members, n_steps, per_step, dim = 150, 7, 2, 2
+    monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * 3 * per_step * n_members * dim)
+    monkeypatch.setattr(integrators, "_TILE_FLOATS", 64 * 3 * per_step * dim)
+    if not can_fork:
+        monkeypatch.delattr(os, "fork")
+    pids = spy_on_fork(monkeypatch) if can_fork else []
+    rngs = [member_rng(3, i) for i in range(n_members)]
+    draws = integrators._member_draws(rngs, n_steps, per_step, dim)
+    got = np.array([block.copy() for block in draws])  # a block is valid until the next
+    expected = [member_rng(3, i).standard_normal((n_steps * per_step, dim))
+                for i in range(n_members)]
+    assert np.array_equal(got, np.stack(expected, axis=1))
+    assert len(pids) == can_fork
+    assert_no_child_process()
+
+
+KILLED_CONSUMER = """
+import os, signal
+from inertia import IntegratorConfig, State, SystemSpec, quadratic_isotropic
+from inertia import integrators
+
+fork = os.fork
+def announcing_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = announcing_fork
+os.sched_getaffinity = lambda pid: {0, 1}
+integrators._NOISE_FLOATS = 2 * 3 * 2 * 6
+spec = SystemSpec(landscape=quadratic_isotropic(1), gamma=0.4, sigma=0.3, noise_kind="white")
+cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=1.0, seed=2)
+samples = integrators.ensemble_samples(spec, State([1.0], [0.0]), cfg, 6)[1]
+next(samples), next(samples)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def test_a_consumer_killed_outright_takes_its_producer_along():
+    """No finally runs in a SIGKILLed consumer; its producer sees the pipes break and
+    exits, which closes the stdout it inherited, so the run below returns."""
+    package_root = os.path.dirname(os.path.dirname(integrators.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    try:
+        done = subprocess.run([sys.executable, "-c", KILLED_CONSUMER], env=env,
+                              stdout=subprocess.PIPE, timeout=60)
+    except subprocess.TimeoutExpired as exc:
+        if exc.output:  # the producer is still running: stop it
+            os.kill(int(exc.output), signal.SIGKILL)
+        raise
+    assert done.returncode == -signal.SIGKILL
+    assert int(done.stdout) > 0  # the producer's pid: it was forked
+
+
+def ensemble_of_refills(n_members=6):
+    """A 1-D white-noise ensemble whose draws take about 34 refills of 3 steps."""
+    spec = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind="white")
+    cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=1.0, seed=2)
+    return ensemble_samples(spec, UNIT_START, cfg, n_members)[1]
+
+
+def test_a_dropped_ensemble_leaves_no_process(monkeypatch):
+    """Dropped while a second ensemble's producer, which holds copies of the
+    first one's pipe ends, is running: neither producer hangs or outlives its run."""
+    monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * 3 * 2 * 6)
+    pids = spy_on_fork(monkeypatch)
+    first, second = ensemble_of_refills(), ensemble_of_refills()
+    for _ in range(10):
+        next(first), next(second)
+    assert len(pids) == 2
+    del first
+    assert sum(1 for _ in second) == 101 - 10
+    assert_no_child_process()
+
+
+def test_a_killed_producer_fails_the_run(monkeypatch):
+    """The run raises once it needs a refill the producer never made; it does not hang."""
+    monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * 3 * 2 * 6)
+    pids = spy_on_fork(monkeypatch)
+    samples = ensemble_of_refills()
+    next(samples), next(samples)  # step 0, then step 1 forks the producer
+    os.kill(pids[0], signal.SIGKILL)
+    # Wait until it is gone, without reaping it, so that the run's next token
+    # goes to a pipe nobody reads.
+    while os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+        time.sleep(0.001)
+    with pytest.raises(RuntimeError, match="the ensemble noise producer ended before refill"):
+        for _ in samples:
+            pass
+    assert_no_child_process()
 
 
 def test_ensemble_requires_stochastic_method():
