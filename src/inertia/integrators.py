@@ -77,12 +77,14 @@ def check_step_count(n_steps: float) -> None:
 def member_rng(seed: int, member_index: int = 0) -> np.random.Generator:
     """Independent, scheduling-order-free stream for one ensemble member.
 
-    Streams are derived from (seed, member_index), so member k's draws do
-    not depend on how many members run or in what order. A single
+    Streams are derived from (seed, member_index): numpy's PCG64 seeded by
+    ``SeedSequence(entropy=seed, spawn_key=(member_index,))``, so member k's
+    draws do not depend on how many members run or in what order. A single
     trajectory is member 0 of its own ensemble.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(member_index,))
-    return np.random.Generator(np.random.PCG64(ss))
+    from .streams import member_rngs  # loads numpy.random, which noise-free runs never need
+
+    return member_rngs(seed, member_index, member_index + 1)[0]
 
 
 @dataclass(frozen=True)
@@ -263,10 +265,8 @@ def check_method(spec: SystemSpec, method: str) -> None:
 
 
 def _record_indices(n_steps: int, stride: int) -> np.ndarray:
-    idx = list(range(0, n_steps + 1, stride))
-    if idx[-1] != n_steps:
-        idx.append(n_steps)
-    return np.asarray(idx, dtype=int)
+    idx = np.arange(0, n_steps + 1, stride)
+    return idx if idx[-1] == n_steps else np.append(idx, n_steps)
 
 
 def _make_stepper(spec: SystemSpec, method: str, h: float, normal):
@@ -382,20 +382,25 @@ def _run(step, grad, w: np.ndarray, v: np.ndarray, eta, record: np.ndarray, bloc
         eta_rows[0] = eta
     gw = None if grad is None else grad(w)
 
-    n_steps = int(record[-1])
-    targets = record.tolist() + [-1]  # sentinel: no step is recorded past the last
-    pos = 1
+    # record is step 0, every stride-th step and the last step (_record_indices);
+    # stepping the target by the stride holds no list of the steps
+    n_steps, stride = int(record[-1]), int(record[1])
+    target, pos = stride, 1
     for start in range(1, n_steps + 1, block):
         stop = min(start + block, n_steps + 1)
         for k in range(start, stop):
             w, v, eta, gw = step(w, v, eta, gw)
-            if k == targets[pos]:
+            if k == target:
                 w_rows[pos], v_rows[pos] = w, v
                 if eta_rows is not None:
                     eta_rows[pos] = eta
-                pos += 1
+                target, pos = target + stride, pos + 1
         if not (np.isfinite(w).all() and np.isfinite(v).all()):
             return ws, vs, etas, stop - 1
+    if pos < n_rec:  # the last step, off the stride
+        w_rows[pos], v_rows[pos] = w, v
+        if eta_rows is not None:
+            eta_rows[pos] = eta
     return ws, vs, etas, None
 
 
@@ -584,7 +589,9 @@ def _sample(w, v, eta, value):
 
 
 def _ensemble_loop(spec, initial, config, n_members, record):
-    rngs = [member_rng(config.seed, i) for i in range(n_members)]
+    from .streams import member_rngs
+
+    rngs = member_rngs(config.seed, 0, n_members)
     eta = None
     if spec.noise_kind == "ou":
         eta = np.array([initial_forcing(spec, rng) for rng in rngs])
@@ -596,15 +603,15 @@ def _ensemble_loop(spec, initial, config, n_members, record):
     gw = grad(w)
 
     yield _sample(w, v, eta, value)  # record[0] is step 0
-    targets = record.tolist()[1:] + [-1]  # sentinel: no step is recorded past the last
-    pos = 0
+    stride = int(record[1])  # record: step 0, every stride-th step and the last
     try:
         for k in range(1, config.n_steps + 1):
             w, v, eta, gw = step(w, v, eta, gw)
             _raise_nonfinite(w, v, k)
-            if k == targets[pos]:
+            if k % stride == 0:
                 yield _sample(w, v, eta, value)
-                pos += 1
+        if config.n_steps % stride:  # the last step, off the stride
+            yield _sample(w, v, eta, value)
     finally:
         draws.close()  # a failure's traceback must not keep the producer alive
 

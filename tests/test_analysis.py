@@ -440,8 +440,9 @@ def test_ensemble_memory_does_not_grow_with_the_horizon(monkeypatch):
     not see, so their size is checked on its own: the same at both horizons.
     The result holds seven series of one float per sample (times, and the
     mean and standard error of three quantities); the run also holds the
-    recorded step indices, as an array and as a list of ints. The growth
-    measured 1.9 times the bytes of the seven extra series.
+    recorded step indices as one array. The growth measured 1.14 times the
+    bytes of the seven extra series; a Python list of those indices, about
+    40 B more per sample, took it to 1.86.
     """
     n_members, h = 2000, 0.01
     mappings, real_mmap = [], mmap.mmap
@@ -467,6 +468,6 @@ def test_ensemble_memory_does_not_grow_with_the_horizon(monkeypatch):
     assert sizes[5.0] == sizes[40.0]
     assert sizes[40.0][0] <= integrators._NOISE_FLOATS * 8
     extra_series = 7 * (round(40.0 / h) - round(5.0 / h)) * 8
-    assert peaks[40.0] - peaks[5.0] <= 3 * extra_series
+    assert peaks[40.0] - peaks[5.0] <= 1.5 * extra_series
     one_series = n_members * (round(40.0 / h) + 1) * 8  # one (members, samples) float array
     assert peaks[40.0] < one_series

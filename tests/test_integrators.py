@@ -29,7 +29,7 @@ from inertia import (
     step_stochastic,
     step_verlet,
 )
-from inertia import integrators
+from inertia import integrators, streams
 from inertia.analysis import ensemble_expected_decay
 from inertia.integrators import ensemble_samples, initial_forcing, member_rng
 
@@ -291,6 +291,66 @@ def test_different_seeds_differ():
     a = run("stochastic_splitting", gamma=0.4, sigma=0.3, noise="white", t_end=2.0, seed=1)
     b = run("stochastic_splitting", gamma=0.4, sigma=0.3, noise="white", t_end=2.0, seed=2)
     assert not np.array_equal(a.vs, b.vs)
+
+
+def numpy_seed_words(seed, members):
+    """The reference: numpy's own SeedSequence for each member, one at a time."""
+    return np.array([np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)
+                     for i in members])
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1,
+         *(int(s) for s in np.random.default_rng(13).integers(0, 2**64, 3, dtype=np.uint64))]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("first, stop", [(0, 300), (2**32 - 2, 2**32)])
+def test_seed_words_are_numpys_seed_sequence(seed, first, stop):
+    words = streams.seed_words(seed, first, stop)
+    assert words.dtype == np.uint64 and words.shape == (stop - first, 4)
+    assert np.array_equal(words, numpy_seed_words(seed, range(first, stop)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1))
+def test_seed_words_property(seed, member):
+    assert np.array_equal(streams.seed_words(seed, member, member + 1),
+                          numpy_seed_words(seed, [member]))
+
+
+@pytest.mark.parametrize("seed, member", [(0, 0), (7, 3), (2**64 - 1, 2**32 - 1)])
+def test_member_rng_draws_are_numpys(seed, member):
+    """Alone or as the last of a batch, a member's generator draws what numpy's draws."""
+    for rng in (member_rng(seed, member),
+                streams.member_rngs(seed, max(0, member - 2), member + 1)[-1]):
+        reference = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(member,))))
+        assert np.array_equal(rng.standard_normal(1000), reference.standard_normal(1000))
+
+
+def test_member_index_of_more_than_32_bits_is_refused():
+    """numpy's spawn key would then take two words, which the batch seeding does not do."""
+    with pytest.raises(InvalidArgument):
+        member_rng(0, 2**32)
+    with pytest.raises(InvalidArgument):
+        streams.member_rngs(0, 2**32 - 1, 2**32 + 1)
+    with pytest.raises(InvalidArgument):
+        member_rng(0, -1)
+    with pytest.raises(InvalidArgument):
+        member_rng(-1, 0)
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    """Noise-free runs draw nothing, so numpy.random loads at the first stochastic run."""
+    package_root = os.path.dirname(os.path.dirname(integrators.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    check = "import sys, {}; print('numpy.random' in sys.modules)"
+    loaded = [subprocess.run([sys.executable, "-c", check.format(module)], env=env,
+                             capture_output=True, text=True, check=True).stdout.strip()
+              for module in ("numpy", "inertia")]
+    if loaded[0] == "True":
+        pytest.skip("this numpy loads numpy.random on import")
+    assert loaded[1] == "False"
 
 
 def test_integrate_matches_manual_step_chain():
@@ -787,6 +847,15 @@ def test_record_every_subsamples_without_recomputing():
     assert np.array_equal(sub.times, full.times[::10])
     assert np.array_equal(sub.ws, full.ws[::10])
     assert np.array_equal(sub.inertia, full.inertia[::10])
+
+
+def test_record_indices_are_every_stride_th_step_and_the_last():
+    """The loops step their next target by record[1], so the layout is a contract."""
+    for n_steps, stride in itertools.product(range(1, 30), range(1, 35)):
+        record = integrators._record_indices(n_steps, stride)
+        assert record[-1] == n_steps
+        assert np.array_equal(record[:-1], np.arange(0, n_steps, stride))
+        assert record[1] == min(stride, n_steps)
 
 
 def test_record_every_keeps_the_final_sample():
