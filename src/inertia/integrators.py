@@ -35,13 +35,13 @@ from __future__ import annotations
 import math
 import mmap
 import os
-import signal
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import State, SystemSpec, _require_dim, inertia_rows
 from .errors import InvalidArgument, NumericalFailure
+from .forking import kill_and_reap, may_fork
 
 __all__ = [
     "METHODS",
@@ -504,13 +504,6 @@ def _fill(slot: np.ndarray, n: int, rngs) -> None:
         slot[:n, :, first : first + len(members)] = columns
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (a cgroup's CPU quota is not seen)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _member_draws(rngs, n_steps: int, per_step: int, dim: int):
     """Yield ``per_step`` (n_members, dim) draws per step; row i comes from ``rngs[i]``.
 
@@ -530,7 +523,7 @@ def _member_draws(rngs, n_steps: int, per_step: int, dim: int):
     rows = max(1, min(n_steps, _NOISE_FLOATS // (2 * per_step * n_members * dim)))
     counts = [min(rows, n_steps - first) for first in range(0, n_steps, rows)]
     shape = (rows, per_step, n_members, dim)
-    if len(counts) == 1 or not hasattr(os, "fork") or _usable_cpus() < 2:
+    if len(counts) == 1 or not may_fork():
         slot = np.empty(shape)
         for n in counts:
             _fill(slot, n, rngs)
@@ -575,10 +568,8 @@ def _member_draws(rngs, n_steps: int, per_step: int, dim: int):
         os.close(filled_r)
         os.close(freed_w)
         # An end of file alone may not stop it, since a producer forked later
-        # holds copies of these pipe ends; a producer that has exited is
-        # still unreaped, so the kill is then a no-op.
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        # holds copies of these pipe ends.
+        kill_and_reap(pid)
 
 
 def _sample(w, v, eta, value):

@@ -12,7 +12,7 @@ import csv
 import numpy as np
 
 from .errors import InvalidArgument
-from .output import _replacing
+from .output import _format_halves, _replacing
 
 __all__ = ["read_csv_columns", "render_csv"]
 
@@ -32,6 +32,9 @@ def read_csv_columns(path: str) -> dict[str, np.ndarray]:
                 raise InvalidArgument(f"{path} is empty")
             if not header or any(not name.strip() for name in header):
                 raise InvalidArgument(f"{path} has a malformed header row")
+            for i, name in enumerate(header):
+                if name in header[:i]:
+                    raise InvalidArgument(f"{path} has a duplicate column name {name!r}")
             values = [[] for _ in header]
             for line, row in enumerate(reader, start=2):
                 if len(row) != len(header):
@@ -94,6 +97,7 @@ def render_csv(input_path: str, out_path: str, xy: str | None = None) -> None:
             )
     x = columns[x_name]
     x_list = x.tolist()  # Python floats format faster than numpy scalars, to the same text
+    n = len(x_list)
     series = [(name, columns[name]) for name in series_names]
     x_lo, x_hi, to_px = _scale(float(x.min()), float(x.max()), _MARGIN_L, _WIDTH - _MARGIN_R)
     y_all = np.concatenate([s for _, s in series])
@@ -132,7 +136,14 @@ def render_csv(input_path: str, out_path: str, xy: str | None = None) -> None:
 
     for idx, (name, y) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(f"{to_px(xi):.2f},{to_py(yi):.2f}" for xi, yi in zip(x_list, y.tolist()))
+        y_list = y.tolist()
+
+        def format_points(start, stop):
+            pairs = zip(x_list[start:stop], y_list[start:stop])
+            # a second half leads with the space that joins it to the first
+            yield " " * (start > 0) + " ".join(f"{to_px(xi):.2f},{to_py(yi):.2f}" for xi, yi in pairs)
+
+        points = "".join(_format_halves(format_points, n, 2 * n))
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{_WIDTH - _MARGIN_R - 6}" y="{_MARGIN_T + 14 + 16 * idx}" font-size="12" '

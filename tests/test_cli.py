@@ -9,13 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from inertia import InvalidArgument, __version__, drift_profile, quadratic_isotropic
-from inertia import render
+from inertia import output, render
 from inertia.cli import build_parser, main
 from inertia.integrators import METHODS
 from inertia.output import format_float, write_csv, write_json, write_manifest
 from inertia.render import read_csv_columns, render_csv
 
-from ensemble_arrays import assert_no_child_process
+from ensemble_arrays import assert_no_child_process, spy_on_fork
 
 
 # --- float formatting and file round-trips -------------------------------------
@@ -67,6 +67,72 @@ def test_csv_bytes_match_the_per_cell_formatter(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+def awkward_table(reps: int) -> dict[str, np.ndarray]:
+    """AWKWARD with every column tiled ``reps`` times: 3 * ``reps`` rows."""
+    return {name: np.tile(np.asarray(col, dtype=float), reps) for name, col in AWKWARD.items()}
+
+
+def expected_csv(columns) -> bytes:
+    arrays = list(columns.values())
+    return (",".join(columns) + "\n" + "".join(
+        ",".join(format_float(a[i]) for a in arrays) + "\n"
+        for i in range(len(arrays[0])))).encode()
+
+
+# An odd row count above the cutoff, so the halves differ in length.
+LARGE_REPS = output._FORK_NUMBERS // (3 * len(AWKWARD)) // 2 * 2 + 1
+
+
+def test_a_large_csv_has_the_same_bytes_however_it_is_formatted(tmp_path, monkeypatch):
+    """Formatted in two processes, or in one where os.fork is missing or one CPU
+    is usable, a table above the cutoff gives format_float's bytes cell by cell."""
+    columns = awkward_table(LARGE_REPS)
+    rows = 3 * LARGE_REPS
+    assert rows % 2 == 1 and rows * len(columns) >= output._FORK_NUMBERS
+    expected = expected_csv(columns)
+    pids = spy_on_fork(monkeypatch)
+    write_csv(tmp_path / "forked.csv", columns)
+    assert len(pids) == 1
+    assert_no_child_process()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    write_csv(tmp_path / "one_cpu.csv", columns)
+    monkeypatch.delattr(os, "fork")
+    write_csv(tmp_path / "no_fork.csv", columns)
+    assert len(pids) == 1
+    for name in ("forked.csv", "one_cpu.csv", "no_fork.csv"):
+        assert (tmp_path / name).read_bytes() == expected, name
+
+
+def test_a_failing_formatter_child_leaves_the_bytes_as_they_were(tmp_path, monkeypatch):
+    """A child that cannot format its half exits nonzero; this process formats it."""
+    columns = awkward_table(LARGE_REPS)
+    parent, floats = os.getpid(), output._floats
+
+    def floats_in_the_parent_only(column):
+        if os.getpid() != parent:
+            raise RuntimeError("the child fails")
+        return floats(column)
+    monkeypatch.setattr(output, "_floats", floats_in_the_parent_only)
+    pids = spy_on_fork(monkeypatch)
+    write_csv(tmp_path / "data.csv", columns)
+    assert len(pids) == 1
+    assert_no_child_process()
+    assert (tmp_path / "data.csv").read_bytes() == expected_csv(columns)
+
+
+def test_a_failed_fork_formats_the_table_in_process(tmp_path, monkeypatch):
+    def no_process_to_spare():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", no_process_to_spare)
+    columns = awkward_table(LARGE_REPS)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    write_csv(tmp_path / "data.csv", columns)
+    assert (tmp_path / "data.csv").read_bytes() == expected_csv(columns)
+    if fds is not None:  # both pipe ends are closed
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+
 def test_json_bytes_match_the_per_element_conversion(tmp_path):
     path = tmp_path / "awkward.json"
     write_json(path, AWKWARD)
@@ -110,6 +176,7 @@ def test_reading_malformed_csv_fails(tmp_path):
     ("t,y\n", "contains no data rows"),
     ("t,y\n1,2\n1,abc\n", "row 3: not a number: 'abc'"),
     ("t,y\n1,2\n1\n", "row 3: expected 2 fields, got 1"),
+    ("t,a,a\n0,1,5\n1,2,6\n", "has a duplicate column name 'a'"),
 ])
 def test_malformed_csv_names_the_fault(tmp_path, content, message):
     path = tmp_path / "bad.csv"
@@ -127,6 +194,15 @@ def test_render_of_a_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
     code = main(["render", "--input", str(path), "--out", str(tmp_path / "x.svg")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_render_of_a_csv_with_a_duplicate_column_exits_2(tmp_path, capsys):
+    path = tmp_path / "twice.csv"
+    path.write_text("t,a,a\n0,1,5\n1,2,6\n")
+    code = main(["render", "--input", str(path), "--out", str(tmp_path / "x.svg")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path} has a duplicate column name 'a'\n"
     assert not (tmp_path / "x.svg").exists()
 
 
@@ -148,15 +224,20 @@ def _dump_half(doc, fh, **kwargs):
 @pytest.mark.parametrize("existed", [False, True])
 def test_an_interrupted_write_leaves_no_partial_file(tmp_path, monkeypatch, writer, target,
                                                       failing, existed):
+    """At 5 rows, and above the cutoff, where a CSV's child fails too and is reaped."""
     path = tmp_path / "data.out"
     if existed:
         path.write_text("old\n")
     monkeypatch.setattr(target, failing)
-    with pytest.raises(OSError, match="disk full"):
-        writer(path, {"t": np.arange(5.0), "y": np.ones(5)})
-    assert sorted(p.name for p in tmp_path.iterdir()) == (["data.out"] if existed else [])
-    if existed:
-        assert path.read_text() == "old\n"
+    pids = spy_on_fork(monkeypatch)
+    for rows in (5, output._FORK_NUMBERS // 2 + 1):
+        with pytest.raises(OSError, match="disk full"):
+            writer(path, {"t": np.arange(float(rows)), "y": np.ones(rows)})
+        assert_no_child_process()
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["data.out"] if existed else [])
+        if existed:
+            assert path.read_text() == "old\n"
+    assert len(pids) == (writer is write_csv)
 
 
 def test_manifest_contents(tmp_path):
@@ -236,6 +317,24 @@ def test_render_points_match_the_numpy_scalar_formatter(tmp_path):
     for name in ("a", "b"):
         points = " ".join(f"{to_px(xi):.2f},{to_py(yi):.2f}" for xi, yi in zip(t, cols[name]))
         assert f'<polyline points="{points}" ' in svg
+
+
+def test_a_large_render_has_the_bytes_of_one_process(tmp_path, monkeypatch):
+    """Each polyline above the cutoff is formatted in two processes, joined by one space."""
+    n = output._FORK_NUMBERS // 2 + 1
+    t = np.linspace(0.0, 7.0, n)
+    src = str(tmp_path / "pts.csv")
+    write_csv(src, {"t": t, "a": np.sin(t), "b": np.cumsum(np.cos(3.0 * t))})
+    pids = spy_on_fork(monkeypatch)
+    render_csv(src, str(tmp_path / "forked.svg"))
+    assert len(pids) == 2  # one per polyline
+    assert_no_child_process()
+    monkeypatch.delattr(os, "fork")
+    render_csv(src, str(tmp_path / "here.svg"))
+    forked = (tmp_path / "forked.svg").read_bytes()
+    assert forked == (tmp_path / "here.svg").read_bytes()
+    assert forked.count(b"<polyline") == 2
+    assert all(line.count(b",") == n for line in forked.split(b"\n") if b"<polyline" in line)
 
 
 # --- command-line interface --------------------------------------------------------
