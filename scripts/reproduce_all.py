@@ -4,13 +4,26 @@
 Each experiment lands in <root>/<name>/ with its CSVs, a manifest, and
 SVG plots. Everything is seeded, so two invocations produce identical
 bytes (timestamps live only in the manifests).
+
+Where ``inertia.forking.may_fork`` holds, the experiments run in this
+process and one forked worker, which claim them in list order from a pipe
+holding one byte per index; a one-byte read from a pipe is atomic, so
+each experiment runs in exactly one process. Each process captures its
+experiments' stdout and stderr, the worker sends its share back when the
+queue is empty, and this process prints everything in list order, so the
+text is that of one process. An experiment that no worker delivered,
+because the worker died or could not be forked, runs here in its turn.
 """
 
 import argparse
+import contextlib
+import io
+import json
 import os
 import sys
 
 from inertia.cli import main as run_cli
+from inertia.forking import kill_and_reap, may_fork
 
 EXPERIMENTS = [
     # (name, argv, [(csv, svg, xy), ...])
@@ -34,27 +47,114 @@ EXPERIMENTS = [
 ]
 
 
+def _run(index: int, root: str) -> int:
+    """Run EXPERIMENTS[index] and render its plots; return the first nonzero exit code, or 0."""
+    name, argv, plots = EXPERIMENTS[index]
+    out_dir = os.path.join(root, name)
+    print(f"== {name}: inertia {' '.join(argv)}")
+    code = run_cli(argv + ["--out-dir", out_dir])
+    if code != 0:
+        print(f"{name} failed with exit code {code}", file=sys.stderr)
+        return code
+    for csv, svg, xy in plots:
+        render = ["render", "--input", os.path.join(out_dir, csv),
+                  "--out", os.path.join(out_dir, svg)]
+        if xy:
+            render += ["--xy", xy]
+        code = run_cli(render)
+        if code != 0:
+            print(f"rendering {csv} failed with exit code {code}", file=sys.stderr)
+            return code
+    return 0
+
+
+def _claim(queue: int) -> int | None:
+    """The next index in ``queue``, or None once it is empty."""
+    byte = os.read(queue, 1)
+    return byte[0] if byte else None
+
+
+def _run_claimed(queue: int, root: str, index: int | None) -> dict:
+    """Run experiment ``index`` and each one claimed after it, with stdout and stderr captured.
+
+    Returns {index: [code, stdout, stderr]}. Claiming stops when the queue
+    is empty or an experiment fails; a failure empties the queue, so no
+    later experiment starts. One that raises is left out, to be rerun in
+    process, where it raises again with the output it printed.
+    """
+    results = {}
+    while index is not None:
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = _run(index, root)
+            results[index] = [code, out.getvalue(), err.getvalue()]
+        except (Exception, SystemExit):
+            code = None
+        if code != 0:
+            os.read(queue, len(EXPERIMENTS))
+            break
+        index = _claim(queue)
+    return results
+
+
+def _run_in_two_processes(root: str) -> dict:
+    """{index: [code, stdout, stderr]} of the experiments run here and in a forked worker.
+
+    This process claims index 0 before it forks. If a pipe or the fork
+    fails, nothing runs here and the result is empty; if the worker does
+    not exit 0 after sending its results, they are dropped.
+    """
+    fds = []
+    try:
+        fds += os.pipe()
+        os.write(fds[1], bytes(range(len(EXPERIMENTS))))
+        first = _claim(fds[0])
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:  # no file or process to spare: run everything in process
+        for fd in fds:
+            os.close(fd)
+        return {}
+    queue, fill, r, w = fds
+    os.close(fill)  # with every write end closed, an empty queue reads as its end
+    if pid == 0:  # the worker; it leaves only through os._exit, flushing nothing
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "w") as pipe:
+                json.dump(_run_claimed(queue, root, _claim(queue)), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            results = _run_claimed(queue, root, first)
+            sent = pipe.read()
+    finally:
+        os.close(queue)
+        status = kill_and_reap(pid)
+    if status == 0:
+        results.update((int(index), result) for index, result in json.loads(sent).items())
+    return results
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default="runs", help="output root directory")
     args = parser.parse_args()
 
-    for name, argv, plots in EXPERIMENTS:
-        out_dir = os.path.join(args.root, name)
-        print(f"== {name}: inertia {' '.join(argv)}")
-        code = run_cli(argv + ["--out-dir", out_dir])
+    results = _run_in_two_processes(args.root) if may_fork() else {}
+    for index in range(len(EXPERIMENTS)):
+        if index in results:
+            code, out, err = results[index]
+            sys.stdout.write(out)
+            sys.stderr.write(err)
+        else:
+            code = _run(index, args.root)
         if code != 0:
-            print(f"{name} failed with exit code {code}", file=sys.stderr)
             return code
-        for csv, svg, xy in plots:
-            render = ["render", "--input", os.path.join(out_dir, csv),
-                      "--out", os.path.join(out_dir, svg)]
-            if xy:
-                render += ["--xy", xy]
-            code = run_cli(render)
-            if code != 0:
-                print(f"rendering {csv} failed with exit code {code}", file=sys.stderr)
-                return code
     print(f"all experiments written under {args.root}/")
     return 0
 

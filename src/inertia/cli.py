@@ -477,9 +477,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidArgument as exc:

@@ -2,8 +2,9 @@
 
 Two pieces of work run in a forked helper beside this process: the ensemble
 noise producer (``integrators._member_draws``) and the second half of a
-large text (``output._format_halves``). Both fork only where ``may_fork``
-holds, and both end their child through ``kill_and_reap``.
+large text (``output._format_halves``); ``scripts/reproduce_all.py`` forks
+a worker that runs experiments. Each forks only where ``may_fork`` holds,
+and each ends its child through ``kill_and_reap``.
 """
 
 from __future__ import annotations

@@ -85,13 +85,15 @@ def _format_halves(chunks, n: int, numbers: int):
     if numbers < _FORK_NUMBERS or not may_fork():
         return chunks(0, n)
     mid = n // 2
-    r, w = os.pipe()
+    fds = []
     try:
+        fds += os.pipe()
         pid = os.fork()
-    except OSError:  # no process to spare: format it all here
-        os.close(r)
-        os.close(w)
+    except OSError:  # no file or process to spare: format it all here
+        for fd in fds:
+            os.close(fd)
         return chunks(0, n)
+    r, w = fds
     if pid == 0:  # the child; it leaves only through os._exit, flushing nothing
         code = 1
         try:

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import warnings
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from inertia import InvalidArgument, __version__, drift_profile, quadratic_isotropic
-from inertia import output, render
+from inertia import cli, output, render
 from inertia.cli import build_parser, main
 from inertia.integrators import METHODS
 from inertia.output import format_float, write_csv, write_json, write_manifest
@@ -131,6 +132,24 @@ def test_a_failed_fork_formats_the_table_in_process(tmp_path, monkeypatch):
     assert (tmp_path / "data.csv").read_bytes() == expected_csv(columns)
     if fds is not None:  # both pipe ends are closed
         assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_a_failed_pipe_formats_the_text_in_process(tmp_path, monkeypatch):
+    """A process out of file descriptors writes the same bytes, forking nothing."""
+    def no_file_to_spare():
+        raise OSError(errno.EMFILE, "Too many open files")
+    pids = spy_on_fork(monkeypatch)
+    monkeypatch.setattr(os, "pipe", no_file_to_spare)
+    columns = awkward_table(LARGE_REPS)
+    write_csv(tmp_path / "data.csv", columns)
+    assert (tmp_path / "data.csv").read_bytes() == expected_csv(columns)
+    t = np.linspace(0.0, 7.0, output._FORK_NUMBERS // 2 + 1)
+    write_csv(tmp_path / "pts.csv", {"t": t, "a": np.sin(t)})
+    render_csv(str(tmp_path / "pts.csv"), str(tmp_path / "no_pipe.svg"))
+    monkeypatch.delattr(os, "fork")
+    render_csv(str(tmp_path / "pts.csv"), str(tmp_path / "here.svg"))
+    assert (tmp_path / "no_pipe.svg").read_bytes() == (tmp_path / "here.svg").read_bytes()
+    assert pids == []
 
 
 def test_json_bytes_match_the_per_element_conversion(tmp_path):
@@ -726,6 +745,25 @@ def test_manifest_parameters_are_the_declared_flags(tmp_path, argv, derived):
     assert {k: parameters[k] for k in derived} == derived
     if "method" in parameters and parameters["method"] is not None:
         assert parameters["method"] in METHODS
+
+
+def test_the_parser_built_once_gives_each_call_fresh_values(tmp_path, monkeypatch):
+    """main reuses one parser per process, yet no call's values reach a later call:
+    traj2d resolves --v0 and --method and discrete resolves --steps into its args."""
+    sequence = [["conserve", "--T", "1"], ["traj2d", "--T", "1"], ["discrete", "--eta", "0.1"],
+                ["stochastic", "--T", "1", "--members", "100"], ["traj2d", "--T", "1"],
+                ["conserve", "--T", "1"]]
+    with monkeypatch.context() as fresh:
+        fresh.setattr(cli, "_parser", build_parser)
+        expected = [_manifest(run_cli(tmp_path / f"fresh{i}", *argv)[1])["parameters"]
+                    for i, argv in enumerate(sequence)]
+    cli._parser.cache_clear()
+    for i, argv in enumerate(sequence):
+        code, out = run_cli(tmp_path / f"cached{i}", *argv)
+        assert code == 0
+        assert _manifest(out)["parameters"] == expected[i], argv
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
 
 
 def test_phase_manifest_records_the_method(tmp_path):
