@@ -25,7 +25,8 @@ from .errors import InvalidArgument, NumericalFailure
 from .integrators import (METHODS, RNG_ALGORITHM, IntegratorConfig, Trajectory, check_method,
                           check_step_count, integrate)
 from .landscapes import landscape_from_name
-from .output import format_float, record_render, write_csv, write_json, write_manifest
+from .output import (format_float, project_csv, record_render, write_csv, write_json,
+                     write_manifest)
 from .render import render_csv
 
 __all__ = ["main", "build_parser"]
@@ -138,11 +139,13 @@ def _experiment(body):
     """Wrap ``body(args, write)`` in the run protocol shared by every experiment.
 
     ``write(stem, columns)`` writes one data file in --format and prints its
-    path. ``manifest.json`` follows when the body returns, and also when it
-    raises NumericalFailure, with a ``status`` that names the failure. Its
-    ``parameters`` are the parsed flags: a body that derives a default from
-    other flags stores the resolved value back in ``args``. An
-    InvalidArgument leaves no manifest.
+    path; ``write(stem, columns, copy_of=(first, second))`` writes a CSV by
+    copying the text of two tables written before it (``project_csv``), whose
+    values ``columns`` must hold. ``manifest.json`` follows when the body
+    returns, and also when it raises NumericalFailure, with a ``status`` that
+    names the failure. Its ``parameters`` are the parsed flags: a body that
+    derives a default from other flags stores the resolved value back in
+    ``args``. An InvalidArgument leaves no manifest.
     """
 
     @functools.wraps(body)
@@ -150,11 +153,17 @@ def _experiment(body):
         started = time.monotonic()
         outputs: list[str] = []
 
-        def write(stem: str, columns: dict[str, np.ndarray]) -> None:
+        def write(stem: str, columns: dict[str, np.ndarray], copy_of: tuple[str, ...] = ()) -> None:
             filename = f"{stem}.{args.format}"
             path = os.path.join(args.out_dir, filename)
             os.makedirs(args.out_dir, exist_ok=True)
-            (write_json if args.format == "json" else write_csv)(path, columns)
+            if args.format == "json":
+                write_json(path, columns)
+            elif copy_of:
+                project_csv(path, list(columns),
+                            *(os.path.join(args.out_dir, f"{source}.csv") for source in copy_of))
+            else:
+                write_csv(path, columns)
             outputs.append(filename)
             print(f"wrote {path}")
 
@@ -210,7 +219,8 @@ def cmd_conserve(args, write) -> None:
         combined[f"inertia_g{gamma:g}"] = energy
 
     if len(gammas) > 1:
-        write("conserve", combined)
+        # t and each inertia column as the runs' own tables hold them (first and last field)
+        write("conserve", combined, copy_of=("conserve_g0", f"conserve_g{args.gamma:g}"))
 
 
 @_experiment

@@ -30,7 +30,8 @@ from . import __version__
 from .errors import InvalidArgument
 from .forking import kill_and_reap, may_fork
 
-__all__ = ["format_float", "write_csv", "write_json", "write_manifest", "record_render"]
+__all__ = ["format_float", "write_csv", "project_csv", "write_json", "write_manifest",
+           "record_render"]
 
 
 def format_float(x: float) -> str:
@@ -128,6 +129,22 @@ def write_csv(path, columns: dict[str, np.ndarray]) -> None:
     with _replacing(path) as fh:
         fh.write(",".join(columns) + "\n")
         fh.writelines(text)
+
+
+def project_csv(path, header: list[str], first: str, second: str) -> None:
+    """Write a CSV whose rows copy, as text, the first and last fields of a row
+    of the CSV ``first`` and the last field of that row of the CSV ``second``.
+
+    Both are tables that write_csv wrote, with as many rows as each other, so
+    each cell has the bytes of the one it copies and no number is formatted
+    again. A source that runs out first raises ValueError, leaving no file.
+    """
+    with open(first, newline="") as a, open(second, newline="") as b, _replacing(path) as fh:
+        next(a)  # the headers
+        next(b)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(f"{x[:x.index(',')]}{x[x.rindex(','):-1]}{y[y.rindex(','):]}"
+                      for x, y in zip(a, b, strict=True))
 
 
 def _json_column(column) -> list[float | None]:

@@ -8,6 +8,7 @@ identical bytes (no timestamps, no library version strings).
 from __future__ import annotations
 
 import csv
+import re
 
 import numpy as np
 
@@ -21,9 +22,23 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 20, 44
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
 
+# np.loadtxt cuts printable ASCII, tabs and newlines into fields as the row
+# walk does, at commas and newlines, and parses a field as float() does, less
+# underscores. But it skips blank lines, strips the control characters
+# \x1c-\x1f that float() keeps and has no limit on a field. So a body goes to
+# loadtxt only if it holds no other control character (\r included) and no
+# field as long as the csv module's limit, and its rows must number its lines.
+_CONTROLS = [chr(c) for c in (*range(9), *range(11, 32), 127)]
+_SEPARATOR = re.compile("[,\n]")
+
+
 def read_csv_columns(path: str) -> dict[str, np.ndarray]:
-    """Parse a header-row CSV of floats; malformed content raises InvalidArgument."""
-    # Rows are parsed as they are read, so the text is never held whole.
+    """Parse a header-row CSV of floats; malformed content raises InvalidArgument.
+
+    A body of plain text (see _CONTROLS) is parsed by np.loadtxt. Any other
+    body, and one that loadtxt refuses, is walked row by row, which gives the
+    same floats or names the fault; so both accept the same files, to the bit.
+    """
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -35,21 +50,58 @@ def read_csv_columns(path: str) -> dict[str, np.ndarray]:
             for i, name in enumerate(header):
                 if name in header[:i]:
                     raise InvalidArgument(f"{path} has a duplicate column name {name!r}")
-            values = [[] for _ in header]
-            for line, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise InvalidArgument(
-                        f"{path} row {line}: expected {len(header)} fields, got {len(row)}")
-                for column, field in zip(values, row):
-                    try:
-                        column.append(float(field))
-                    except ValueError:
-                        raise InvalidArgument(f"{path} row {line}: not a number: {field!r}")
+            table = _plain_table(fh, reader, len(header))
+            columns = _walk_rows(path, reader, len(header)) if table is None else table.T
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidArgument(f"cannot read {path}: {exc}")
+    return dict(zip(header, columns))
+
+
+def _plain_table(fh, reader, width: int) -> np.ndarray | None:
+    """The rows after the header as a (rows, ``width``) array where np.loadtxt
+    parses them as the row walk would, else None; either way ``reader`` is
+    then at the first row."""
+    def rewind():
+        fh.seek(0)
+        next(reader)
+
+    try:
+        body = fh.read()
+    except UnicodeDecodeError:  # the row walk reports it where it meets it
+        body = ""
+    # Where each block of half the csv module's field limit holds a separator,
+    # no field reaches the limit.
+    half = csv.field_size_limit() // 2
+    plain = (body.strip("\n") != "" and body.isascii() and not any(c in body for c in _CONTROLS)
+             and all(_SEPARATOR.search(body, i, i + half) for i in range(0, len(body), half)))
+    lines = body.count("\n") + (not body.endswith("\n"))
+    del body  # loadtxt reads the file again, so the text need not stay
+    rewind()
+    if plain:
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            table = None
+        if table is not None and table.shape == (lines, width):  # and no blank line skipped
+            return table
+        rewind()
+    return None
+
+
+def _walk_rows(path: str, reader, width: int) -> list[np.ndarray]:
+    """The columns of the rows ``reader`` yields, parsed as they are read."""
+    values = [[] for _ in range(width)]
+    for line, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise InvalidArgument(f"{path} row {line}: expected {width} fields, got {len(row)}")
+        for column, field in zip(values, row):
+            try:
+                column.append(float(field))
+            except ValueError:
+                raise InvalidArgument(f"{path} row {line}: not a number: {field!r}")
     if not values[0]:
         raise InvalidArgument(f"{path} contains no data rows")
-    return {name: np.array(column, dtype=float) for name, column in zip(header, values)}
+    return [np.array(column, dtype=float) for column in values]
 
 
 def _scale(lo: float, hi: float, pixel_lo: float, pixel_hi: float):
@@ -62,6 +114,14 @@ def _scale(lo: float, hi: float, pixel_lo: float, pixel_hi: float):
         return pixel_lo + (x - lo) / (hi - lo) * (pixel_hi - pixel_lo)
 
     return lo, hi, to_pixel
+
+
+def _pixels(to_pixel, values: np.ndarray) -> list[float]:
+    """``to_pixel`` of each value, as Python floats (they format faster than
+    numpy scalars, to the same text). numpy does the arithmetic of the scalar
+    ``to_pixel`` in the same order, so each pixel has the same bits."""
+    with np.errstate(all="ignore"):  # an overflowing span gives nan, silently, as in Python
+        return to_pixel(values).tolist()
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -96,12 +156,12 @@ def render_csv(input_path: str, out_path: str, xy: str | None = None) -> None:
                 f"{input_path}: column {name!r} has non-finite values, which cannot be plotted"
             )
     x = columns[x_name]
-    x_list = x.tolist()  # Python floats format faster than numpy scalars, to the same text
-    n = len(x_list)
+    n = len(x)
     series = [(name, columns[name]) for name in series_names]
     x_lo, x_hi, to_px = _scale(float(x.min()), float(x.max()), _MARGIN_L, _WIDTH - _MARGIN_R)
     y_all = np.concatenate([s for _, s in series])
     y_lo, y_hi, to_py = _scale(float(y_all.min()), float(y_all.max()), _HEIGHT - _MARGIN_B, _MARGIN_T)
+    x_pixels = _pixels(to_px, x)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -136,12 +196,12 @@ def render_csv(input_path: str, out_path: str, xy: str | None = None) -> None:
 
     for idx, (name, y) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        y_list = y.tolist()
+        y_pixels = _pixels(to_py, y)
 
         def format_points(start, stop):
-            pairs = zip(x_list[start:stop], y_list[start:stop])
             # a second half leads with the space that joins it to the first
-            yield " " * (start > 0) + " ".join(f"{to_px(xi):.2f},{to_py(yi):.2f}" for xi, yi in pairs)
+            pairs = map("{:.2f},{:.2f}".format, x_pixels[start:stop], y_pixels[start:stop])
+            yield " " * (start > 0) + " ".join(pairs)
 
         points = "".join(_format_halves(format_points, n, 2 * n))
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
@@ -152,4 +212,4 @@ def render_csv(input_path: str, out_path: str, xy: str | None = None) -> None:
 
     parts.append("</svg>")
     with _replacing(out_path) as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.writelines(part + "\n" for part in parts)

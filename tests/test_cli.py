@@ -1,4 +1,5 @@
 import argparse
+import csv
 import errno
 import json
 import os
@@ -6,14 +7,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inertia import InvalidArgument, __version__, drift_profile, quadratic_isotropic
 from inertia import cli, output, render
 from inertia.cli import build_parser, main
 from inertia.integrators import METHODS
-from inertia.output import format_float, write_csv, write_json, write_manifest
+from inertia.output import format_float, project_csv, write_csv, write_json, write_manifest
 from inertia.render import read_csv_columns, render_csv
 
 from ensemble_arrays import assert_no_child_process, spy_on_fork
@@ -196,6 +197,7 @@ def test_reading_malformed_csv_fails(tmp_path):
     ("t,y\n1,2\n1,abc\n", "row 3: not a number: 'abc'"),
     ("t,y\n1,2\n1\n", "row 3: expected 2 fields, got 1"),
     ("t,a,a\n0,1,5\n1,2,6\n", "has a duplicate column name 'a'"),
+    ("t,y\n1,2\n\n3,4\n", "row 3: expected 2 fields, got 0"),
 ])
 def test_malformed_csv_names_the_fault(tmp_path, content, message):
     path = tmp_path / "bad.csv"
@@ -223,6 +225,130 @@ def test_render_of_a_csv_with_a_duplicate_column_exits_2(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == f"error: {path} has a duplicate column name 'a'\n"
     assert not (tmp_path / "x.svg").exists()
+
+
+def walked_csv_columns(path: str) -> dict[str, np.ndarray]:
+    """read_csv_columns as it was before np.loadtxt: every row walked by csv and float()."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InvalidArgument(f"{path} is empty")
+            if not header or any(not name.strip() for name in header):
+                raise InvalidArgument(f"{path} has a malformed header row")
+            for i, name in enumerate(header):
+                if name in header[:i]:
+                    raise InvalidArgument(f"{path} has a duplicate column name {name!r}")
+            values = [[] for _ in header]
+            for line, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise InvalidArgument(
+                        f"{path} row {line}: expected {len(header)} fields, got {len(row)}")
+                for column, field in zip(values, row):
+                    try:
+                        column.append(float(field))
+                    except ValueError:
+                        raise InvalidArgument(f"{path} row {line}: not a number: {field!r}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidArgument(f"cannot read {path}: {exc}")
+    if not values[0]:
+        raise InvalidArgument(f"{path} contains no data rows")
+    return {name: np.array(column, dtype=float) for name, column in zip(header, values)}
+
+
+def read_outcome(read, path):
+    """What ``read`` makes of ``path``: each column's name, dtype, shape and
+    bytes, or the error it refuses the file with."""
+    try:
+        columns = read(path)
+    except (InvalidArgument, csv.Error) as exc:  # csv.Error: a field over the csv module's limit
+        return type(exc), str(exc)
+    return "read", [(name, col.dtype.str, col.shape, col.tobytes()) for name, col in columns.items()]
+
+
+# Cells that both readers take, and cells that np.loadtxt and float() may read
+# differently, or not at all.
+NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["nan", "-inf", "+nan", "Infinity", "-0.0", "1e400", "5e-324", ".5", "5.",
+                     " 1 ", "\t2", "1E-3"]),
+)
+ODD_CELLS = st.one_of(
+    st.sampled_from(['"1"', '"1,2"', "1_0", "#", "#1", "1#2", "", " ", "abc", "1e", "0x10",
+                     "\x1c1", "1\x1f", "\x0b1", "\xa01", "\u0661", "1\x00", "\x7f"]),
+    st.text(st.sampled_from("0123456789.e-+ \t#_\"nainf\x1c\xa0\r\n,"), max_size=6),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV files as bytes: a well formed table of numbers, then up to three
+    faults (an odd cell, a blank line, a CR or CRLF ending, a short or long
+    row, no final newline) and now and then a byte that is not UTF-8."""
+    header = draw(st.sampled_from(["t", "t,y", "t,a,b", "t,a,a", "t, ", '"t",y']))
+    width = header.count(",") + 1
+    lines = draw(st.lists(st.lists(NUMBERS, min_size=width, max_size=width).map(",".join),
+                          max_size=6))
+    ends = ["\n"] * len(lines)
+    for _ in range(draw(st.integers(0, 3)) if lines else 0):
+        i = draw(st.integers(0, len(lines) - 1))
+        fault = draw(st.sampled_from(["cell", "blank", "end", "row"]))
+        if fault == "cell":
+            cells = lines[i].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(ODD_CELLS)
+            lines[i] = ",".join(cells)
+        elif fault == "blank":
+            lines.insert(i, "")
+            ends.insert(i, draw(st.sampled_from(["\n", "\r\n", "\r"])))
+        elif fault == "end":
+            ends[i] = draw(st.sampled_from(["\r\n", "\r", ""]))
+        else:
+            lines[i] = ",".join(draw(st.lists(st.one_of(NUMBERS, ODD_CELLS), max_size=width + 1)))
+    text = header + "\n" + "".join(map(str.__add__, lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    data = text.encode()
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3"])) + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts())
+@example(b"t,y\n1,2\n\n3,4\n")  # a blank line: loadtxt would skip it
+@example(b"t,y\n1,2\n3,4\n\n")
+@example(b"t,y\n\n1,2\n")
+@example(b"t,y\n1,2#\n3,4\n")  # a comment, to loadtxt's defaults
+@example(b"t,y\n1,\x1c2\n")  # whitespace to loadtxt, not to float()
+@example(b"t,y\r\n1,2\r\n\r\n3,4\r\n")
+@example(b"t,y\n1,2\n3,4")
+@example(b"t,y\n" + b"1,-0.0\nnan,-inf\n 3 ,\t4\n" * 3)
+def test_the_reader_accepts_and_refuses_what_the_row_walk_did(tmp_path_factory, data):
+    """Bit for bit the same columns, or the same refusal, as walking every row."""
+    path = str(tmp_path_factory.mktemp("reader") / "data.csv")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    assert read_outcome(read_csv_columns, path) == read_outcome(walked_csv_columns, path)
+
+
+def test_a_large_table_is_read_to_the_bit_and_its_faults_named(tmp_path):
+    """Above one decoding chunk, in both readers: values, a late blank line, a
+    late bad byte and a field longer than the csv module allows."""
+    t = np.linspace(0.0, 200.0, 20001)
+    path = tmp_path / "big.csv"
+    write_csv(path, {"t": t, "a": np.sin(t) * 1e-300, "b": np.exp(t)})
+    text = path.read_bytes()
+    cases = [text, text + b"\n", text[:-200] + b"\n" + text[-200:],
+             text[:-200] + b"\xff" + text[-200:], text[:-5] + b"1" * (1 << 18) + b"\n"]
+    for data in cases:
+        path.write_bytes(data)
+        assert read_outcome(read_csv_columns, str(path)) == read_outcome(walked_csv_columns,
+                                                                         str(path))
+    path.write_bytes(text)
+    assert np.array_equal(read_csv_columns(str(path))["b"], np.exp(t))
 
 
 def _fail_midway(column):
@@ -356,6 +482,26 @@ def test_a_large_render_has_the_bytes_of_one_process(tmp_path, monkeypatch):
     assert all(line.count(b",") == n for line in forked.split(b"\n") if b"<polyline" in line)
 
 
+@pytest.mark.parametrize("values", [
+    [2.5, 2.5, 2.5],  # flat: widened by one on each side
+    [0.0, 5e-324, 1e-323],  # a subnormal span
+    [-0.0, 0.0, -0.0, 1.0],
+    [1e300, -1e300, 3e299],
+    [1.7e308, -1.7e308, 0.0],  # a span that overflows: every pixel is nan
+])
+def test_the_numpy_pixel_mapping_has_the_bits_of_the_scalar_one(values):
+    values = np.array(values)
+    for pixel_lo, pixel_hi in ((render._MARGIN_L, render._WIDTH - render._MARGIN_R),
+                               (render._HEIGHT - render._MARGIN_B, render._MARGIN_T)):
+        _, _, to_pixel = render._scale(float(values.min()), float(values.max()), pixel_lo, pixel_hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mapped = render._pixels(to_pixel, values)
+        assert all(type(p) is float for p in mapped)
+        scalar = [to_pixel(v) for v in values.tolist()]
+        assert np.array(mapped).tobytes() == np.array(scalar).tobytes()
+
+
 # --- command-line interface --------------------------------------------------------
 
 def run_cli(tmp_path, *argv):
@@ -406,6 +552,73 @@ def test_conserve_trajectory_schema(tmp_path):
     cols = read_csv_columns(os.path.join(out, "conserve_g0.csv"))
     assert list(cols) == ["t", "w0", "v0", "inertia"]
     assert len(cols["t"]) == 101
+
+
+def capture_runs(monkeypatch) -> list:
+    """The trajectories the CLI integrates from now on, in order."""
+    runs, integrate = [], cli.integrate
+
+    def recording(*args):
+        runs.append(integrate(*args))
+        return runs[-1]
+    monkeypatch.setattr(cli, "integrate", recording)
+    return runs
+
+
+def combined_columns(runs, gamma: str) -> dict[str, np.ndarray]:
+    """conserve.csv's columns as cmd_conserve computes them."""
+    g0, damped = runs
+    return {"t": g0.times, "inertia_g0": g0.inertia, f"inertia_g{gamma}": damped.inertia}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--T", "2", "--gamma", "0.4"],
+    ["--T", "110", "--gamma", "0.4"],  # 11001 rows: every table is above the cutoff
+    ["--landscape", "iso2d", "--w0", "1,0.5", "--v0", "0,-0.3", "--T", "5", "--gamma", "0.4"],
+    ["--landscape", "diag:1,4", "--w0", "1,0.5", "--v0", "0,-0.3", "--T", "5", "--gamma", "0.7"],
+])
+def test_conserve_csv_has_the_bytes_of_its_columns_formatted_anew(tmp_path, monkeypatch, argv):
+    """conserve.csv copies the runs' tables as text, to write_csv's bytes of the same values."""
+    runs = capture_runs(monkeypatch)
+    code, out = run_cli(tmp_path, "conserve", *argv)
+    assert code == 0
+    columns = combined_columns(runs, argv[-1])
+    if argv[1] == "110":
+        assert 3 * len(columns["t"]) >= output._FORK_NUMBERS
+    write_csv(tmp_path / "expected.csv", columns)
+    written = (tmp_path / "out" / "conserve.csv").read_bytes()
+    assert written == (tmp_path / "expected.csv").read_bytes()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["outputs"] == ["conserve_g0.csv", f"conserve_g{argv[-1]}.csv", "conserve.csv"]
+
+
+def test_conserve_json_writes_its_combined_table_as_before(tmp_path, monkeypatch):
+    runs = capture_runs(monkeypatch)
+    code, out = run_cli(tmp_path, "conserve", "--T", "3", "--gamma", "0.4", "--format", "json")
+    assert code == 0
+    write_json(tmp_path / "expected.json", combined_columns(runs, "0.4"))
+    written = (tmp_path / "out" / "conserve.json").read_bytes()
+    assert written == (tmp_path / "expected.json").read_bytes()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["outputs"] == ["conserve_g0.json", "conserve_g0.4.json", "conserve.json"]
+
+
+@pytest.mark.parametrize("existed", [False, True])
+def test_a_projection_that_fails_midway_leaves_no_file(tmp_path, existed):
+    """A source that runs out first stops the copy, and no partial file is left."""
+    t = np.arange(3000.0)
+    first, second = tmp_path / "conserve_g0.csv", tmp_path / "conserve_g0.4.csv"
+    write_csv(first, {"t": t, "w0": t, "v0": t, "inertia": t})
+    write_csv(second, {"t": t[:2000], "w0": t[:2000], "v0": t[:2000], "inertia": t[:2000]})
+    path = tmp_path / "conserve.csv"
+    if existed:
+        path.write_text("old\n")
+    with pytest.raises(ValueError):
+        project_csv(path, ["t", "inertia_g0", "inertia_g0.4"], first, second)
+    names = ["conserve.csv"] * existed + ["conserve_g0.4.csv", "conserve_g0.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    if existed:
+        assert path.read_text() == "old\n"
 
 
 def test_phase_runs_and_reports_closure(tmp_path, capsys):
