@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import State, _require_dim
 from .errors import InvalidArgument
-from .integrators import _finite_energies, _run, check_step_count
+from .integrators import _finite_energies, _gradient, _run, check_step_count
 from .landscapes import LossLandscape
 
 __all__ = [
@@ -29,12 +29,13 @@ __all__ = [
 ]
 
 
-def _momentum_map(eta_step: float, landscape: LossLandscape):
-    """The map as a step of the trajectory loop; like rk4 it ignores ``eta`` and ``gw``."""
+def _check_eta(eta_step: float) -> None:
     if not 0 < eta_step < np.inf:
         raise InvalidArgument(f"eta_step must be positive and finite, got {eta_step}")
-    grad = landscape.raw_gradient()
 
+
+def _momentum_map(eta_step: float, grad):
+    """The map as a step of the trajectory loop; like rk4 it ignores ``eta`` and ``gw``."""
     def step(w, v, eta, gw):
         v = v - eta_step * grad(w)
         w = w + eta_step * v
@@ -44,9 +45,9 @@ def _momentum_map(eta_step: float, landscape: LossLandscape):
 
 def momentum_step(state: State, eta_step: float, landscape: LossLandscape) -> State:
     """One velocity-first update; eta_step plays the role of a time step and advances ``t``."""
-    step = _momentum_map(eta_step, landscape)
+    _check_eta(eta_step)
     _require_dim(state.dim, landscape)
-    w, v, _, _ = step(state.w, state.v, None, None)
+    w, v, _, _ = _momentum_map(eta_step, landscape.raw_gradient())(state.w, state.v, None, None)
     return State(w, v, state.t + eta_step)
 
 
@@ -64,7 +65,7 @@ def discrete_trajectory(
     ``energy[k]`` its ``inertia``, bit for bit. Raises NumericalFailure at
     the first step whose energy is not finite.
     """
-    step = _momentum_map(eta_step, landscape)
+    _check_eta(eta_step)
     if n_steps < 1:
         raise InvalidArgument(f"n_steps must be >= 1, got {n_steps}")
     check_step_count(n_steps)
@@ -74,7 +75,8 @@ def discrete_trajectory(
     # a non-finite state has a non-finite energy, so the first bad energy is
     # among the rows it stored.
     record = np.arange(n_steps + 1)
-    ws, vs, _, bad = _run(step, None, start.w, start.v, None, record)
+    with _gradient(landscape, n_steps) as grad:
+        ws, vs, _, bad = _run(_momentum_map(eta_step, grad), None, start.w, start.v, None, record)
     rows = slice(None if bad is None else bad + 1)
     energy = _finite_energies(ws[rows], vs[rows], landscape, record)
     return ws, vs, energy

@@ -35,13 +35,15 @@ from __future__ import annotations
 import math
 import mmap
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import State, SystemSpec, _require_dim, inertia_rows
 from .errors import InvalidArgument, NumericalFailure
-from .forking import kill_and_reap, may_fork
+from .forking import kill_and_reap, may_fork, split_product
+from .landscapes import QuadraticLandscape
 
 __all__ = [
     "METHODS",
@@ -153,7 +155,7 @@ def _single_step(state: State, spec: SystemSpec, method: str, h: float, rng=None
     _require_dim(state.dim, spec.landscape)
     check_method(spec, method)
     normal = None if rng is None else _normal(rng, state.dim)
-    step, grad = _make_stepper(spec, method, h, normal)
+    step, grad = _make_stepper(spec, method, h, normal, spec.landscape.raw_gradient())
     w, v, eta, _ = step(state.w, state.v, eta, grad(state.w))
     return State(w, v, state.t + h), eta
 
@@ -229,7 +231,9 @@ def initial_forcing(spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
 # cost, and the noise source hands out floats (_normal); recorded rows are
 # written through flat views. The gradient is the bare ``w @ A`` (the
 # dimension was checked once up front); at dim 1 it is the scalar form
-# ``w * a + 0.0``, for floats and (M, 1) members alike.
+# ``w * a + 0.0``, for floats and (M, 1) members alike. A long dense single
+# trajectory computes ``w @ A`` in two column blocks, one in a forked
+# partner, to the same bits (_gradient).
 # A splitting step's closing kick takes the gradient at the step's final
 # ``w``, where the next step's opening kick takes it, so the step returns it
 # for the next step to reuse: one gradient per step, the same bits as
@@ -248,6 +252,14 @@ def initial_forcing(spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
 # invalid-value warnings silenced.
 
 _BLOCK = 1024  # steps between finiteness checks
+# A dense gradient is split between two processes (_gradient) from this
+# dimension on, where the matrix outgrows a 2 MiB L2 cache and each product
+# streams it from L3, while each half stays in its core's L2. Measured over
+# 4000 steps on 2 cores: dim 384 lost 32 %, 416 to 480 broke even, 512 won 39 %.
+_SPLIT_DIM = 512
+# and in runs of this many steps or more: at dim 512 the fork, the teardown and
+# the first import of multiprocessing cost about what 500 to 1000 split steps save
+_SPLIT_STEPS = 2000
 
 
 def check_method(spec: SystemSpec, method: str) -> None:
@@ -269,7 +281,7 @@ def _record_indices(n_steps: int, stride: int) -> np.ndarray:
     return idx if idx[-1] == n_steps else np.append(idx, n_steps)
 
 
-def _make_stepper(spec: SystemSpec, method: str, h: float, normal):
+def _make_stepper(spec: SystemSpec, method: str, h: float, normal, grad):
     """Return ``(step, grad)`` with step(w, v, eta, gw) -> (w, v, eta, gw) for raw states.
 
     For the splitting methods ``gw`` is the gradient at ``w`` on entry and
@@ -281,8 +293,9 @@ def _make_stepper(spec: SystemSpec, method: str, h: float, normal):
     builds the source (_normal). The arithmetic is element-wise apart from
     the gradient, so the same step advances a 1-D state as Python floats,
     one state of shape (dim,) or a batch of members of shape (M, dim).
+    ``grad`` is the landscape's gradient on such states: its
+    ``raw_gradient()``, or for a single trajectory what ``_gradient`` gives.
     """
-    grad = spec.landscape.raw_gradient()
     g = spec.gamma
     half_h = 0.5 * h
 
@@ -355,6 +368,22 @@ def _make_stepper(spec: SystemSpec, method: str, h: float, normal):
             return w, v, eta, gw
 
     return step, grad
+
+
+def _gradient(landscape, n_steps: int):
+    """A context giving the gradient a single trajectory of ``n_steps`` steps runs with.
+
+    That is ``landscape.raw_gradient()``, unless ``landscape`` is a dense
+    quadratic of dim _SPLIT_DIM or more, the run takes _SPLIT_STEPS steps or
+    more, ``may_fork`` holds and the matrix has a ``column_cut``. Then a
+    forked partner computes the right block of columns of each ``w @ A``
+    while this process computes the left (``forking.split_product``), with
+    the bits of ``w @ A``; the partner lives until the ``with`` ends.
+    """
+    if (isinstance(landscape, QuadraticLandscape) and landscape.dim >= _SPLIT_DIM
+            and n_steps >= _SPLIT_STEPS and may_fork() and landscape.column_cut):
+        return split_product(landscape.matrix, landscape.column_cut)
+    return nullcontext(landscape.raw_gradient())
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -431,7 +460,7 @@ def _normal(rng: np.random.Generator, dim: int):
     return rng.standard_normal if dim == 1 else lambda: rng.standard_normal(dim)
 
 
-def _start(spec: SystemSpec, initial: State, config: IntegratorConfig):
+def _start(spec: SystemSpec, initial: State, config: IntegratorConfig, grad):
     """``_run``'s arguments up to ``record``; a replay gets the same start, noise included."""
     normal = eta = None
     if config.method == "stochastic_splitting":
@@ -439,7 +468,7 @@ def _start(spec: SystemSpec, initial: State, config: IntegratorConfig):
         normal = _normal(rng, initial.dim)
         if spec.noise_kind == "ou":
             eta = initial_forcing(spec, rng)
-    step, grad = _make_stepper(spec, config.method, config.h, normal)
+    step, grad = _make_stepper(spec, config.method, config.h, normal, grad)
     return step, grad, initial.w, initial.v, eta
 
 
@@ -455,10 +484,11 @@ def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Tra
     check_method(spec, config.method)
 
     record = _record_indices(config.n_steps, config.record_every)
-    ws, vs, etas, bad = _run(*_start(spec, initial, config), record)
-    if bad is not None:
-        bad = _run(*_start(spec, initial, config), record, block=1)[3]
-        raise NumericalFailure(f"non-finite state at step {bad}", step_index=bad)
+    with _gradient(spec.landscape, config.n_steps) as grad:
+        ws, vs, etas, bad = _run(*_start(spec, initial, config, grad), record)
+        if bad is not None:
+            bad = _run(*_start(spec, initial, config, grad), record, block=1)[3]
+            raise NumericalFailure(f"non-finite state at step {bad}", step_index=bad)
     energies = _finite_energies(ws, vs, spec.landscape, record)
     return Trajectory(record * config.h, ws, vs, energies, spec, config, noise=etas)
 
@@ -587,7 +617,8 @@ def _ensemble_loop(spec, initial, config, n_members, record):
     if spec.noise_kind == "ou":
         eta = np.array([initial_forcing(spec, rng) for rng in rngs])
     draws = _member_draws(rngs, config.n_steps, 1 if eta is not None else 2, initial.dim)
-    step, grad = _make_stepper(spec, config.method, config.h, draws.__next__)
+    step, grad = _make_stepper(spec, config.method, config.h, draws.__next__,
+                               spec.landscape.raw_gradient())
     value = spec.landscape.value
     w = np.tile(np.asarray(initial.w, dtype=float), (n_members, 1))
     v = np.tile(np.asarray(initial.v, dtype=float), (n_members, 1))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from abc import ABC, abstractmethod
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,9 @@ __all__ = [
     "check_gradient",
     "landscape_from_name",
 ]
+
+
+_CUT_COLUMNS = 64  # QuadraticLandscape.column_cut falls on a multiple of this many columns
 
 
 class LossLandscape(ABC):
@@ -117,6 +121,27 @@ class QuadraticLandscape(LossLandscape):
         # takes a float or an (m, 1) array, bit for bit as w @ A.
         a = float(self._matrix[0, 0])
         return lambda w: w * a + 0.0
+
+    @cached_property
+    def column_cut(self) -> int | None:
+        """A column ``c`` at which ``w @ A`` may be computed as two blocks, or None.
+
+        ``c`` is half the columns rounded down to a multiple of _CUT_COLUMNS, and the
+        blocks ``w @ A[:, :c]`` and ``w @ A[:, c:]`` each come from a
+        contiguous copy of their columns. Each output column is its own dot
+        product, so the joined blocks are ``w @ A`` bit for bit wherever the
+        BLAS kernel sums a block's columns as it sums the whole matrix's.
+        That is checked once, on a probe vector with no zero entries (a
+        one-hot vector would give the same bits in any summation order), and
+        the verdict is kept: None where the bits differ or ``c`` is 0.
+        """
+        cut = self.dim // (2 * _CUT_COLUMNS) * _CUT_COLUMNS
+        if cut == 0:
+            return None
+        probe = np.sin(np.arange(1.0, self.dim + 1.0))
+        blocks = (probe @ np.ascontiguousarray(self._matrix[:, :cut]),
+                  probe @ np.ascontiguousarray(self._matrix[:, cut:]))
+        return cut if np.concatenate(blocks).tobytes() == (probe @ self._matrix).tobytes() else None
 
     def row_values(self, ws):
         # Stacked vector-matrix products take the same BLAS kernel as a

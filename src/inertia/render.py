@@ -8,6 +8,7 @@ identical bytes (no timestamps, no library version strings).
 from __future__ import annotations
 
 import csv
+import math
 import re
 
 import numpy as np
@@ -52,7 +53,7 @@ def read_csv_columns(path: str) -> dict[str, np.ndarray]:
                     raise InvalidArgument(f"{path} has a duplicate column name {name!r}")
             table = _plain_table(fh, reader, len(header))
             columns = _walk_rows(path, reader, len(header)) if table is None else table.T
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a field over its limit
         raise InvalidArgument(f"cannot read {path}: {exc}")
     return dict(zip(header, columns))
 
@@ -107,6 +108,8 @@ def _walk_rows(path: str, reader, width: int) -> list[np.ndarray]:
 def _scale(lo: float, hi: float, pixel_lo: float, pixel_hi: float):
     if hi == lo:  # flat series: give it some room
         lo, hi = lo - 1.0, hi + 1.0
+        if hi == lo:  # from about 1e16 on a unit rounds away: widen by one float
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
     span = hi - lo
     lo, hi = lo - 0.05 * span, hi + 0.05 * span
 

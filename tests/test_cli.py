@@ -2,6 +2,7 @@ import argparse
 import csv
 import errno
 import json
+import math
 import os
 import warnings
 
@@ -218,6 +219,16 @@ def test_render_of_a_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.svg").exists()
 
 
+def test_render_of_a_csv_with_a_field_over_the_csv_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text("t,y\n0," + "1" * (csv.field_size_limit() + 10) + "\n")
+    code = main(["render", "--input", str(path), "--out", str(tmp_path / "x.svg")])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: cannot read {path}: field larger than field "
+                                       f"limit ({csv.field_size_limit()})\n")
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_render_of_a_csv_with_a_duplicate_column_exits_2(tmp_path, capsys):
     path = tmp_path / "twice.csv"
     path.write_text("t,a,a\n0,1,5\n1,2,6\n")
@@ -345,8 +356,10 @@ def test_a_large_table_is_read_to_the_bit_and_its_faults_named(tmp_path):
              text[:-200] + b"\xff" + text[-200:], text[:-5] + b"1" * (1 << 18) + b"\n"]
     for data in cases:
         path.write_bytes(data)
-        assert read_outcome(read_csv_columns, str(path)) == read_outcome(walked_csv_columns,
-                                                                         str(path))
+        expected = read_outcome(walked_csv_columns, str(path))
+        if data is cases[-1]:  # the row walk let the csv module's error escape
+            expected = (InvalidArgument, f"cannot read {path}: {expected[1]}")
+        assert read_outcome(read_csv_columns, str(path)) == expected
     path.write_bytes(text)
     assert np.array_equal(read_csv_columns(str(path))["b"], np.exp(t))
 
@@ -500,6 +513,31 @@ def test_the_numpy_pixel_mapping_has_the_bits_of_the_scalar_one(values):
         assert all(type(p) is float for p in mapped)
         scalar = [to_pixel(v) for v in values.tolist()]
         assert np.array(mapped).tobytes() == np.array(scalar).tobytes()
+
+
+@pytest.mark.parametrize("level", [2.5, -7.0, 0.0, 5e-324, 2.0**52 + 1, 2.0**53, -2.0**53,
+                                   1e16, -1e300, 1.7e308])
+def test_a_flat_range_is_widened_by_one_or_else_by_one_float(level):
+    """Where one unit each side widens a flat range, it is widened so, as it
+    always was; beyond, where a unit rounds away, by one float each side."""
+    lo, hi, to_pixel = render._scale(level, level, 0.0, 100.0)
+    if level - 1.0 != level + 1.0:
+        span = (level + 1.0) - (level - 1.0)
+        assert (lo, hi) == ((level - 1.0) - 0.05 * span, (level + 1.0) + 0.05 * span)
+    else:
+        assert math.nextafter(level, -math.inf) >= lo and hi >= math.nextafter(level, math.inf)
+    assert lo < hi and 0.0 <= to_pixel(level) <= 100.0
+
+
+@pytest.mark.parametrize("level", ["1e16", "-1e300"])
+def test_render_of_a_flat_series_beyond_a_unit_draws_it_mid_height(tmp_path, level):
+    path = tmp_path / "flat.csv"
+    path.write_text(f"t,y\n0,{level}\n1,{level}\n")
+    assert main(["render", "--input", str(path), "--out", str(tmp_path / "flat.svg")]) == 0
+    svg = (tmp_path / "flat.svg").read_text()
+    middle = (render._HEIGHT - render._MARGIN_B + render._MARGIN_T) / 2
+    assert f'points="{render._MARGIN_L + 0.05 / 1.1 * 640:.2f},{middle:.2f} ' in svg
+    assert "nan" not in svg and "inf" not in svg
 
 
 # --- command-line interface --------------------------------------------------------
