@@ -255,7 +255,10 @@ _BLOCK = 1024  # steps between finiteness checks
 # A dense gradient is split between two processes (_gradient) from this
 # dimension on, where the matrix outgrows a 2 MiB L2 cache and each product
 # streams it from L3, while each half stays in its core's L2. Measured over
-# 4000 steps on 2 cores: dim 384 lost 32 %, 416 to 480 broke even, 512 won 39 %.
+# 4000 steps on 2 cores with 2 MiB of L2 each: dim 384 lost 32 %, 416 to 480
+# broke even, 512 won 39 %. The cutoff is that L2 size's: where L2 holds the
+# dim-512 matrix, or the second core is busy and each hand-off spins, the
+# split may lose; that is unmeasured.
 _SPLIT_DIM = 512
 # and in runs of this many steps or more: at dim 512 the fork, the teardown and
 # the first import of multiprocessing cost about what 500 to 1000 split steps save

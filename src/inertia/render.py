@@ -53,7 +53,8 @@ def read_csv_columns(path: str) -> dict[str, np.ndarray]:
                     raise InvalidArgument(f"{path} has a duplicate column name {name!r}")
             table = _plain_table(fh, reader, len(header))
             columns = _walk_rows(path, reader, len(header)) if table is None else table.T
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a field over its limit
+    # csv.Error: a field over the csv module's limit, or before Python 3.11 a NUL
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InvalidArgument(f"cannot read {path}: {exc}")
     return dict(zip(header, columns))
 
@@ -110,6 +111,10 @@ def _scale(lo: float, hi: float, pixel_lo: float, pixel_hi: float):
         lo, hi = lo - 1.0, hi + 1.0
         if hi == lo:  # from about 1e16 on a unit rounds away: widen by one float
             lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            if math.isinf(hi):  # past the largest float: move both one float down
+                lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, -math.inf)
+            elif math.isinf(lo):
+                lo, hi = math.nextafter(lo, math.inf), math.nextafter(hi, math.inf)
     span = hi - lo
     lo, hi = lo - 0.05 * span, hi + 0.05 * span
 

@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -273,9 +274,19 @@ def read_outcome(read, path):
     bytes, or the error it refuses the file with."""
     try:
         columns = read(path)
-    except (InvalidArgument, csv.Error) as exc:  # csv.Error: a field over the csv module's limit
+    except (InvalidArgument, csv.Error) as exc:  # csv.Error: escaped from the csv module
         return type(exc), str(exc)
     return "read", [(name, col.dtype.str, col.shape, col.tobytes()) for name, col in columns.items()]
+
+
+def walked_outcome(path):
+    """read_outcome of the row walk, where a csv module error that it let
+    escape (a field over the limit; before Python 3.11 also a NUL) counts as
+    the "cannot read" refusal that read_csv_columns now makes of it."""
+    outcome = read_outcome(walked_csv_columns, path)
+    if outcome[0] is csv.Error:
+        return InvalidArgument, f"cannot read {path}: {outcome[1]}"
+    return outcome
 
 
 # Cells that both readers take, and cells that np.loadtxt and float() may read
@@ -337,12 +348,13 @@ def csv_texts(draw):
 @example(b"t,y\r\n1,2\r\n\r\n3,4\r\n")
 @example(b"t,y\n1,2\n3,4")
 @example(b"t,y\n" + b"1,-0.0\nnan,-inf\n 3 ,\t4\n" * 3)
+@example(b"t,y\n0,1\x00\n")  # a csv error before Python 3.11, a bad number after
 def test_the_reader_accepts_and_refuses_what_the_row_walk_did(tmp_path_factory, data):
     """Bit for bit the same columns, or the same refusal, as walking every row."""
     path = str(tmp_path_factory.mktemp("reader") / "data.csv")
     with open(path, "wb") as fh:
         fh.write(data)
-    assert read_outcome(read_csv_columns, path) == read_outcome(walked_csv_columns, path)
+    assert read_outcome(read_csv_columns, path) == walked_outcome(path)
 
 
 def test_a_large_table_is_read_to_the_bit_and_its_faults_named(tmp_path):
@@ -356,10 +368,7 @@ def test_a_large_table_is_read_to_the_bit_and_its_faults_named(tmp_path):
              text[:-200] + b"\xff" + text[-200:], text[:-5] + b"1" * (1 << 18) + b"\n"]
     for data in cases:
         path.write_bytes(data)
-        expected = read_outcome(walked_csv_columns, str(path))
-        if data is cases[-1]:  # the row walk let the csv module's error escape
-            expected = (InvalidArgument, f"cannot read {path}: {expected[1]}")
-        assert read_outcome(read_csv_columns, str(path)) == expected
+        assert read_outcome(read_csv_columns, str(path)) == walked_outcome(str(path))
     path.write_bytes(text)
     assert np.array_equal(read_csv_columns(str(path))["b"], np.exp(t))
 
@@ -516,17 +525,21 @@ def test_the_numpy_pixel_mapping_has_the_bits_of_the_scalar_one(values):
 
 
 @pytest.mark.parametrize("level", [2.5, -7.0, 0.0, 5e-324, 2.0**52 + 1, 2.0**53, -2.0**53,
-                                   1e16, -1e300, 1.7e308])
+                                   1e16, -1e300, 1.7e308, sys.float_info.max,
+                                   -sys.float_info.max])
 def test_a_flat_range_is_widened_by_one_or_else_by_one_float(level):
     """Where one unit each side widens a flat range, it is widened so, as it
-    always was; beyond, where a unit rounds away, by one float each side."""
+    always was; beyond, where a unit rounds away, by one float each side, or
+    by two floats inward at the largest float, so that nothing overflows."""
     lo, hi, to_pixel = render._scale(level, level, 0.0, 100.0)
     if level - 1.0 != level + 1.0:
         span = (level + 1.0) - (level - 1.0)
         assert (lo, hi) == ((level - 1.0) - 0.05 * span, (level + 1.0) + 0.05 * span)
-    else:
+    elif abs(level) < sys.float_info.max:
         assert math.nextafter(level, -math.inf) >= lo and hi >= math.nextafter(level, math.inf)
-    assert lo < hi and 0.0 <= to_pixel(level) <= 100.0
+    else:
+        assert lo <= level <= hi and 0.0 < hi - lo <= 3 * math.ulp(level)
+    assert lo < hi and math.isfinite(hi - lo) and 0.0 <= to_pixel(level) <= 100.0
 
 
 @pytest.mark.parametrize("level", ["1e16", "-1e300"])
@@ -538,6 +551,15 @@ def test_render_of_a_flat_series_beyond_a_unit_draws_it_mid_height(tmp_path, lev
     middle = (render._HEIGHT - render._MARGIN_B + render._MARGIN_T) / 2
     assert f'points="{render._MARGIN_L + 0.05 / 1.1 * 640:.2f},{middle:.2f} ' in svg
     assert "nan" not in svg and "inf" not in svg
+
+
+@pytest.mark.parametrize("level", ["1.7976931348623157e308", "-1.7976931348623157e308"])
+def test_render_of_a_flat_series_at_the_largest_float_draws_no_nan(tmp_path, level):
+    path = tmp_path / "flat.csv"
+    path.write_text(f"t,y\n0,{level}\n1,{level}\n")
+    assert main(["render", "--input", str(path), "--out", str(tmp_path / "flat.svg")]) == 0
+    svg = (tmp_path / "flat.svg").read_text()
+    assert "points=" in svg and "nan" not in svg and "inf" not in svg
 
 
 # --- command-line interface --------------------------------------------------------
