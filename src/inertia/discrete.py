@@ -35,11 +35,12 @@ def _check_eta(eta_step: float) -> None:
 
 
 def _momentum_map(eta_step: float, grad):
-    """The map as a step of the trajectory loop; like rk4 it ignores ``eta`` and ``gw``."""
+    """The map as a step of the trajectory loop; like the splitting steps it takes
+    the gradient at ``w`` as ``gw`` and returns the one at the new ``w``."""
     def step(w, v, eta, gw):
-        v = v - eta_step * grad(w)
+        v = v - eta_step * gw
         w = w + eta_step * v
-        return w, v, None, None
+        return w, v, None, grad(w)
     return step
 
 
@@ -47,7 +48,8 @@ def momentum_step(state: State, eta_step: float, landscape: LossLandscape) -> St
     """One velocity-first update; eta_step plays the role of a time step and advances ``t``."""
     _check_eta(eta_step)
     _require_dim(state.dim, landscape)
-    w, v, _, _ = _momentum_map(eta_step, landscape.raw_gradient())(state.w, state.v, None, None)
+    grad = landscape.raw_gradient()
+    w, v, _, _ = _momentum_map(eta_step, grad)(state.w, state.v, None, grad(state.w))
     return State(w, v, state.t + eta_step)
 
 
@@ -76,9 +78,10 @@ def discrete_trajectory(
     # among the rows it stored.
     record = np.arange(n_steps + 1)
     with _gradient(landscape, n_steps) as grad:
-        ws, vs, _, bad = _run(_momentum_map(eta_step, grad), None, start.w, start.v, None, record)
+        ws, vs, _, potentials, bad = _run(_momentum_map(eta_step, grad), grad, start.w, start.v,
+                                          None, record, values=landscape.value_from_gradient)
     rows = slice(None if bad is None else bad + 1)
-    energy = _finite_energies(ws[rows], vs[rows], landscape, record)
+    energy = _finite_energies(ws[rows], vs[rows], potentials[rows], landscape, record)
     return ws, vs, energy
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import State, SystemSpec, _require_dim, inertia_rows
+from .dynamics import _ROW_FLOATS, State, SystemSpec, _kinetic_plus, _require_dim, inertia_rows
 from .errors import InvalidArgument, NumericalFailure
 from .forking import kill_and_reap, may_fork, split_product
 from .landscapes import QuadraticLandscape
@@ -237,21 +237,32 @@ def initial_forcing(spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
 # A splitting step's closing kick takes the gradient at the step's final
 # ``w``, where the next step's opening kick takes it, so the step returns it
 # for the next step to reuse: one gradient per step, the same bits as
-# evaluating it twice. _make_stepper also returns the gradient function
-# that gives it at the start (None for methods that take none).
-# Finiteness is checked once per block of _BLOCK steps: none of the step
-# operations turns a NaN or Inf back into a finite number, so a finite
+# evaluating it twice. The discrete map carries its gradient the same way.
+# _make_stepper also returns the gradient function that gives it at the
+# start (None for methods that take none).
+# A recorded row's potential comes from that carried gradient: on a
+# quadratic L(w) = 1/2 w . (w @ A), and the step has just computed w @ A
+# at that w (value_from_gradient), so each row costs no second product.
+# _run keeps the gradients of the rows a block records, about _ROW_FLOATS
+# floats (blocks shrink to fit), and reduces them to potentials at the
+# block's end, in one vectorised pass against the stored rows; the bits are
+# those of inertia_rows. rk4 and explicit Euler carry no gradient, so their
+# rows go through inertia_rows. The ensemble takes its samples' potentials
+# from the step's batched gradient in the same way.
+# Finiteness is checked once per block of at most _BLOCK steps: none of the
+# step operations turns a NaN or Inf back into a finite number, so a finite
 # state at the end of a block proves every step in it finite. _run stops
 # after the first block that is not, and integrate replays the run in
 # blocks of one step to name the first non-finite state. A finite state can
 # still overflow the energy, so both runs end by checking the energies of
-# their recorded rows (_finite_energies). The ensemble checks finiteness
-# every step so a failure names its member. Every overflow thus ends in a
+# their recorded rows (_finite_energies), which names the first recorded
+# step whose energy is not finite. The ensemble checks finiteness every step
+# so a failure names its member. Every overflow thus ends in a
 # NumericalFailure that reports it, so _run, _finite_energies and the
 # ensemble reduction (analysis.py) step and reduce with numpy's overflow and
 # invalid-value warnings silenced.
 
-_BLOCK = 1024  # steps between finiteness checks
+_BLOCK = 1024  # most steps between finiteness checks
 # A dense gradient is split between two processes (_gradient) from this
 # dimension on, where the matrix outgrows a 2 MiB L2 cache and each product
 # streams it from L3, while each half stays in its core's L2. Measured over
@@ -390,19 +401,31 @@ def _gradient(landscape, n_steps: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _run(step, grad, w: np.ndarray, v: np.ndarray, eta, record: np.ndarray, block: int = _BLOCK):
-    """Step ``(w, v, eta)`` to step ``record[-1]``; returns ``(ws, vs, etas, bad)``.
+def _run(step, grad, w: np.ndarray, v: np.ndarray, eta, record: np.ndarray, block: int = _BLOCK,
+         values=None):
+    """Step ``(w, v, eta)`` to step ``record[-1]``; returns ``(ws, vs, etas, potentials, bad)``.
 
     Row i of the (len(record), dim) arrays holds step ``record[i]``; ``etas``
     is None when ``eta`` is. ``grad`` gives the start gradient a splitting
-    step expects, or is None. ``bad`` is None when every block ends finite;
-    else the run stopped at step ``bad``, the end of the first block of
-    ``block`` steps whose final state is not finite, with later rows
+    step expects, or is None. With ``grad`` and ``values`` (a landscape's
+    ``value_from_gradient``), ``potentials[i]`` is row i's potential, from
+    the gradient its step returned (a new array or float each step), else
+    ``potentials`` is None. ``bad`` is None when every block ends finite;
+    else the run stopped at step ``bad``, the end of the first block of at
+    most ``block`` steps whose final state is not finite, with later rows
     unwritten: with ``block=1``, ``bad`` is the first non-finite step.
     """
     n_rec, dim = record.shape[0], w.shape[0]
     ws, vs = np.empty((n_rec, dim)), np.empty((n_rec, dim))
     etas = None if eta is None else np.empty((n_rec, dim))
+    # record is step 0, every stride-th step and the last step (_record_indices);
+    # stepping the target by the stride holds no list of the steps
+    n_steps, stride = int(record[-1]), int(record[1])
+    potentials = gws = keep = None
+    if grad is not None and values is not None:
+        # a block keeps the gradients of the rows it records, about _ROW_FLOATS floats
+        potentials, gws = np.empty(n_rec), []
+        keep, block = gws.append, min(block, max(1, _ROW_FLOATS // dim) * stride)
     w_rows, v_rows, eta_rows = ws, vs, etas
     if dim == 1:  # step floats, store through flat views
         w, v = float(w[0]), float(v[0])
@@ -413,10 +436,9 @@ def _run(step, grad, w: np.ndarray, v: np.ndarray, eta, record: np.ndarray, bloc
     if eta_rows is not None:
         eta_rows[0] = eta
     gw = None if grad is None else grad(w)
+    if keep is not None:
+        keep(gw)
 
-    # record is step 0, every stride-th step and the last step (_record_indices);
-    # stepping the target by the stride holds no list of the steps
-    n_steps, stride = int(record[-1]), int(record[1])
     target, pos = stride, 1
     for start in range(1, n_steps + 1, block):
         stop = min(start + block, n_steps + 1)
@@ -426,20 +448,31 @@ def _run(step, grad, w: np.ndarray, v: np.ndarray, eta, record: np.ndarray, bloc
                 w_rows[pos], v_rows[pos] = w, v
                 if eta_rows is not None:
                     eta_rows[pos] = eta
+                if keep is not None:
+                    keep(gw)
                 target, pos = target + stride, pos + 1
+        if gws:
+            first = pos - len(gws)
+            potentials[first:pos] = values(ws[first:pos], np.reshape(gws, (-1, dim)))
+            gws.clear()
         if not (np.isfinite(w).all() and np.isfinite(v).all()):
-            return ws, vs, etas, stop - 1
+            return ws, vs, etas, potentials, stop - 1
     if pos < n_rec:  # the last step, off the stride
         w_rows[pos], v_rows[pos] = w, v
         if eta_rows is not None:
             eta_rows[pos] = eta
-    return ws, vs, etas, None
+        if potentials is not None:
+            potentials[pos:] = values(ws[pos:], np.reshape(gw, (1, dim)))
+    return ws, vs, etas, potentials, None
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _finite_energies(ws: np.ndarray, vs: np.ndarray, landscape, record: np.ndarray) -> np.ndarray:
-    """``inertia_rows`` of rows stored at steps ``record``; raises at the first not finite."""
-    energies = inertia_rows(ws, vs, landscape)
+def _finite_energies(ws: np.ndarray, vs: np.ndarray, potentials, landscape,
+                     record: np.ndarray) -> np.ndarray:
+    """The energies of rows stored at steps ``record``, from ``potentials`` (_run)
+    or else ``inertia_rows``; raises at the first not finite."""
+    energies = (inertia_rows(ws, vs, landscape) if potentials is None
+                else _kinetic_plus(vs, potentials))
     bad = np.flatnonzero(~np.isfinite(energies))
     if bad.size:
         k = int(record[bad[0]])
@@ -488,11 +521,12 @@ def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Tra
 
     record = _record_indices(config.n_steps, config.record_every)
     with _gradient(spec.landscape, config.n_steps) as grad:
-        ws, vs, etas, bad = _run(*_start(spec, initial, config, grad), record)
+        ws, vs, etas, potentials, bad = _run(*_start(spec, initial, config, grad), record,
+                                             values=spec.landscape.value_from_gradient)
         if bad is not None:
-            bad = _run(*_start(spec, initial, config, grad), record, block=1)[3]
+            bad = _run(*_start(spec, initial, config, grad), record, block=1)[4]
             raise NumericalFailure(f"non-finite state at step {bad}", step_index=bad)
-    energies = _finite_energies(ws, vs, spec.landscape, record)
+    energies = _finite_energies(ws, vs, potentials, spec.landscape, record)
     return Trajectory(record * config.h, ws, vs, energies, spec, config, noise=etas)
 
 
@@ -605,11 +639,11 @@ def _member_draws(rngs, n_steps: int, per_step: int, dim: int):
         kill_and_reap(pid)
 
 
-def _sample(w, v, eta, value):
+def _sample(w, v, eta, gw, values):
     """Per-member (inertia, speed_squared, noise_dot_v) of one recorded state."""
     speed_sq = np.sum(v * v, axis=1)
     noise_dot_v = None if eta is None else np.sum(eta * v, axis=1)
-    return 0.5 * speed_sq + value(w), speed_sq, noise_dot_v
+    return 0.5 * speed_sq + values(w, gw), speed_sq, noise_dot_v
 
 
 def _ensemble_loop(spec, initial, config, n_members, record):
@@ -622,21 +656,21 @@ def _ensemble_loop(spec, initial, config, n_members, record):
     draws = _member_draws(rngs, config.n_steps, 1 if eta is not None else 2, initial.dim)
     step, grad = _make_stepper(spec, config.method, config.h, draws.__next__,
                                spec.landscape.raw_gradient())
-    value = spec.landscape.value
+    values = spec.landscape.value_from_gradient
     w = np.tile(np.asarray(initial.w, dtype=float), (n_members, 1))
     v = np.tile(np.asarray(initial.v, dtype=float), (n_members, 1))
     gw = grad(w)
 
-    yield _sample(w, v, eta, value)  # record[0] is step 0
+    yield _sample(w, v, eta, gw, values)  # record[0] is step 0
     stride = int(record[1])  # record: step 0, every stride-th step and the last
     try:
         for k in range(1, config.n_steps + 1):
             w, v, eta, gw = step(w, v, eta, gw)
             _raise_nonfinite(w, v, k)
             if k % stride == 0:
-                yield _sample(w, v, eta, value)
+                yield _sample(w, v, eta, gw, values)
         if config.n_steps % stride:  # the last step, off the stride
-            yield _sample(w, v, eta, value)
+            yield _sample(w, v, eta, gw, values)
     finally:
         draws.close()  # a failure's traceback must not keep the producer alive
 

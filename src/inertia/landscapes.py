@@ -71,6 +71,17 @@ class LossLandscape(ABC):
         """
         return self.value(ws)
 
+    def value_from_gradient(self, w: np.ndarray, gw: np.ndarray) -> np.ndarray:
+        """The value at each row of ``w`` (shape (..., dim)), given ``gw``, the
+        gradient there as ``raw_gradient`` gives it.
+
+        The trajectory loops and the ensemble take their recorded potentials
+        from this, with the gradient their step already holds. The default
+        ignores ``gw`` and returns ``row_values(w)``; a subclass whose value
+        follows from its gradient overrides it, with the same bits.
+        """
+        return self.row_values(w)
+
 
 class QuadraticLandscape(LossLandscape):
     """L(w) = 1/2 w^T A w for a symmetric positive-semidefinite matrix A."""
@@ -144,10 +155,17 @@ class QuadraticLandscape(LossLandscape):
         return cut if np.concatenate(blocks).tobytes() == (probe @ self._matrix).tobytes() else None
 
     def row_values(self, ws):
-        # Stacked vector-matrix products take the same BLAS kernel as a
-        # single point; a plain ws @ A takes the matrix-matrix kernel, whose
-        # summation order moves the last bits of dense rows.
+        """The reference the trajectory loops' recorded potentials are tested against.
+
+        Stacked vector-matrix products take the same BLAS kernel as a single
+        point; a plain ws @ A takes the matrix-matrix kernel, whose summation
+        order moves the last bits of dense rows.
+        """
         return 0.5 * np.sum((ws[:, None, :] @ self._matrix)[:, 0, :] * ws, axis=-1)
+
+    def value_from_gradient(self, w, gw):
+        # L(w) = 1/2 w . (w @ A): row_values' arithmetic, on the step's own w @ A
+        return 0.5 * np.sum(gw * w, axis=-1)
 
     def _check_dim(self, w: np.ndarray):
         if w.shape[-1] != self.dim:

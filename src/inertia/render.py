@@ -116,7 +116,12 @@ def _scale(lo: float, hi: float, pixel_lo: float, pixel_hi: float):
             elif math.isinf(lo):
                 lo, hi = math.nextafter(lo, math.inf), math.nextafter(hi, math.inf)
     span = hi - lo
-    lo, hi = lo - 0.05 * span, hi + 0.05 * span
+    padded_lo, padded_hi = lo - 0.05 * span, hi + 0.05 * span
+    if math.isinf(padded_hi - padded_lo):  # past the largest float: map quarters, tick the data
+        # a quarter of the span, padded by a tenth, stays below the largest float
+        to_quarter = _scale(0.25 * lo, 0.25 * hi, pixel_lo, pixel_hi)[2]
+        return lo, hi, lambda x: to_quarter(0.25 * x)
+    lo, hi = padded_lo, padded_hi
 
     def to_pixel(x):
         return pixel_lo + (x - lo) / (hi - lo) * (pixel_hi - pixel_lo)
@@ -128,11 +133,13 @@ def _pixels(to_pixel, values: np.ndarray) -> list[float]:
     """``to_pixel`` of each value, as Python floats (they format faster than
     numpy scalars, to the same text). numpy does the arithmetic of the scalar
     ``to_pixel`` in the same order, so each pixel has the same bits."""
-    with np.errstate(all="ignore"):  # an overflowing span gives nan, silently, as in Python
-        return to_pixel(values).tolist()
+    return to_pixel(values).tolist()
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+    if math.isinf((hi - lo) * (count - 1)):  # past the largest float: step by halves
+        step = (0.5 * hi - 0.5 * lo) / (count - 1)
+        return [min(lo + step * i + step * i, hi) for i in range(count)]
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 

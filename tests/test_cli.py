@@ -509,19 +509,28 @@ def test_a_large_render_has_the_bytes_of_one_process(tmp_path, monkeypatch):
     [0.0, 5e-324, 1e-323],  # a subnormal span
     [-0.0, 0.0, -0.0, 1.0],
     [1e300, -1e300, 3e299],
-    [1.7e308, -1.7e308, 0.0],  # a span that overflows: every pixel is nan
+    [1.7e308, -1.7e308, 0.0],  # a span past the largest float: mapped by quarters
+    [-1.79e308, 0.0, -1e308],  # a padded span past it
+    [sys.float_info.max, -sys.float_info.max, 5e-324],
 ])
 def test_the_numpy_pixel_mapping_has_the_bits_of_the_scalar_one(values):
+    """Every pixel is finite and inside the plot, in the order of its value."""
     values = np.array(values)
     for pixel_lo, pixel_hi in ((render._MARGIN_L, render._WIDTH - render._MARGIN_R),
                                (render._HEIGHT - render._MARGIN_B, render._MARGIN_T)):
-        _, _, to_pixel = render._scale(float(values.min()), float(values.max()), pixel_lo, pixel_hi)
+        lo, hi, to_pixel = render._scale(float(values.min()), float(values.max()), pixel_lo, pixel_hi)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mapped = render._pixels(to_pixel, values)
+            ticks = [to_pixel(tick) for tick in render._ticks(lo, hi)]
         assert all(type(p) is float for p in mapped)
         scalar = [to_pixel(v) for v in values.tolist()]
         assert np.array(mapped).tobytes() == np.array(scalar).tobytes()
+        for pixels in (mapped, ticks):
+            assert all(min(pixel_lo, pixel_hi) <= p <= max(pixel_lo, pixel_hi) for p in pixels)
+        order = np.argsort(values, kind="stable")
+        assert np.all(np.diff(np.array(mapped)[order]) * (pixel_hi - pixel_lo) >= 0)
+        assert np.all(np.diff(ticks) * (pixel_hi - pixel_lo) >= 0)
 
 
 @pytest.mark.parametrize("level", [2.5, -7.0, 0.0, 5e-324, 2.0**52 + 1, 2.0**53, -2.0**53,
@@ -559,6 +568,16 @@ def test_render_of_a_flat_series_at_the_largest_float_draws_no_nan(tmp_path, lev
     path.write_text(f"t,y\n0,{level}\n1,{level}\n")
     assert main(["render", "--input", str(path), "--out", str(tmp_path / "flat.svg")]) == 0
     svg = (tmp_path / "flat.svg").read_text()
+    assert "points=" in svg and "nan" not in svg and "inf" not in svg
+
+
+@pytest.mark.parametrize("text", ["t,y\n0,-1.7e308\n1,1.7e308\n",
+                                  "x,y\n1,0\n1e308,1\n-1e308,2\n"])
+def test_render_of_a_span_past_the_largest_float_draws_no_nan(tmp_path, text):
+    path = tmp_path / "wide.csv"
+    path.write_text(text)
+    assert main(["render", "--input", str(path), "--out", str(tmp_path / "wide.svg")]) == 0
+    svg = (tmp_path / "wide.svg").read_text()
     assert "points=" in svg and "nan" not in svg and "inf" not in svg
 
 

@@ -165,6 +165,19 @@ def test_trajectory_matches_repeated_steps(landscape):
         assert s.t == t
 
 
+def test_the_map_takes_one_gradient_per_step_plus_one(monkeypatch):
+    """The step carries the gradient at its new position to the next step."""
+    landscape, calls = coupled5(), []
+    grad = landscape.raw_gradient()
+
+    def counting(w):
+        calls.append(1)
+        return grad(w)
+    monkeypatch.setattr(landscape, "raw_gradient", lambda: counting)
+    discrete_trajectory(np.ones(5), np.zeros(5), 0.05, 300, landscape)
+    assert len(calls) == 301
+
+
 @pytest.mark.parametrize("v0", [0.7, -0.0])
 def test_1d_trajectory_keeps_the_bits_of_the_array_steps_from_minus_zero(v0):
     """The 1-D map steps floats; from w0 = -0.0 it keeps every bit, signed zeros included."""

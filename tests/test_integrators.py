@@ -17,10 +17,13 @@ from inertia import (
     InvalidArgument,
     LossLandscape,
     NumericalFailure,
+    QuadraticLandscape,
     State,
     SystemSpec,
     closed_form_underdamped,
+    discrete_trajectory,
     inertia,
+    inertia_rows,
     integrate,
     landscape_from_name,
     quadratic_general,
@@ -599,17 +602,19 @@ def test_ensemble_rows_equal_the_two_gradient_reference(noise, tau):
 
 
 class CountingLandscape(LossLandscape):
-    """A dense quadratic that counts gradient calls (raw_gradient is the default)."""
+    """A dense quadratic that counts gradient and value calls (raw_gradient and
+    value_from_gradient are the defaults)."""
 
     def __init__(self, landscape):
         self.inner = landscape
-        self.gradient_calls = 0
+        self.gradient_calls = self.value_calls = 0
 
     @property
     def dim(self):
         return self.inner.dim
 
     def value(self, w):
+        self.value_calls += 1
         return self.inner.value(w)
 
     def gradient(self, w):
@@ -644,10 +649,130 @@ def test_gradient_calls_per_run(case, per_step):
     integrate(spec, start, cfg)
     expected = cfg.n_steps + 1 if per_step is None else per_step * cfg.n_steps
     assert counting.gradient_calls == expected
+    assert counting.value_calls > 0  # a landscape of its own keeps its value
     if method == "stochastic_splitting":
-        counting.gradient_calls = 0
+        counting.gradient_calls = counting.value_calls = 0
         ensemble_arrays(spec, start, cfg, 6)
         assert counting.gradient_calls == cfg.n_steps + 1  # one batched call per step
+        assert counting.value_calls == len(_record_steps(cfg))
+
+
+def _record_steps(cfg):
+    return integrators._record_indices(cfg.n_steps, cfg.record_every)
+
+
+def dense(dim, seed):
+    m = np.random.default_rng(seed).standard_normal((dim, dim))
+    b = m.T @ m / dim + 0.1 * np.eye(dim)
+    return quadratic_general(0.5 * (b + b.T))
+
+
+ENERGY_LANDSCAPES = {"iso1": ISO1, **MULTI_D, **{f"dense{d}": dense(d, d) for d in (2, 3, 8)}}
+
+
+def energies_or_failure(call):
+    """The bytes of ``call()``'s recorded energies, or its failure's message and step."""
+    try:
+        result = call()
+    except NumericalFailure as exc:
+        return str(exc), exc.step_index
+    return (result[2] if isinstance(result, tuple) else result.inertia).tobytes()
+
+
+def by_row_values(monkeypatch, call):
+    """``energies_or_failure(call)`` with every recorded potential taken from
+    ``row_values``, as ``inertia_rows`` takes it."""
+    with monkeypatch.context() as m:
+        m.setattr(QuadraticLandscape, "value_from_gradient", LossLandscape.value_from_gradient)
+        return energies_or_failure(call)
+
+
+@pytest.mark.parametrize("row_floats", [None, 24])  # 24: a few rows' gradients per block
+@pytest.mark.parametrize("record_every", [1, 10, 7])  # 7 leaves the last of 300 steps off it
+@pytest.mark.parametrize("name", sorted(ENERGY_LANDSCAPES))
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_recorded_energies_have_the_bits_of_inertia_rows(monkeypatch, case, name, record_every,
+                                                         row_floats):
+    """Each recorded potential comes from the gradient its step carried."""
+    if row_floats is not None:
+        monkeypatch.setattr(integrators, "_ROW_FLOATS", row_floats)
+    landscape = ENERGY_LANDSCAPES[name]
+    method, spec_args = STEP_CASES[case]
+    cfg = IntegratorConfig(method=method, h=0.01, t_end=3.0, seed=3, record_every=record_every)
+    start = State(np.linspace(1.0, -0.5, landscape.dim), np.linspace(-0.2, 0.4, landscape.dim))
+    traj = integrate(SystemSpec(landscape=landscape, **spec_args), start, cfg)
+    assert same_bits(traj.inertia, inertia_rows(traj.ws, traj.vs, landscape))
+
+
+@pytest.mark.parametrize("name", sorted(ENERGY_LANDSCAPES))
+def test_discrete_energies_have_the_bits_of_inertia_rows(monkeypatch, name):
+    landscape = ENERGY_LANDSCAPES[name]
+    monkeypatch.setattr(integrators, "_ROW_FLOATS", 24)
+    w0, v0 = np.linspace(1.0, -0.5, landscape.dim), np.linspace(-0.2, 0.4, landscape.dim)
+    ws, vs, energy = discrete_trajectory(w0, v0, 0.05, 300, landscape)
+    assert same_bits(energy, inertia_rows(ws, vs, landscape))
+
+
+EDGE_STARTS = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (5e-324, -5e-324), (-5e-324, 5e-324),
+               (-5e-324, -0.0), (1e200, 0.0), (0.0, 1e200)]
+
+
+@pytest.mark.parametrize("w0, v0", EDGE_STARTS)
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_1d_energies_at_the_edges_are_those_of_row_values(monkeypatch, case, w0, v0):
+    """Signed zeros, subnormals and an energy past the largest float: the same
+    bits, or the same failure at the same step."""
+    method, spec_args = STEP_CASES[case]
+    cfg = IntegratorConfig(method=method, h=0.01, t_end=0.5, seed=3, record_every=3)
+    spec = SystemSpec(landscape=ISO1, **spec_args)
+    run = lambda: integrate(spec, State([w0], [v0]), cfg)  # noqa: E731
+    got = energies_or_failure(run)
+    assert got == by_row_values(monkeypatch, run)
+    if abs(w0) + abs(v0) > 1e100:
+        assert got == ("energy not finite at step 0", 0)
+    else:
+        traj = run()
+        assert same_bits(traj.inertia, inertia_rows(traj.ws, traj.vs, ISO1))
+    discrete = lambda: discrete_trajectory([w0], [v0], 0.05, 40, ISO1)  # noqa: E731
+    assert energies_or_failure(discrete) == by_row_values(monkeypatch, discrete)
+
+
+@pytest.mark.parametrize("landscape, record_every", [(ISO1, 1), (dense(2, 2), 1), (dense(3, 3), 4)])
+def test_an_energy_that_overflows_mid_run_fails_at_the_same_step(monkeypatch, landscape,
+                                                                 record_every):
+    """An unstable step grows the state past 1e154, where its energy overflows
+    while the state stays finite."""
+    cfg = IntegratorConfig(method="verlet", h=2.5, t_end=2.5 * 130, record_every=record_every)
+    start = State(np.full(landscape.dim, 1e100), np.zeros(landscape.dim))
+    run = lambda: integrate(SystemSpec(landscape=landscape), start, cfg)  # noqa: E731
+    got = energies_or_failure(run)
+    assert got == by_row_values(monkeypatch, run)
+    assert got[0].startswith("energy not finite") and got[1] > 0
+
+
+def test_trajectory_runs_call_no_quadratic_value(monkeypatch):
+    """The splitting runs, the discrete map and the ensemble take every
+    potential from a gradient; only the reference inertia_rows calls row_values."""
+    calls = []
+    for name in ("value", "row_values"):
+        def spy(self, w, _original=getattr(QuadraticLandscape, name), _name=name):
+            calls.append(_name)
+            return _original(self, w)
+        monkeypatch.setattr(QuadraticLandscape, name, spy)
+    start = State(np.linspace(1.0, -0.5, 5), np.zeros(5))
+    for case in sorted(STEP_CASES):
+        method, spec_args = STEP_CASES[case]
+        spec = SystemSpec(landscape=coupled5(), **spec_args)
+        cfg = IntegratorConfig(method=method, h=0.01, t_end=0.37, seed=2, record_every=5)
+        traj = integrate(spec, start, cfg)
+        if method == "stochastic_splitting":
+            ensemble_arrays(spec, start, cfg, 6)
+    integrate(SystemSpec(landscape=ISO1, gamma=0.4), UNIT_START,
+              IntegratorConfig(method="damped_splitting", h=0.01, t_end=1.0))
+    discrete_trajectory(start.w, start.v, 0.05, 300, coupled5())
+    assert calls == []
+    inertia_rows(traj.ws, traj.vs, traj.spec.landscape)
+    assert calls == ["row_values"]
 
 
 def test_white_noise_velocity_variance_growth():

@@ -123,12 +123,36 @@ def test_row_values_and_raw_gradient_match_single_points(dim):
         assert np.array_equal(grad(w), ls.gradient(w))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 100, 512])
+def test_values_from_gradients_have_the_bits_of_row_values(dim):
+    """Over magnitudes from 1e-300 to 1e300, where products underflow and overflow."""
+    rng = np.random.default_rng(dim)
+    m = rng.standard_normal((dim, dim))
+    ls = quadratic_general(0.5 * (m.T @ m + (m.T @ m).T))
+    batch = rng.standard_normal((60, dim)) * 10.0 ** rng.uniform(-300, 300, (60, 1))
+    grad = ls.raw_gradient()
+    with np.errstate(over="ignore", invalid="ignore"):
+        gradients = np.array([grad(w) for w in batch])
+        assert bits(ls.value_from_gradient(batch, gradients)) == bits(ls.row_values(batch))
+
+
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300,
                1e300, -1e300, 1.5, -2.5, np.inf, -np.inf, np.nan, -np.nan]
 
 
 def bits(x):
     return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("curvature", [1.0, 4.0, 0.0, 1e-300, 1e300, 3.7, 0.5])
+def test_1d_values_from_float_gradients_have_the_bits_of_row_values(curvature):
+    """Signed zeros, subnormals and non-finite values from the float path's gradients."""
+    ls = quadratic_general([[curvature]])
+    grad = ls.raw_gradient()
+    ws = np.array(EDGE_VALUES)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gradients = np.array([grad(float(w)) for w in EDGE_VALUES])[:, None]
+        assert bits(ls.value_from_gradient(ws, gradients)) == bits(ls.row_values(ws))
 
 
 @pytest.mark.parametrize("curvature", [1.0, 4.0, 0.0, 1e-300, 1e300, 3.7])

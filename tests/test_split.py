@@ -16,6 +16,7 @@ from inertia import (
     State,
     SystemSpec,
     discrete_trajectory,
+    inertia_rows,
     integrate,
     quadratic_general,
 )
@@ -94,6 +95,17 @@ def test_a_split_run_has_the_bits_of_one_process(monkeypatch, short_runs_split, 
     whole = arrays(in_process(monkeypatch, lambda: RUNS[run](landscape)))
     assert len(short_runs_split) == (landscape.column_cut is not None)
     assert all(map(same_bits, split, whole))
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_recorded_energies_are_inertia_rows_split_or_not(monkeypatch, short_runs_split, run):
+    """At dim 512 a block keeps the gradients of 64 rows: several blocks here."""
+    landscape = dense(512)
+    for result in (RUNS[run](landscape), in_process(monkeypatch, lambda: RUNS[run](landscape))):
+        ws, vs, energies = arrays(result)
+        assert same_bits(energies, inertia_rows(ws, vs, landscape))
+    assert len(short_runs_split) == (landscape.column_cut is not None)
+    assert_no_child_process()
 
 
 def split_bits_equal(matrix, cut, vectors):
