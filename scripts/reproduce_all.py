@@ -5,14 +5,12 @@ Each experiment lands in <root>/<name>/ with its CSVs, a manifest, and
 SVG plots. Everything is seeded, so two invocations produce identical
 bytes (timestamps live only in the manifests).
 
-Where ``inertia.forking.may_fork`` holds, the experiments run in this
-process and one forked worker, which claim them in list order from a pipe
-holding one byte per index; a one-byte read from a pipe is atomic, so
-each experiment runs in exactly one process. Each process captures its
-experiments' stdout and stderr, the worker sends its share back when the
-queue is empty, and this process prints everything in list order, so the
-text is that of one process. An experiment that no worker delivered,
-because the worker died or could not be forked, runs here in its turn.
+Where ``inertia.forking.may_fork`` holds, this process and one worker
+beside it (``inertia.forking.beside``) claim the experiments in list order
+from a pipe holding one byte per index; a one-byte read from a pipe is
+atomic, so each runs in exactly one process. Both capture their stdout and
+stderr, and this process prints it all in list order, as one process would.
+An experiment that the worker did not deliver runs here in its turn.
 """
 
 import argparse
@@ -23,7 +21,7 @@ import os
 import sys
 
 from inertia.cli import main as run_cli
-from inertia.forking import kill_and_reap, may_fork
+from inertia.forking import beside, may_fork
 
 EXPERIMENTS = [
     # (name, argv, [(csv, svg, xy), ...])
@@ -99,43 +97,29 @@ def _run_claimed(queue: int, root: str, index: int | None) -> dict:
 
 
 def _run_in_two_processes(root: str) -> dict:
-    """{index: [code, stdout, stderr]} of the experiments run here and in a forked worker.
+    """{index: [code, stdout, stderr]} of the experiments run here and in a worker beside.
 
-    This process claims index 0 before it forks. If a pipe or the fork
-    fails, nothing runs here and the result is empty; if the worker does
-    not exit 0 after sending its results, they are dropped.
+    This process claims index 0 before the worker starts. If the queue's
+    pipe fails, nothing runs here and the result is empty.
     """
     fds = []
     try:
         fds += os.pipe()
         os.write(fds[1], bytes(range(len(EXPERIMENTS))))
         first = _claim(fds[0])
-        fds += os.pipe()
-        pid = os.fork()
-    except OSError:  # no file or process to spare: run everything in process
+    except OSError:  # no file to spare: run everything in process
         for fd in fds:
             os.close(fd)
         return {}
-    queue, fill, r, w = fds
+    queue, fill = fds
     os.close(fill)  # with every write end closed, an empty queue reads as its end
-    if pid == 0:  # the worker; it leaves only through os._exit, flushing nothing
-        code = 1
-        try:
-            os.close(r)
-            with open(w, "w") as pipe:
-                json.dump(_run_claimed(queue, root, _claim(queue)), pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
     try:
-        with open(r, "rb") as pipe:
-            results = _run_claimed(queue, root, first)
-            sent = pipe.read()
+        results, sent = beside(
+            lambda: json.dumps(_run_claimed(queue, root, _claim(queue))).encode(),
+            lambda: _run_claimed(queue, root, first))
     finally:
         os.close(queue)
-        status = kill_and_reap(pid)
-    if status == 0:
+    if sent is not None:
         results.update((int(index), result) for index, result in json.loads(sent).items())
     return results
 

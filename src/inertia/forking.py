@@ -1,12 +1,11 @@
-"""When to fork a helper process, and how to end one.
+"""The one module that forks: when a helper may run, how it starts and ends.
 
-Three pieces of work run in a forked helper beside this process: the
-ensemble noise producer (``integrators._member_draws``), the second half of
-a large text (``output._format_halves``) and the right column block of a
-long dense run's gradient (``split_product``, engaged by
-``integrators._gradient``); ``scripts/reproduce_all.py`` forks a worker that
-runs experiments. Each forks only where ``may_fork`` holds, and each ends
-its child through ``kill_and_reap``.
+Four jobs fork a helper, each only where ``may_fork`` holds: the ensemble
+noise producer (``integrators._member_draws``), the second half of a large
+text (``output._format_halves``), the right column block of a long dense
+run's gradient (``split_product``) and ``scripts/reproduce_all.py``'s
+worker. The two one-shot helpers go through ``beside``. Where a fork
+fails, each job does its helper's share in this process.
 """
 
 from __future__ import annotations
@@ -36,6 +35,21 @@ def may_fork() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
+def fork(child) -> int:
+    """Fork a process that runs ``child()`` and return its pid; OSError where
+    the fork fails. The child never returns into the caller: it leaves through
+    ``os._exit``, flushing nothing, with 0 if ``child()`` returned, else 1."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            child()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
 def kill_and_reap(pid: int) -> int:
     """Kill a forked child and reap it; return its wait status.
 
@@ -47,6 +61,38 @@ def kill_and_reap(pid: int) -> int:
     """
     os.kill(pid, signal.SIGKILL)
     return os.waitpid(pid, 0)[1]
+
+
+def beside(child, here):
+    """``(here(), sent)``, with ``here()`` run while a forked child sends back
+    the bytes that ``child()`` returns over a pipe. ``sent`` is None where the
+    pipe or the fork failed, or the child did not exit 0 after sending: the
+    caller then does the child's share. The child is reaped before this ends.
+    """
+    fds = []
+    try:
+        fds += os.pipe()
+        r, w = fds
+
+        def send():
+            os.close(r)
+            data = memoryview(child())
+            while data:
+                data = data[os.write(w, data):]  # w closes only as it exits: kill_and_reap
+
+        pid = fork(send)
+    except OSError:  # no file or process to spare
+        for fd in fds:
+            os.close(fd)
+        return here(), None
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            done = here()
+            sent = pipe.read()
+    finally:
+        status = kill_and_reap(pid)
+    return done, sent if status == 0 else None
 
 
 def _acquire(semaphore, alive) -> bool:
@@ -84,8 +130,7 @@ def split_product(matrix: np.ndarray, cut: int):
     semaphores, the shared mapping or the fork fail with OSError, every call
     computes the whole product. Leaving the ``with`` kills and reaps the
     partner and drops this process's copy, so a later call computes the
-    whole product too; a partner whose parent is gone leaves through
-    ``os._exit``.
+    whole product too; a partner whose parent is gone exits.
     """
     dim = matrix.shape[0]
     try:
@@ -96,22 +141,19 @@ def split_product(matrix: np.ndarray, cut: int):
         context = get_context("fork")
         handed, joined = context.Semaphore(0), context.Semaphore(0)
         shared = np.ndarray(2 * dim - cut, buffer=mmap.mmap(-1, 8 * (2 * dim - cut)))
+        w_shared, block = shared[:dim], shared[dim:]
         parent = os.getpid()
-        pid = os.fork()
-    except OSError:
-        yield matrix.__rmatmul__
-        return
-    w_shared, block = shared[:dim], shared[dim:]
-    if pid == 0:  # the partner; it never returns into the caller
-        code = 1
-        try:
+
+        def partner():
             right = np.ascontiguousarray(matrix[:, cut:])
             while _acquire(handed, lambda: os.getppid() == parent):
                 np.matmul(w_shared, right, out=block)
                 joined.release()
-            code = 0
-        finally:
-            os._exit(code)
+
+        pid = fork(partner)
+    except OSError:
+        yield matrix.__rmatmul__
+        return
 
     def partner_lives():
         return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None

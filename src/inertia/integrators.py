@@ -42,7 +42,7 @@ import numpy as np
 
 from .dynamics import _ROW_FLOATS, State, SystemSpec, _kinetic_plus, _require_dim, inertia_rows
 from .errors import InvalidArgument, NumericalFailure
-from .forking import kill_and_reap, may_fork, split_product
+from .forking import fork, kill_and_reap, may_fork, split_product
 from .landscapes import QuadraticLandscape
 
 __all__ = [
@@ -539,13 +539,13 @@ def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Tra
 # depend on the ensemble size. The draws are served a chunk of steps at a
 # time from two slots of one buffer, and recorded samples are handed out one
 # at a time, so memory does not grow with the horizon.
-# A run that needs more than one refill forks a producer process, where
-# os.fork exists and this process may run on two CPUs or more: it fills one
-# slot while this process steps and reduces from the other, and one-byte
-# tokens over two pipes hand each slot back and forth. Each fill writes every member's draws into that member's own
-# column, so which process draws them moves no bit. Threads gain nothing
-# here: each member's call of a few hundred normals hands off the GIL, and
-# two filling threads ran slower than one.
+# A run that needs more than one refill forks a producer where may_fork
+# holds: it fills one slot while this process steps and reduces from the
+# other, and one-byte tokens over two pipes hand the slots back and forth.
+# Each fill writes every member's draws into its own column, so which
+# process draws them moves no bit. Threads gain nothing here: each member's
+# call of a few hundred normals hands off the GIL, and two filling threads
+# ran slower than one.
 
 _NOISE_FLOATS = 1 << 21  # floats in the two ensemble noise slots together (16 MB)
 _TILE_FLOATS = 1 << 13  # floats in one member-major tile of draws (64 KB)
@@ -579,18 +579,42 @@ def _member_draws(rngs, n_steps: int, per_step: int, dim: int):
     values are those of step-by-step draws. Use a yielded block before
     asking for the next: its slot may then be refilled.
 
-    A run that needs more than one refill forks a producer, where os.fork
-    exists and this process may run on two CPUs or more, that fills the
-    slots of one anonymous shared mapping ahead of the consumer and takes no
-    other ``rngs`` draws; the caller must not use ``rngs`` once iteration
-    starts. Closing the generator, or the producer ending early (which
-    raises RuntimeError), stops and reaps the producer.
+    A run that needs more than one refill forks a producer where ``may_fork``
+    holds, which fills the slots of one anonymous shared mapping ahead of the
+    consumer and takes no other ``rngs`` draws; the caller must not use
+    ``rngs`` once iteration starts. Where the mapping, a pipe or the fork
+    fails, the slots are filled in place. Closing the generator, or the
+    producer ending early (which raises RuntimeError), stops and reaps it.
     """
     n_members = len(rngs)
     rows = max(1, min(n_steps, _NOISE_FLOATS // (2 * per_step * n_members * dim)))
     counts = [min(rows, n_steps - first) for first in range(0, n_steps, rows)]
     shape = (rows, per_step, n_members, dim)
-    if len(counts) == 1 or not may_fork():
+    pid = None
+    if len(counts) > 1 and may_fork():
+        fds = []
+        try:
+            slots = np.ndarray((2, *shape), buffer=mmap.mmap(-1, 2 * math.prod(shape) * 8))
+            fds += os.pipe()  # producer -> consumer: a slot is full
+            fds += os.pipe()  # consumer -> producer: a slot may be refilled
+            filled_r, filled_w, freed_r, freed_w = fds
+
+            def produce():
+                # Without the consumer's ends here, its death, however abrupt,
+                # reads as a broken pipe or an end of file.
+                os.close(filled_r)
+                os.close(freed_w)
+                for r, n in enumerate(counts):
+                    if r >= 2 and os.read(freed_r, 1) != b"\0":
+                        return  # the consumer went away
+                    _fill(slots[r % 2], n, rngs)
+                    os.write(filled_w, b"\0")
+
+            pid = fork(produce)
+        except OSError:  # no memory, file or process to spare: fill in place
+            for fd in fds:
+                os.close(fd)
+    if pid is None:
         slot = np.empty(shape)
         for n in counts:
             _fill(slot, n, rngs)
@@ -598,25 +622,6 @@ def _member_draws(rngs, n_steps: int, per_step: int, dim: int):
                 yield from slot[j]
         return
 
-    slots = np.ndarray((2, *shape), buffer=mmap.mmap(-1, 2 * math.prod(shape) * 8))
-    filled_r, filled_w = os.pipe()  # producer -> consumer: a slot is full
-    freed_r, freed_w = os.pipe()  # consumer -> producer: a slot may be refilled
-    pid = os.fork()
-    if pid == 0:  # the producer; it never returns into the caller
-        code = 1
-        try:
-            # Without the consumer's ends here, its death, however abrupt,
-            # reads as a broken pipe or an end of file.
-            os.close(filled_r)
-            os.close(freed_w)
-            for r, n in enumerate(counts):
-                if r >= 2 and os.read(freed_r, 1) != b"\0":
-                    break  # the consumer went away
-                _fill(slots[r % 2], n, rngs)
-                os.write(filled_w, b"\0")
-            code = 0
-        finally:
-            os._exit(code)
     os.close(filled_w)
     os.close(freed_r)
     try:

@@ -7,14 +7,10 @@ written atomically (temp file + rename), so an interrupted write leaves no
 partial file under the real name; manifests follow the data files they
 describe.
 
-A large text is formatted in two processes (``_format_halves``): a CSV
-table of at least _FORK_NUMBERS cells, or an SVG polyline of at least half
-as many points (two numbers each). A forked child formats the second half
-and sends it back over a pipe while this process formats the first. Where
-the child fails, this process formats that half itself, so the bytes never
-depend on which process formatted them. Where ``forking.may_fork`` does
-not hold, or the text is smaller, it is formatted in this process as it is
-written.
+A large text, a CSV table of at least _FORK_NUMBERS cells or an SVG
+polyline of at least half as many points (two numbers each), is formatted
+in two processes where ``forking.may_fork`` holds (``_format_halves``),
+to the bytes of one process.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidArgument
-from .forking import kill_and_reap, may_fork
+from .forking import beside, may_fork
 
 __all__ = ["format_float", "write_csv", "project_csv", "write_json", "write_manifest",
            "record_render"]
@@ -78,41 +74,14 @@ def _format_halves(chunks, n: int, numbers: int):
     ``chunks(start, stop)`` yields the text of items [start, stop) in
     pieces. Below _FORK_NUMBERS formatted ``numbers``, or where ``may_fork``
     does not hold, this is ``chunks(0, n)`` itself, so the text is never held
-    whole. Otherwise a forked child formats items [n // 2, n) and streams
-    them back over a pipe while this process formats [0, n // 2); if the
-    child does not exit 0 after sending its whole half, this process formats
-    that half too.
+    whole. Otherwise a child formats items [n // 2, n) (``forking.beside``).
     """
     if numbers < _FORK_NUMBERS or not may_fork():
         return chunks(0, n)
     mid = n // 2
-    fds = []
-    try:
-        fds += os.pipe()
-        pid = os.fork()
-    except OSError:  # no file or process to spare: format it all here
-        for fd in fds:
-            os.close(fd)
-        return chunks(0, n)
-    r, w = fds
-    if pid == 0:  # the child; it leaves only through os._exit, flushing nothing
-        code = 1
-        try:
-            os.close(r)
-            data = memoryview("".join(chunks(mid, n)).encode())
-            while data:
-                data = data[os.write(w, data):]
-            code = 0  # its end of the pipe closes as it exits
-        finally:
-            os._exit(code)
-    os.close(w)
-    try:
-        with open(r, "rb") as pipe:
-            head = "".join(chunks(0, mid))
-            tail = pipe.read()
-    finally:
-        status = kill_and_reap(pid)
-    return [head, tail.decode() if status == 0 else "".join(chunks(mid, n))]
+    head, tail = beside(lambda: "".join(chunks(mid, n)).encode(),
+                        lambda: "".join(chunks(0, mid)))
+    return [head, "".join(chunks(mid, n)) if tail is None else tail.decode()]
 
 
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:

@@ -1,5 +1,7 @@
-"""Ensemble test helpers: whole-run arrays, and a watch on the noise producer process."""
+"""Test helpers: an ensemble's whole-run arrays, a watch on forked processes,
+and stand-ins for a pipe, mapping or fork that fails."""
 
+import errno
 import os
 
 import numpy as np
@@ -44,3 +46,20 @@ def assert_no_child_process():
     """No child of this process is running or left unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    """How many file descriptors this process holds, or None without /proc/self/fd."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def refuse(*args, **kwargs):
+    raise OSError("refused")
+
+
+def no_process_to_spare():
+    raise BlockingIOError("fork: resource temporarily unavailable")
+
+
+def no_file_to_spare():
+    raise OSError(errno.EMFILE, "Too many open files")

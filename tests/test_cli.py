@@ -1,6 +1,5 @@
 import argparse
 import csv
-import errno
 import json
 import math
 import os
@@ -13,13 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inertia import InvalidArgument, __version__, drift_profile, quadratic_isotropic
-from inertia import cli, output, render
+from inertia import cli, integrators, output, render
 from inertia.cli import build_parser, main
 from inertia.integrators import METHODS
 from inertia.output import format_float, project_csv, write_csv, write_json, write_manifest
 from inertia.render import read_csv_columns, render_csv
 
-from ensemble_arrays import assert_no_child_process, spy_on_fork
+from ensemble_arrays import (assert_no_child_process, no_file_to_spare, no_process_to_spare,
+                             open_fds, spy_on_fork)
 
 
 # --- float formatting and file round-trips -------------------------------------
@@ -125,22 +125,17 @@ def test_a_failing_formatter_child_leaves_the_bytes_as_they_were(tmp_path, monke
 
 
 def test_a_failed_fork_formats_the_table_in_process(tmp_path, monkeypatch):
-    def no_process_to_spare():
-        raise BlockingIOError("fork: resource temporarily unavailable")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", no_process_to_spare)
     columns = awkward_table(LARGE_REPS)
-    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    fds = open_fds()
     write_csv(tmp_path / "data.csv", columns)
     assert (tmp_path / "data.csv").read_bytes() == expected_csv(columns)
-    if fds is not None:  # both pipe ends are closed
-        assert len(os.listdir("/proc/self/fd")) == fds
+    assert open_fds() == fds  # both pipe ends are closed
 
 
 def test_a_failed_pipe_formats_the_text_in_process(tmp_path, monkeypatch):
     """A process out of file descriptors writes the same bytes, forking nothing."""
-    def no_file_to_spare():
-        raise OSError(errno.EMFILE, "Too many open files")
     pids = spy_on_fork(monkeypatch)
     monkeypatch.setattr(os, "pipe", no_file_to_spare)
     columns = awkward_table(LARGE_REPS)
@@ -801,6 +796,22 @@ def test_desk_scale_ensembles_draw_their_noise_in_process(tmp_path, monkeypatch,
     monkeypatch.setattr(os, "fork", no_fork)
     code, _ = run_cli(tmp_path, "stochastic", "--members", "200", "--noise", noise)
     assert code == 0
+
+
+def test_a_stochastic_run_whose_fork_fails_writes_the_forked_bytes(tmp_path, monkeypatch):
+    """Refills of 3 steps: the first run draws them in a forked producer, the
+    second, refused a process, in place."""
+    monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * 3 * 2 * 100)
+    pids = spy_on_fork(monkeypatch)
+    argv = ["stochastic", "--T", "1", "--members", "100"]
+    assert run_cli(tmp_path / "forked", *argv)[0] == 0
+    assert len(pids) == 1
+    monkeypatch.setattr(os, "fork", no_process_to_spare)
+    assert run_cli(tmp_path / "in_place", *argv)[0] == 0
+    assert_no_child_process()
+    csv_bytes = [(tmp_path / side / "out" / "stochastic.csv").read_bytes()
+                 for side in ("forked", "in_place")]
+    assert csv_bytes[0] == csv_bytes[1]
 
 
 def test_render_adds_to_the_experiment_manifest(tmp_path):

@@ -36,7 +36,8 @@ from inertia import integrators, streams
 from inertia.analysis import ensemble_expected_decay
 from inertia.integrators import ensemble_samples, initial_forcing, member_rng
 
-from ensemble_arrays import assert_no_child_process, ensemble_arrays, spy_on_fork
+from ensemble_arrays import (assert_no_child_process, ensemble_arrays, open_fds, refuse,
+                             spy_on_fork)
 
 ISO1 = quadratic_isotropic(1)
 UNIT_START = State([1.0], [0.0])
@@ -879,6 +880,32 @@ def test_member_draws_are_each_members_own_stream(monkeypatch, can_fork):
     assert np.array_equal(got, np.stack(expected, axis=1))
     assert len(pids) == can_fork
     assert_no_child_process()
+
+
+@pytest.mark.parametrize("target, name", [
+    (os, "pipe"), (integrators.mmap, "mmap"), (os, "fork"),
+], ids=["pipe", "mapping", "fork"])
+def test_a_failing_pipe_mapping_or_fork_draws_the_noise_in_place(monkeypatch, target, name):
+    """Several refills with no producer to spare: the slots are filled in
+    place, to the same bits, and no pipe end is left open."""
+    n_members, n_steps, per_step, dim = 150, 7, 2, 2
+    monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * 3 * per_step * n_members * dim)
+
+    def draws():
+        rngs = [member_rng(3, i) for i in range(n_members)]
+        return np.array([block.copy() for block in
+                         integrators._member_draws(rngs, n_steps, per_step, dim)])
+    with monkeypatch.context() as m:
+        m.setattr(integrators, "may_fork", lambda: False)
+        in_place = draws()
+    pids = spy_on_fork(monkeypatch)
+    monkeypatch.setattr(target, name, refuse)
+    fds = open_fds()
+    got = draws()
+    assert pids == []
+    assert open_fds() == fds
+    assert_no_child_process()
+    assert np.array_equal(got, in_place)
 
 
 KILLED_CONSUMER = """

@@ -1,6 +1,5 @@
 """scripts/reproduce_all.py: two processes give the bytes, the text and the exit code of one."""
 
-import errno
 import json
 import os
 import pathlib
@@ -11,7 +10,8 @@ import time
 
 import pytest
 
-from ensemble_arrays import assert_no_child_process, spy_on_fork
+from ensemble_arrays import (assert_no_child_process, no_file_to_spare, no_process_to_spare,
+                             open_fds, spy_on_fork)
 
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "reproduce_all.py"
 # exits 2 before it writes anything: the step size must be positive
@@ -177,17 +177,11 @@ def test_output_stops_at_a_failing_experiment(script, monkeypatch, capsys, tmp_p
 @pytest.mark.usefixtures("short")
 def test_a_failed_pipe_or_fork_runs_everything_in_process(script, monkeypatch, capsys,
                                                           tmp_path):
-    def no_process_to_spare():
-        raise BlockingIOError("fork: resource temporarily unavailable")
-
-    def no_file_to_spare():
-        raise OSError(errno.EMFILE, "Too many open files")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", no_process_to_spare)
-    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    fds = open_fds()
     no_fork = reproduce(script, monkeypatch, capsys, tmp_path / "no-fork")
-    if fds is not None:  # every pipe end is closed
-        assert len(os.listdir("/proc/self/fd")) == fds
+    assert open_fds() == fds  # every pipe end is closed
     monkeypatch.setattr(os, "pipe", no_file_to_spare)
     no_pipe = reproduce(script, monkeypatch, capsys, tmp_path / "no-pipe")
     in_one_process(script, monkeypatch)

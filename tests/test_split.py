@@ -22,7 +22,7 @@ from inertia import (
 )
 from inertia import forking, integrators, landscapes
 
-from ensemble_arrays import assert_no_child_process, spy_on_fork
+from ensemble_arrays import assert_no_child_process, refuse, spy_on_fork
 
 STEPS = 300  # each run below; the step cutoff is lowered to 100 for it
 
@@ -185,10 +185,6 @@ def test_a_partner_killed_mid_run_leaves_the_bits(monkeypatch, short_runs_split)
     assert len(calls) <= 101  # a dead partner is not waited for again
     assert_no_child_process()
     assert all(map(same_bits, got, arrays(in_process(monkeypatch, lambda: run(landscape)))))
-
-
-def refuse(*args, **kwargs):
-    raise OSError("refused")
 
 
 @pytest.mark.parametrize("target, name", [
