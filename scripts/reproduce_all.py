@@ -102,17 +102,13 @@ def _run_in_two_processes(root: str) -> dict:
     This process claims index 0 before the worker starts. If the queue's
     pipe fails, nothing runs here and the result is empty.
     """
-    fds = []
     try:
-        fds += os.pipe()
-        os.write(fds[1], bytes(range(len(EXPERIMENTS))))
-        first = _claim(fds[0])
+        queue, fill = os.pipe()
     except OSError:  # no file to spare: run everything in process
-        for fd in fds:
-            os.close(fd)
         return {}
-    queue, fill = fds
+    os.write(fill, bytes(range(len(EXPERIMENTS))))  # far less than a pipe holds
     os.close(fill)  # with every write end closed, an empty queue reads as its end
+    first = _claim(queue)
     try:
         results, sent = beside(
             lambda: json.dumps(_run_claimed(queue, root, _claim(queue))).encode(),

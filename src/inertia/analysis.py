@@ -388,7 +388,7 @@ def ensemble_expected_decay(
     else:
         residual -= 0.5 * spec.sigma ** 2 * initial.dim
     balance_residual = float(residual.mean())
-    if n_members > 1 and residual.max() != residual.min():
+    if residual.max() != residual.min():
         balance_stderr = float(residual.std(ddof=1) / math.sqrt(n_members))
     else:
         balance_stderr = 0.0

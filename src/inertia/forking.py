@@ -1,11 +1,14 @@
 """The one module that forks: when a helper may run, how it starts and ends.
 
-Four jobs fork a helper, each only where ``may_fork`` holds: the ensemble
-noise producer (``integrators._member_draws``), the second half of a large
-text (``output._format_halves``), the right column block of a long dense
-run's gradient (``split_product``) and ``scripts/reproduce_all.py``'s
-worker. The two one-shot helpers go through ``beside``. Where a fork
-fails, each job does its helper's share in this process.
+Four jobs fork a helper, each only where ``may_fork`` holds. The two
+one-shot helpers go through ``beside``: the second half of a large text
+(``output._format_halves``) and ``scripts/reproduce_all.py``'s worker
+each send back bytes over a pipe. The two streaming helpers go through
+``partner``: the ensemble noise producer (``integrators._member_draws``)
+and the right column block of a long dense run's gradient
+(``integrators._gradient``) each serve asks, in order, through shared
+memory and two semaphores. Where a fork fails, each job does its
+helper's share in this process.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ def fork(child) -> int:
     return pid
 
 
-def kill_and_reap(pid: int) -> int:
+def _kill_and_reap(pid: int) -> int:
     """Kill a forked child and reap it; return its wait status.
 
     A child that has exited stays unreaped until now, so the kill is then a
@@ -78,7 +81,7 @@ def beside(child, here):
             os.close(r)
             data = memoryview(child())
             while data:
-                data = data[os.write(w, data):]  # w closes only as it exits: kill_and_reap
+                data = data[os.write(w, data):]  # w closes only as it exits: _kill_and_reap
 
         pid = fork(send)
     except OSError:  # no file or process to spare
@@ -91,7 +94,7 @@ def beside(child, here):
             done = here()
             sent = pipe.read()
     finally:
-        status = kill_and_reap(pid)
+        status = _kill_and_reap(pid)
     return done, sent if status == 0 else None
 
 
@@ -99,9 +102,10 @@ def _acquire(semaphore, alive) -> bool:
     """Acquire ``semaphore``, polling it _SPINS times before blocking; False
     once ``alive()`` is false after a blocked wait of _PATIENCE seconds.
 
-    A hand-off waits about as long as one block of a product takes, or a
-    pause of the run between products, far less than waking a blocked
-    process does, so the poll usually takes it.
+    A hand-off of the dense gradient's partner waits about as long as one
+    block of a product takes, or a pause of the run between products, far
+    less than waking a blocked process does, so the poll usually takes it.
+    A noise refill takes tens of milliseconds, so its waits block.
     """
     for _ in range(_SPINS):
         if semaphore.acquire(False):
@@ -113,69 +117,52 @@ def _acquire(semaphore, alive) -> bool:
 
 
 @contextmanager
-def split_product(matrix: np.ndarray, cut: int):
-    """Yield a callable ``w -> w @ matrix`` for a 1-D ``w`` that computes the
-    columns from ``cut`` on in a forked partner.
+def partner(floats: int, start):
+    """Yield ``(shared, ask, answer)`` for a forked child that serves asks, or None.
 
-    Each call hands ``w`` to the partner, computes ``w @ matrix[:, :cut]``
-    from a contiguous copy while the partner computes ``w @ matrix[:, cut:]``
-    from its own copy into shared memory, and joins the two blocks. A call
-    returns a new array. The caller must know that the blocks join to the
-    bits of ``w @ matrix`` (``QuadraticLandscape.column_cut``).
+    ``shared`` holds ``floats`` float64s that both processes map. The child
+    calls ``start(shared)`` once, then the callable it returned once per
+    ``ask()``, in order. ``answer()`` waits until the child has served the
+    oldest ask not yet answered and returns True, or returns False once the
+    child is gone. Two semaphores carry the asks and the answers; each
+    orders memory, so what one side wrote to ``shared`` before its release
+    is what the other reads after its acquire.
 
-    Two semaphores hand ``w`` over and the block back, in lock step; each
-    orders memory, so what one side wrote before its release is what the
-    other reads after its acquire. Should the partner die, this process
-    computes the whole product from then on, with the same bits. Where the
-    semaphores, the shared mapping or the fork fail with OSError, every call
-    computes the whole product. Leaving the ``with`` kills and reaps the
-    partner and drops this process's copy, so a later call computes the
-    whole product too; a partner whose parent is gone exits.
+    Yields None where ``may_fork`` is false, or the semaphores, the shared
+    mapping or the fork fail with OSError: the caller then does the child's
+    work itself. Leaving the ``with`` kills and reaps the child; a child
+    whose parent is gone exits within one _PATIENCE wait.
     """
-    dim = matrix.shape[0]
-    try:
-        # Imported here, not with the package: only a split run pays for it.
-        # The fork context's semaphores start no resource tracker process.
-        from multiprocessing import get_context
+    pid = None
+    if may_fork():
+        try:
+            # Imported here, not with the package: only a run with a partner
+            # pays for it. The fork context's semaphores start no resource
+            # tracker process.
+            from multiprocessing import get_context
 
-        context = get_context("fork")
-        handed, joined = context.Semaphore(0), context.Semaphore(0)
-        shared = np.ndarray(2 * dim - cut, buffer=mmap.mmap(-1, 8 * (2 * dim - cut)))
-        w_shared, block = shared[:dim], shared[dim:]
-        parent = os.getpid()
+            context = get_context("fork")
+            asked, answered = context.Semaphore(0), context.Semaphore(0)
+            shared = np.ndarray(floats, buffer=mmap.mmap(-1, 8 * floats))
+            parent = os.getpid()
 
-        def partner():
-            right = np.ascontiguousarray(matrix[:, cut:])
-            while _acquire(handed, lambda: os.getppid() == parent):
-                np.matmul(w_shared, right, out=block)
-                joined.release()
+            def serve():
+                job = start(shared)
+                while _acquire(asked, lambda: os.getppid() == parent):
+                    job()
+                    answered.release()
 
-        pid = fork(partner)
-    except OSError:
-        yield matrix.__rmatmul__
+            pid = fork(serve)
+        except OSError:  # no semaphore, memory or process to spare
+            pass
+    if pid is None:
+        yield None
         return
 
-    def partner_lives():
+    def child_lives():
         return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
 
-    left = None  # this process's block of columns, None once the partner is gone
-
-    def product(w):
-        nonlocal left
-        if left is not None:
-            w_shared[:] = w
-            handed.release()
-            out = np.empty(dim)
-            np.matmul(w, left, out=out[:cut])
-            if _acquire(joined, partner_lives):
-                out[cut:] = block
-                return out
-            left = None
-        return w @ matrix
-
     try:
-        left = np.ascontiguousarray(matrix[:, :cut])
-        yield product
+        yield shared, asked.release, lambda: _acquire(answered, child_lives)
     finally:
-        left = None
-        kill_and_reap(pid)
+        _kill_and_reap(pid)

@@ -16,7 +16,11 @@ Five methods are provided:
     Symmetric splitting D(h/2) K(h/2) X(h) K(h/2) D(h/2) where D is the
     exact velocity damping v <- exp(-gamma h/2) v, K the gradient kick,
     and X the position drift. Reduces bit-for-bit to ``verlet`` when
-    gamma = 0, and gives strictly monotone energy decay when gamma > 0.
+    gamma = 0. When gamma > 0, on a quadratic, the modified energy
+    I - (h^2/8)|grad L(w)|^2 falls at every step, since the damping only
+    shrinks v and the kick-drift-kick core conserves it; I itself decays along
+    it but may rise between steps (by 1.2e-9 on iso2d at gamma = 1e-3,
+    h = 0.01).
 ``stochastic_splitting``
     Same layout with the damping replaced by the exact damped-noise
     half-step v <- a v + s xi (a = exp(-gamma h/2), s chosen so the
@@ -33,16 +37,14 @@ manifests as ``RNG_ALGORITHM``.
 from __future__ import annotations
 
 import math
-import mmap
-import os
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import _ROW_FLOATS, State, SystemSpec, _kinetic_plus, _require_dim, inertia_rows
 from .errors import InvalidArgument, NumericalFailure
-from .forking import fork, kill_and_reap, may_fork, split_product
+from .forking import partner
 from .landscapes import QuadraticLandscape
 
 __all__ = [
@@ -384,20 +386,47 @@ def _make_stepper(spec: SystemSpec, method: str, h: float, normal, grad):
     return step, grad
 
 
+@contextmanager
 def _gradient(landscape, n_steps: int):
     """A context giving the gradient a single trajectory of ``n_steps`` steps runs with.
 
     That is ``landscape.raw_gradient()``, unless ``landscape`` is a dense
     quadratic of dim _SPLIT_DIM or more, the run takes _SPLIT_STEPS steps or
-    more, ``may_fork`` holds and the matrix has a ``column_cut``. Then a
-    forked partner computes the right block of columns of each ``w @ A``
-    while this process computes the left (``forking.split_product``), with
-    the bits of ``w @ A``; the partner lives until the ``with`` ends.
+    more, the matrix has a ``column_cut`` and ``forking.partner`` forks.
+    Then each call asks the partner for ``w @ A[:, cut:]`` while this
+    process computes ``w @ A[:, :cut]``, each from its own contiguous copy,
+    and returns the joined blocks as a new array, with the bits of ``w @ A``;
+    once the partner is gone, the whole product. Call it inside the ``with``.
     """
-    if (isinstance(landscape, QuadraticLandscape) and landscape.dim >= _SPLIT_DIM
-            and n_steps >= _SPLIT_STEPS and may_fork() and landscape.column_cut):
-        return split_product(landscape.matrix, landscape.column_cut)
-    return nullcontext(landscape.raw_gradient())
+    raw, dim = landscape.raw_gradient(), landscape.dim
+    cut = (isinstance(landscape, QuadraticLandscape) and dim >= _SPLIT_DIM
+           and n_steps >= _SPLIT_STEPS and landscape.column_cut)
+
+    def start(shared):  # in the partner: w in shared[:dim], its block into shared[dim:]
+        right = np.ascontiguousarray(landscape.matrix[:, cut:])
+        return lambda: np.matmul(shared[:dim], right, out=shared[dim:])
+
+    with partner(2 * dim - cut, start) if cut else nullcontext() as hand:
+        if hand is None:
+            yield raw
+            return
+        shared, ask, answer = hand
+        left = np.ascontiguousarray(landscape.matrix[:, :cut])  # None once the partner is gone
+
+        def product(w):
+            nonlocal left
+            if left is not None:
+                shared[:dim] = w
+                ask()
+                out = np.empty(dim)
+                np.matmul(w, left, out=out[:cut])
+                if answer():
+                    out[cut:] = shared[dim:]
+                    return out
+                left = None
+            return raw(w)
+
+        yield product
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -539,9 +568,9 @@ def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Tra
 # depend on the ensemble size. The draws are served a chunk of steps at a
 # time from two slots of one buffer, and recorded samples are handed out one
 # at a time, so memory does not grow with the horizon.
-# A run that needs more than one refill forks a producer where may_fork
-# holds: it fills one slot while this process steps and reduces from the
-# other, and one-byte tokens over two pipes hand the slots back and forth.
+# A run that needs more than one refill forks a producer where it can
+# (forking.partner): it fills one slot while this process steps and reduces
+# from the other, and each ask hands it the next refill.
 # Each fill writes every member's draws into its own column, so which
 # process draws them moves no bit. Threads gain nothing here: each member's
 # call of a few hundred normals hands off the GIL, and two filling threads
@@ -579,69 +608,43 @@ def _member_draws(rngs, n_steps: int, per_step: int, dim: int):
     values are those of step-by-step draws. Use a yielded block before
     asking for the next: its slot may then be refilled.
 
-    A run that needs more than one refill forks a producer where ``may_fork``
-    holds, which fills the slots of one anonymous shared mapping ahead of the
-    consumer and takes no other ``rngs`` draws; the caller must not use
-    ``rngs`` once iteration starts. Where the mapping, a pipe or the fork
-    fails, the slots are filled in place. Closing the generator, or the
-    producer ending early (which raises RuntimeError), stops and reaps it.
+    A run that needs more than one refill forks a producer where it can
+    (``forking.partner``), which fills the slots in shared memory ahead of
+    the consumer, refill r into slot r % 2 at its r-th ask, and takes no
+    other ``rngs`` draws; the caller must not use ``rngs`` once iteration
+    starts. Elsewhere one slot is filled in place. Closing the generator,
+    or the producer ending early (which raises RuntimeError), stops and
+    reaps it.
     """
     n_members = len(rngs)
     rows = max(1, min(n_steps, _NOISE_FLOATS // (2 * per_step * n_members * dim)))
     counts = [min(rows, n_steps - first) for first in range(0, n_steps, rows)]
     shape = (rows, per_step, n_members, dim)
-    pid = None
-    if len(counts) > 1 and may_fork():
-        fds = []
-        try:
-            slots = np.ndarray((2, *shape), buffer=mmap.mmap(-1, 2 * math.prod(shape) * 8))
-            fds += os.pipe()  # producer -> consumer: a slot is full
-            fds += os.pipe()  # consumer -> producer: a slot may be refilled
-            filled_r, filled_w, freed_r, freed_w = fds
 
-            def produce():
-                # Without the consumer's ends here, its death, however abrupt,
-                # reads as a broken pipe or an end of file.
-                os.close(filled_r)
-                os.close(freed_w)
-                for r, n in enumerate(counts):
-                    if r >= 2 and os.read(freed_r, 1) != b"\0":
-                        return  # the consumer went away
-                    _fill(slots[r % 2], n, rngs)
-                    os.write(filled_w, b"\0")
+    def start(shared):  # in the producer
+        slots, refills = shared.reshape(2, *shape), enumerate(counts)
 
-            pid = fork(produce)
-        except OSError:  # no memory, file or process to spare: fill in place
-            for fd in fds:
-                os.close(fd)
-    if pid is None:
-        slot = np.empty(shape)
-        for n in counts:
-            _fill(slot, n, rngs)
-            for j in range(n):
-                yield from slot[j]
-        return
+        def fill():
+            r, n = next(refills)
+            _fill(slots[r % 2], n, rngs)
+        return fill
 
-    os.close(filled_w)
-    os.close(freed_r)
-    try:
+    with partner(2 * math.prod(shape), start) if len(counts) > 1 else nullcontext() as producer:
+        if producer is None:
+            slot = np.empty(shape)
+            for n in counts:
+                _fill(slot, n, rngs)
+                yield from slot[:n].reshape(-1, n_members, dim)
+            return
+        shared, ask, answer = producer
+        slots = shared.reshape(2, *shape)
+        ask(), ask()  # refills 0 and 1, one per slot
         for r, n in enumerate(counts):
-            if 0 < r < len(counts) - 1:
-                try:
-                    os.write(freed_w, b"\0")  # refill r + 1 may overwrite refill r - 1
-                except BrokenPipeError:
-                    pass  # the producer is gone: the read below finds it out
-            if os.read(filled_r, 1) != b"\0":
+            if not answer():
                 raise RuntimeError(f"the ensemble noise producer ended before refill {r}")
-            slot = slots[r % 2]
-            for j in range(n):
-                yield from slot[j]
-    finally:
-        os.close(filled_r)
-        os.close(freed_w)
-        # An end of file alone may not stop it, since a producer forked later
-        # holds copies of these pipe ends.
-        kill_and_reap(pid)
+            yield from slots[r % 2, :n].reshape(-1, n_members, dim)
+            if r + 2 < len(counts):
+                ask()  # refill r + 2 may overwrite refill r
 
 
 def _sample(w, v, eta, gw, values):

@@ -166,12 +166,18 @@ def record_render(out_dir: str, output: str, parameters: dict, duration_seconds:
     A run directory keeps its own manifest: the figure joins its
     ``outputs`` and the render is described under ``renders``, keyed by
     the figure's file name. A directory without a manifest gets a render
-    manifest. Either way the manifest is replaced atomically.
+    manifest. Either way the manifest is replaced atomically. A manifest
+    that is not JSON, or not an object with an ``outputs`` list (and a
+    ``renders`` object, if any), is refused with InvalidArgument and left
+    as it was.
     """
     path = os.path.join(out_dir, "manifest.json")
     try:
         with open(path) as fh:
             manifest = json.load(fh)
+        if not (isinstance(manifest, dict) and isinstance(manifest.get("outputs"), list)
+                and isinstance(manifest.get("renders", {}), dict)):
+            raise ValueError("not a run manifest")
     except FileNotFoundError:
         return write_manifest(out_dir, "render", parameters, [output], duration_seconds)
     except ValueError as exc:

@@ -720,6 +720,23 @@ def test_traj2d_default_inits(tmp_path, capsys):
     assert list(cols) == ["t", "w0", "w1", "v0", "v1", "inertia"]
 
 
+@pytest.mark.parametrize("argv", [["--gamma", "1e-3"], ["--gamma", "1e-6"],
+                                  ["--gamma", "1e-3", "--landscape", "diag:1,4"]])
+def test_a_lightly_damped_traj2d_run_passes(tmp_path, argv):
+    """Under light damping the splitting lets I rise by about 1e-9 between
+    steps; the modified energy it decreases at every step is what is judged."""
+    code, out = run_cli(tmp_path, "traj2d", *argv)
+    assert code == 0
+    energy = read_csv_columns(os.path.join(out, "traj2d_init0.csv"))["inertia"]
+    assert np.diff(energy).max() > 1e-12  # what the verdict used to refuse
+
+
+def test_a_damped_traj2d_run_of_a_method_that_gains_energy_fails(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "traj2d", "--gamma", "1e-3", "--method", "explicit_euler")
+    assert code == 3
+    assert "damped trajectory 0 has an energy increase of" in capsys.readouterr().err
+
+
 def test_traj2d_single_init_at_minimum(tmp_path):
     # the degenerate orbit: zero energy throughout, still fine
     code, out = run_cli(tmp_path, "traj2d", "--gamma", "0", "--T", "1", "--inits", "0,0")
@@ -841,6 +858,24 @@ def test_render_into_a_fresh_directory_writes_a_render_manifest(tmp_path):
     doc = json.loads(open(tmp_path / "figures" / "manifest.json").read())
     assert doc["experiment"] == "render"
     assert doc["outputs"] == ["conserve.svg"]
+
+
+@pytest.mark.parametrize("body", ["[]", '{"experiment": "x"}', '{"outputs": [], "renders": []}',
+                                  "{not json"])
+def test_render_refuses_a_manifest_it_cannot_record_in(tmp_path, capsys, body):
+    """A ``manifest.json`` that is not a run manifest exits 2 naming it, and is
+    left as it was; the figure itself is written."""
+    code, out = run_cli(tmp_path, "conserve", "--T", "1")
+    assert code == 0
+    manifest = tmp_path / "figures" / "manifest.json"
+    manifest.parent.mkdir()
+    manifest.write_text(body)
+    capsys.readouterr()
+    svg = str(manifest.parent / "conserve.svg")
+    assert main(["render", "--input", os.path.join(out, "conserve.csv"), "--out", svg]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot record the render in {manifest}: ")
+    assert manifest.read_text() == body
+    assert os.path.exists(svg)
 
 
 def test_render_subcommand(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import multiprocessing.context
 import os
 import signal
 import subprocess
@@ -32,7 +33,7 @@ from inertia import (
     step_stochastic,
     step_verlet,
 )
-from inertia import integrators, streams
+from inertia import forking, integrators, streams
 from inertia.analysis import ensemble_expected_decay
 from inertia.integrators import ensemble_samples, initial_forcing, member_rng
 
@@ -883,11 +884,12 @@ def test_member_draws_are_each_members_own_stream(monkeypatch, can_fork):
 
 
 @pytest.mark.parametrize("target, name", [
-    (os, "pipe"), (integrators.mmap, "mmap"), (os, "fork"),
-], ids=["pipe", "mapping", "fork"])
-def test_a_failing_pipe_mapping_or_fork_draws_the_noise_in_place(monkeypatch, target, name):
+    (multiprocessing.context.BaseContext, "Semaphore"), (forking.mmap, "mmap"), (os, "fork"),
+], ids=["semaphore", "mapping", "fork"])
+def test_a_failing_semaphore_mapping_or_fork_draws_the_noise_in_place(monkeypatch, target,
+                                                                      name):
     """Several refills with no producer to spare: the slots are filled in
-    place, to the same bits, and no pipe end is left open."""
+    place, to the same bits, and no file is left open."""
     n_members, n_steps, per_step, dim = 150, 7, 2, 2
     monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * 3 * per_step * n_members * dim)
 
@@ -896,7 +898,7 @@ def test_a_failing_pipe_mapping_or_fork_draws_the_noise_in_place(monkeypatch, ta
         return np.array([block.copy() for block in
                          integrators._member_draws(rngs, n_steps, per_step, dim)])
     with monkeypatch.context() as m:
-        m.setattr(integrators, "may_fork", lambda: False)
+        m.setattr(forking, "may_fork", lambda: False)
         in_place = draws()
     pids = spy_on_fork(monkeypatch)
     monkeypatch.setattr(target, name, refuse)

@@ -60,7 +60,7 @@ def short_runs_split(monkeypatch):
 def in_process(monkeypatch, run):
     """``run()`` with ``may_fork`` false, so that nothing splits."""
     with monkeypatch.context() as m:
-        m.setattr(integrators, "may_fork", lambda: False)
+        m.setattr(forking, "may_fork", lambda: False)
         return run()
 
 
