@@ -28,7 +28,6 @@ from .discrete import discrete_trajectory, drift_profile, momentum_step
 from .dynamics import (
     State,
     SystemSpec,
-    acceleration,
     inertia,
     inertia_rate_theoretical,
     inertia_rows,
@@ -46,9 +45,7 @@ from .integrators import (
     step_verlet,
 )
 from .landscapes import (
-    LossLandscape,
     QuadraticLandscape,
-    check_gradient,
     landscape_from_name,
     quadratic_general,
     quadratic_isotropic,
@@ -60,13 +57,10 @@ __all__ = [
     "SystemSpec",
     "inertia",
     "inertia_rows",
-    "acceleration",
     "inertia_rate_theoretical",
-    "LossLandscape",
     "QuadraticLandscape",
     "quadratic_isotropic",
     "quadratic_general",
-    "check_gradient",
     "landscape_from_name",
     "METHODS",
     "RNG_ALGORITHM",

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import State, _require_dim
+from .dynamics import State
 from .errors import InvalidArgument
 from .integrators import _finite_energies, _gradient, _run, check_step_count
-from .landscapes import LossLandscape
+from .landscapes import QuadraticLandscape
 
 __all__ = [
     "momentum_step",
@@ -44,10 +44,10 @@ def _momentum_map(eta_step: float, grad):
     return step
 
 
-def momentum_step(state: State, eta_step: float, landscape: LossLandscape) -> State:
+def momentum_step(state: State, eta_step: float, landscape: QuadraticLandscape) -> State:
     """One velocity-first update; eta_step plays the role of a time step and advances ``t``."""
     _check_eta(eta_step)
-    _require_dim(state.dim, landscape)
+    landscape.check_point(state.w)
     grad = landscape.raw_gradient()
     w, v, _, _ = _momentum_map(eta_step, grad)(state.w, state.v, None, grad(state.w))
     return State(w, v, state.t + eta_step)
@@ -58,7 +58,7 @@ def discrete_trajectory(
     v0: np.ndarray,
     eta_step: float,
     n_steps: int,
-    landscape: LossLandscape,
+    landscape: QuadraticLandscape,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every state of the map for steps 0..n_steps, and its energy series.
 
@@ -72,7 +72,7 @@ def discrete_trajectory(
         raise InvalidArgument(f"n_steps must be >= 1, got {n_steps}")
     check_step_count(n_steps)
     start = State(w0, v0)
-    _require_dim(start.dim, landscape)
+    landscape.check_point(start.w)
     # _run stops after the first block whose final state is not finite, and
     # a non-finite state has a non-finite energy, so the first bad energy is
     # among the rows it stored.
@@ -90,7 +90,7 @@ def drift_profile(
     v0: np.ndarray,
     eta_step: float,
     n_steps: int,
-    landscape: LossLandscape,
+    landscape: QuadraticLandscape,
 ) -> tuple[np.ndarray, float]:
     """Energy series I_t for t = 0..n_steps plus max_t |I_t - I_0|.
 

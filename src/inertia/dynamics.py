@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NumericalFailure
-from .landscapes import LossLandscape
+from .landscapes import QuadraticLandscape
 
 __all__ = [
     "State",
@@ -29,7 +29,6 @@ __all__ = [
     "NOISE_KINDS",
     "inertia",
     "inertia_rows",
-    "acceleration",
     "inertia_rate_theoretical",
 ]
 
@@ -85,7 +84,7 @@ class SystemSpec:
     dynamics.
     """
 
-    landscape: LossLandscape
+    landscape: QuadraticLandscape
     gamma: float = 0.0
     sigma: float = 0.0
     noise_kind: str = "none"
@@ -114,20 +113,12 @@ class SystemSpec:
         return self.noise_kind == "none"
 
 
-def _require_dim(dim: int, landscape: LossLandscape) -> None:
-    if dim != landscape.dim:
-        raise InvalidArgument(
-            f"state dimension {dim} does not match landscape dimension {landscape.dim}"
-        )
-
-
-def inertia(state: State, landscape: LossLandscape) -> float:
+def inertia(state: State, landscape: QuadraticLandscape) -> float:
     """Kinetic plus potential energy 1/2 ||v||^2 + L(w) of a State."""
-    _require_dim(state.w.shape[0], landscape)
     return 0.5 * float(state.v @ state.v) + float(landscape.value(state.w))
 
 
-def inertia_rows(ws: np.ndarray, vs: np.ndarray, landscape: LossLandscape) -> np.ndarray:
+def inertia_rows(ws: np.ndarray, vs: np.ndarray, landscape: QuadraticLandscape) -> np.ndarray:
     """``inertia`` of every row pair (ws[i], vs[i]) of two (n, dim) arrays, bit for bit.
 
     The trajectory loops take their recorded energies from the gradients
@@ -148,24 +139,6 @@ def _kinetic_plus(vs: np.ndarray, potentials: np.ndarray) -> np.ndarray:
     # 1/2 vs[i] @ vs[i] + potentials[i] for every row, inertia's sum: v @ v
     # runs as stacked vector-vector products, the kernel a single state uses
     return 0.5 * (vs[:, None, :] @ vs[:, :, None])[:, 0, 0] + potentials
-
-
-def acceleration(
-    state: State, spec: SystemSpec, noise_value: np.ndarray | None = None
-) -> np.ndarray:
-    """The instantaneous acceleration -gamma*v - grad L(w) + noise_value.
-
-    ``noise_value`` defaults to the zero vector (deterministic dynamics).
-    """
-    if noise_value is None:
-        noise_value = np.zeros(state.dim)
-    noise_value = np.asarray(noise_value, dtype=float).reshape(-1)
-    _require_dim(state.dim, spec.landscape)
-    if noise_value.shape[0] != state.dim:
-        raise InvalidArgument(
-            f"noise dimension {noise_value.shape[0]} does not match state dimension {state.dim}"
-        )
-    return -spec.gamma * state.v - spec.landscape.gradient(state.w) + noise_value
 
 
 def inertia_rate_theoretical(state: State, spec: SystemSpec) -> float:

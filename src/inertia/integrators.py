@@ -42,10 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _ROW_FLOATS, State, SystemSpec, _kinetic_plus, _require_dim, inertia_rows
+from .dynamics import _ROW_FLOATS, State, SystemSpec, _kinetic_plus, inertia_rows
 from .errors import InvalidArgument, NumericalFailure
 from .forking import partner
-from .landscapes import QuadraticLandscape
 
 __all__ = [
     "METHODS",
@@ -154,7 +153,7 @@ def _single_step(state: State, spec: SystemSpec, method: str, h: float, rng=None
 
     Serves the splitting methods only, whose ``grad`` is never None.
     """
-    _require_dim(state.dim, spec.landscape)
+    spec.landscape.check_point(state.w)
     check_method(spec, method)
     normal = None if rng is None else _normal(rng, state.dim)
     step, grad = _make_stepper(spec, method, h, normal, spec.landscape.raw_gradient())
@@ -390,17 +389,16 @@ def _make_stepper(spec: SystemSpec, method: str, h: float, normal, grad):
 def _gradient(landscape, n_steps: int):
     """A context giving the gradient a single trajectory of ``n_steps`` steps runs with.
 
-    That is ``landscape.raw_gradient()``, unless ``landscape`` is a dense
-    quadratic of dim _SPLIT_DIM or more, the run takes _SPLIT_STEPS steps or
-    more, the matrix has a ``column_cut`` and ``forking.partner`` forks.
+    That is ``landscape.raw_gradient()``, unless ``landscape`` has dim
+    _SPLIT_DIM or more, the run takes _SPLIT_STEPS steps or more, the
+    matrix has a ``column_cut`` and ``forking.partner`` forks.
     Then each call asks the partner for ``w @ A[:, cut:]`` while this
     process computes ``w @ A[:, :cut]``, each from its own contiguous copy,
     and returns the joined blocks as a new array, with the bits of ``w @ A``;
     once the partner is gone, the whole product. Call it inside the ``with``.
     """
     raw, dim = landscape.raw_gradient(), landscape.dim
-    cut = (isinstance(landscape, QuadraticLandscape) and dim >= _SPLIT_DIM
-           and n_steps >= _SPLIT_STEPS and landscape.column_cut)
+    cut = dim >= _SPLIT_DIM and n_steps >= _SPLIT_STEPS and landscape.column_cut
 
     def start(shared):  # in the partner: w in shared[:dim], its block into shared[dim:]
         right = np.ascontiguousarray(landscape.matrix[:, cut:])
@@ -545,7 +543,7 @@ def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Tra
     NumericalFailure naming the first step whose state is not finite, or
     else the first recorded step whose energy is not finite.
     """
-    _require_dim(initial.dim, spec.landscape)
+    spec.landscape.check_point(initial.w)
     check_method(spec, config.method)
 
     record = _record_indices(config.n_steps, config.record_every)
@@ -709,7 +707,7 @@ def ensemble_samples(
     sums take different BLAS kernels than a single trajectory's ``w @ A``
     and ``v @ v``.
     """
-    _require_dim(initial.dim, spec.landscape)
+    spec.landscape.check_point(initial.w)
     check_method(spec, config.method)
     if config.method != "stochastic_splitting":
         raise InvalidArgument("ensembles are for the stochastic method")

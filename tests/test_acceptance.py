@@ -15,7 +15,6 @@ from inertia import (
     IntegratorConfig,
     State,
     SystemSpec,
-    check_gradient,
     closed_form_underdamped,
     damped_period,
     drift_profile,
@@ -29,6 +28,8 @@ from inertia import (
 )
 from inertia.cli import main
 from inertia.errors import NumericalFailure
+
+from gradients import check_gradient
 
 ISO1 = quadratic_isotropic(1)
 ISO2 = quadratic_isotropic(2)

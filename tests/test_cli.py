@@ -916,6 +916,8 @@ def test_different_seed_changes_output(tmp_path):
 def test_bad_arguments_exit_2(tmp_path, capsys):
     cases = [
         ["conserve", "--landscape", "banana"],
+        # an identity numpy refuses to build, refused before anything is allocated
+        ["conserve", "--landscape", "iso10000000000d"],
         ["conserve", "--w0", "1,2"],              # dimension mismatch on iso1d
         ["phase", "--gammas", ","],
         ["stochastic", "--noise", "purple"],

@@ -9,7 +9,6 @@ from inertia import (
     NumericalFailure,
     State,
     SystemSpec,
-    acceleration,
     inertia,
     inertia_rate_theoretical,
     inertia_rows,
@@ -108,21 +107,6 @@ def test_inertia_dimension_mismatch():
         inertia(State([1.0], [0.0]), ISO2)
 
 
-def test_acceleration_examples():
-    spec = SystemSpec(landscape=ISO1)
-    assert_allclose(acceleration(State([1.0], [0.0]), spec), [-1.0])
-
-    damped = SystemSpec(landscape=ISO1, gamma=0.4)
-    assert_allclose(acceleration(State([0.0], [1.0]), damped), [-0.4])
-    assert_allclose(acceleration(State([1.0], [0.5]), damped), [-1.2])
-
-
-def test_acceleration_with_forcing_value():
-    spec = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind="ou", tau=0.5)
-    a = acceleration(State([1.0], [0.0]), spec, noise_value=np.array([0.25]))
-    assert_allclose(a, [-0.75])
-
-
 def test_theoretical_rate():
     spec = SystemSpec(landscape=ISO1, gamma=0.4)
     # dI/dt = -gamma * ||v||^2
@@ -148,10 +132,3 @@ def test_inertia_sign_symmetry(w, v):
 @given(finite, finite)
 def test_inertia_lower_bound(w, v):
     assert inertia(State([w], [v]), ISO1) >= 0.0
-
-
-@given(finite, finite)
-def test_conservative_acceleration_is_minus_gradient(w, v):
-    spec = SystemSpec(landscape=ISO1)
-    a = acceleration(State([w], [v]), spec)
-    assert np.array_equal(a, -ISO1.gradient(np.array([w])))

@@ -16,7 +16,6 @@ from numpy.testing import assert_allclose
 from inertia import (
     IntegratorConfig,
     InvalidArgument,
-    LossLandscape,
     NumericalFailure,
     QuadraticLandscape,
     State,
@@ -603,38 +602,29 @@ def test_ensemble_rows_equal_the_two_gradient_reference(noise, tau):
         assert np.array_equal(series["inertia"][i], 0.5 * vs[:, 0] * vs[:, 0] + 0.5 * ws[:, 0] * ws[:, 0])
 
 
-class CountingLandscape(LossLandscape):
-    """A dense quadratic that counts gradient and value calls (raw_gradient and
-    value_from_gradient are the defaults)."""
+class CountingLandscape(QuadraticLandscape):
+    """A quadratic that counts the calls of its raw gradient, and its row_values
+    and value_from_gradient calls."""
 
     def __init__(self, landscape):
-        self.inner = landscape
+        super().__init__(landscape.matrix)
         self.gradient_calls = self.value_calls = 0
 
-    @property
-    def dim(self):
-        return self.inner.dim
+    def raw_gradient(self):
+        raw = super().raw_gradient()
 
-    def value(self, w):
+        def counted(w):
+            self.gradient_calls += 1
+            return raw(w)
+        return counted
+
+    def row_values(self, ws):
         self.value_calls += 1
-        return self.inner.value(w)
+        return super().row_values(ws)
 
-    def gradient(self, w):
-        self.gradient_calls += 1
-        return self.inner.gradient(w)
-
-
-@pytest.mark.parametrize("case", sorted(DIM1_CASES))
-def test_a_1d_landscape_without_a_scalar_gradient_steps_floats_too(case):
-    """The default raw_gradient adapts a 1-D ``gradient`` to floats, same bits."""
-    counting = CountingLandscape(ISO1)
-    method, spec_args = DIM1_CASES[case]
-    cfg = IntegratorConfig(method=method, h=0.01, t_end=1.0, seed=4)
-    start = State([0.8], [-0.3])
-    ref = integrate(SystemSpec(landscape=ISO1, **spec_args), start, cfg)
-    got = integrate(SystemSpec(landscape=counting, **spec_args), start, cfg)
-    assert same_bits(got.ws, ref.ws) and same_bits(got.vs, ref.vs)
-    assert counting.gradient_calls > 0
+    def value_from_gradient(self, w, gw):
+        self.value_calls += 1
+        return super().value_from_gradient(w, gw)
 
 
 @pytest.mark.parametrize("case, per_step", [
@@ -651,7 +641,7 @@ def test_gradient_calls_per_run(case, per_step):
     integrate(spec, start, cfg)
     expected = cfg.n_steps + 1 if per_step is None else per_step * cfg.n_steps
     assert counting.gradient_calls == expected
-    assert counting.value_calls > 0  # a landscape of its own keeps its value
+    assert counting.value_calls > 0  # the recorded potentials come from the landscape
     if method == "stochastic_splitting":
         counting.gradient_calls = counting.value_calls = 0
         ensemble_arrays(spec, start, cfg, 6)
@@ -685,7 +675,7 @@ def by_row_values(monkeypatch, call):
     """``energies_or_failure(call)`` with every recorded potential taken from
     ``row_values``, as ``inertia_rows`` takes it."""
     with monkeypatch.context() as m:
-        m.setattr(QuadraticLandscape, "value_from_gradient", LossLandscape.value_from_gradient)
+        m.setattr(QuadraticLandscape, "value_from_gradient", lambda self, w, gw: self.row_values(w))
         return energies_or_failure(call)
 
 

@@ -1,17 +1,23 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import inertia
 from inertia import (
     InvalidArgument,
     NumericalFailure,
-    check_gradient,
+    QuadraticLandscape,
     landscape_from_name,
     quadratic_general,
     quadratic_isotropic,
 )
+
+from gradients import check_gradient
 
 
 def test_isotropic_values_1d():
@@ -83,6 +89,11 @@ def test_rejects_nonsquare_matrix():
         quadratic_general([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
+def test_rejects_an_empty_matrix():
+    with pytest.raises(InvalidArgument, match="non-empty"):
+        quadratic_general(np.zeros((0, 0)))
+
+
 def test_matrix_is_read_only():
     ls = quadratic_general([[1.0, 0.0], [0.0, 4.0]])
     with pytest.raises(ValueError):
@@ -95,6 +106,12 @@ def test_dimension_mismatch_raises():
         ls.value(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(InvalidArgument):
         ls.gradient(np.array([1.0]))
+
+
+@pytest.mark.parametrize("call", ["value", "gradient", "check_point"])
+def test_a_0d_point_is_refused(call):
+    with pytest.raises(InvalidArgument, match="dimension 1"):
+        getattr(quadratic_isotropic(1), call)(1.0)
 
 
 def test_batched_evaluation_matches_loop():
@@ -246,7 +263,29 @@ def test_from_name_diagonal():
     assert flat.value(np.array([5.0])) == 0.0
 
 
-@pytest.mark.parametrize("name", ["iso0d", "isoXd", "diag:", "diag:1,-4", "banana", ""])
+# iso10000000000d: an identity numpy refuses to build, before allocating anything
+@pytest.mark.parametrize("name", ["iso0d", "isoXd", "diag:", "diag:1,-4", "banana", "",
+                                  "iso10000000000d"])
 def test_from_name_rejects_garbage(name):
     with pytest.raises(InvalidArgument):
         landscape_from_name(name)
+
+
+# --- the package's names ------------------------------------------------------
+
+def test_every_exported_name_resolves_once():
+    """A deleted name left in an ``__all__`` would make ``from inertia import *`` raise."""
+    modules = [inertia] + [importlib.import_module(f"inertia.{info.name}")
+                           for info in pkgutil.iter_modules(inertia.__path__)]
+    for module in modules:
+        names = getattr(module, "__all__", [])
+        assert len(names) == len(set(names)), module.__name__
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+
+
+def test_quadratic_landscape_is_the_one_landscape_class():
+    """A plain class, defining itself the methods the benchmark's tracer wraps."""
+    assert QuadraticLandscape.__mro__ == (QuadraticLandscape, object)
+    for name in ("__init__", "gradient", "value"):
+        assert name in vars(QuadraticLandscape), name
