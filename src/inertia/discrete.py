@@ -11,15 +11,21 @@ matrix [[1 - eta^2, eta], [-eta, 1]] has determinant exactly 1, so phase
 space area is preserved and the energy 1/2 ||v||^2 + L(w) stays bounded
 (not drifting) for eta below the stability threshold eta = 2 of the unit
 quadratic.
+
+The map's step is one kernel of ``integrators._make_stepper``, under the
+name "momentum", which is not one of the integrators' METHODS: one step and
+the trajectory loop run the same arithmetic as every integrator, and each
+recorded energy comes from the gradient the step carries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import State
+from .dynamics import State, SystemSpec
 from .errors import InvalidArgument
-from .integrators import _finite_energies, _gradient, _run, check_step_count
+from .integrators import (_finite_energies, _gradient, _make_stepper, _run, _single_step,
+                          check_step_count)
 from .landscapes import QuadraticLandscape
 
 __all__ = [
@@ -34,23 +40,13 @@ def _check_eta(eta_step: float) -> None:
         raise InvalidArgument(f"eta_step must be positive and finite, got {eta_step}")
 
 
-def _momentum_map(eta_step: float, grad):
-    """The map as a step of the trajectory loop; like the splitting steps it takes
-    the gradient at ``w`` as ``gw`` and returns the one at the new ``w``."""
-    def step(w, v, eta, gw):
-        v = v - eta_step * gw
-        w = w + eta_step * v
-        return w, v, None, grad(w)
-    return step
-
-
 def momentum_step(state: State, eta_step: float, landscape: QuadraticLandscape) -> State:
-    """One velocity-first update; eta_step plays the role of a time step and advances ``t``."""
+    """One velocity-first update; eta_step plays the role of a time step and advances ``t``.
+
+    It is one step of the kernel that ``discrete_trajectory`` loops over.
+    """
     _check_eta(eta_step)
-    landscape.check_point(state.w)
-    grad = landscape.raw_gradient()
-    w, v, _, _ = _momentum_map(eta_step, grad)(state.w, state.v, None, grad(state.w))
-    return State(w, v, state.t + eta_step)
+    return _single_step(state, SystemSpec(landscape=landscape), "momentum", eta_step)[0]
 
 
 def discrete_trajectory(
@@ -78,10 +74,11 @@ def discrete_trajectory(
     # among the rows it stored.
     record = np.arange(n_steps + 1)
     with _gradient(landscape, n_steps) as grad:
-        ws, vs, _, potentials, bad = _run(_momentum_map(eta_step, grad), grad, start.w, start.v,
-                                          None, record, values=landscape.value_from_gradient)
+        step = _make_stepper(SystemSpec(landscape=landscape), "momentum", eta_step, None, grad)
+        ws, vs, _, potentials, bad = _run(step, grad, start.w, start.v, None, record,
+                                          landscape.value_from_gradient)
     rows = slice(None if bad is None else bad + 1)
-    energy = _finite_energies(ws[rows], vs[rows], potentials[rows], landscape, record)
+    energy = _finite_energies(vs[rows], potentials[rows], record)
     return ws, vs, energy
 
 

@@ -123,9 +123,8 @@ def inertia_rows(ws: np.ndarray, vs: np.ndarray, landscape: QuadraticLandscape) 
 
     The trajectory loops take their recorded energies from the gradients
     their steps carry, with these bits; this stays the public reference that
-    the tests compare them against, and the check of methods that carry no
-    gradient. Rows go in chunks of _ROW_FLOATS floats per temporary, so
-    memory stays flat however long the trajectory.
+    the tests compare them against. Rows go in chunks of _ROW_FLOATS floats
+    per temporary, so memory stays flat however long the trajectory.
     """
     n, dim = ws.shape
     out = np.empty(n)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _ROW_FLOATS, State, SystemSpec, _kinetic_plus, inertia_rows
+from .dynamics import _ROW_FLOATS, State, SystemSpec, _kinetic_plus
 from .errors import InvalidArgument, NumericalFailure
 from .forking import partner
 
@@ -149,14 +149,13 @@ class Trajectory:
 
 
 def _single_step(state: State, spec: SystemSpec, method: str, h: float, rng=None, eta=None):
-    """One splitting step of the trajectory kernel from ``state``; returns (State, eta).
-
-    Serves the splitting methods only, whose ``grad`` is never None.
-    """
+    """One step of ``method``'s trajectory kernel (_make_stepper) from ``state``;
+    returns (State, eta). ``t`` advances by ``h``."""
     spec.landscape.check_point(state.w)
     check_method(spec, method)
     normal = None if rng is None else _normal(rng, state.dim)
-    step, grad = _make_stepper(spec, method, h, normal, spec.landscape.raw_gradient())
+    grad = spec.landscape.raw_gradient()
+    step = _make_stepper(spec, method, h, normal, grad)
     w, v, eta, _ = step(state.w, state.v, eta, grad(state.w))
     return State(w, v, state.t + h), eta
 
@@ -206,9 +205,7 @@ def step_stochastic(state, spec, h, rng, eta=None):
     # correlated (exponentially decaying memory) forcing
     if eta is None:
         raise InvalidArgument("correlated noise requires the current forcing vector")
-    eta = np.asarray(eta, dtype=float).reshape(-1)
-    if eta.shape[0] != state.dim:
-        raise InvalidArgument("forcing dimension does not match state dimension")
+    eta = spec.landscape.check_point(np.reshape(eta, -1))
     return _single_step(state, spec, "stochastic_splitting", h, rng, eta)
 
 
@@ -222,11 +219,11 @@ def initial_forcing(spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # trajectory integration
 #
-# _make_stepper builds the one step kernel of each method. A single
-# trajectory is stepped by one loop, _run: integrate, its failure replay and
-# the discrete momentum map (discrete.py) run through it, and the public
-# single-step functions make one call of the kernel. The ensemble steps all
-# members at once in a loop of its own (below).
+# _make_stepper builds the one step kernel of each method and of the discrete
+# momentum map (discrete.py). A single trajectory is stepped by one loop,
+# _run: integrate, its failure replay and the discrete map run through it,
+# and the public single-step functions make one call of the kernel. The
+# ensemble steps all members at once in a loop of its own (below).
 # _run steps a 1-D state as Python floats: their *, + and - are the IEEE
 # operations numpy applies to a one-element array, without numpy's per-call
 # cost, and the noise source hands out floats (_normal); recorded rows are
@@ -235,21 +232,22 @@ def initial_forcing(spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
 # ``w * a + 0.0``, for floats and (M, 1) members alike. A long dense single
 # trajectory computes ``w @ A`` in two column blocks, one in a forked
 # partner, to the same bits (_gradient).
-# A splitting step's closing kick takes the gradient at the step's final
-# ``w``, where the next step's opening kick takes it, so the step returns it
-# for the next step to reuse: one gradient per step, the same bits as
-# evaluating it twice. The discrete map carries its gradient the same way.
-# _make_stepper also returns the gradient function that gives it at the
-# start (None for methods that take none).
+# Every kernel, the map's included, carries its gradient: it takes the
+# gradient at its ``w`` and returns the one at its new ``w``. A splitting
+# step's closing kick takes it there, where the next step's opening kick
+# takes it: one gradient per step, the same bits as evaluating it twice. The
+# discrete map and explicit Euler take it for their force, rk4 for its first
+# stage, and each computes it at the new ``w`` for the next step: one
+# product per run more than they need, so that every run records its
+# energy one way.
 # A recorded row's potential comes from that carried gradient: on a
 # quadratic L(w) = 1/2 w . (w @ A), and the step has just computed w @ A
 # at that w (value_from_gradient), so each row costs no second product.
 # _run keeps the gradients of the rows a block records, about _ROW_FLOATS
 # floats (blocks shrink to fit), and reduces them to potentials at the
 # block's end, in one vectorised pass against the stored rows; the bits are
-# those of inertia_rows. rk4 and explicit Euler carry no gradient, so their
-# rows go through inertia_rows. The ensemble takes its samples' potentials
-# from the step's batched gradient in the same way.
+# those of inertia_rows. The ensemble takes its samples' potentials from
+# the step's batched gradient in the same way.
 # Finiteness is checked once per block of at most _BLOCK steps: none of the
 # step operations turns a NaN or Inf back into a finite number, so a finite
 # state at the end of a block proves every step in it finite. _run stops
@@ -297,12 +295,12 @@ def _record_indices(n_steps: int, stride: int) -> np.ndarray:
 
 
 def _make_stepper(spec: SystemSpec, method: str, h: float, normal, grad):
-    """Return ``(step, grad)`` with step(w, v, eta, gw) -> (w, v, eta, gw) for raw states.
+    """Return step(w, v, eta, gw) -> (w, v, eta, gw), the one kernel of ``method`` for raw states.
 
-    For the splitting methods ``gw`` is the gradient at ``w`` on entry and
-    at the new ``w`` on return, so a chain of steps evaluates one gradient
-    per step, and ``grad`` gives it at the start; the other methods ignore
-    ``gw``, return None for it, and come with ``grad`` None. ``normal()``
+    ``method`` is one of METHODS, or "momentum" for the discrete map
+    (discrete.py), whose step size eta is ``h``. ``gw`` is the gradient at
+    ``w`` on entry and at the new ``w`` on return, so a chain of steps
+    starts from ``grad(w)`` and evaluates no gradient twice. ``normal()``
     takes no argument and returns the next standard-normal draws for the
     stochastic method, shaped like ``v``: the caller binds the shape when it
     builds the source (_normal). The arithmetic is element-wise apart from
@@ -314,30 +312,32 @@ def _make_stepper(spec: SystemSpec, method: str, h: float, normal, grad):
     g = spec.gamma
     half_h = 0.5 * h
 
-    if method == "explicit_euler":
+    if method == "momentum":  # velocity first: v' = v - eta grad L(w), w' = w + eta v'
         def step(w, v, eta, gw):
-            w_new = w + h * v
-            v_new = v + h * (-g * v - grad(w))
-            return w_new, v_new, None, None
-        return step, None
-    if method == "rk4":
+            v = v - h * gw
+            w = w + h * v
+            return w, v, None, grad(w)
+    elif method == "explicit_euler":
+        def step(w, v, eta, gw):
+            w, v = w + h * v, v + h * (-g * v - gw)
+            return w, v, None, grad(w)
+    elif method == "rk4":
         def accel(w, v):
             return -g * v - grad(w)
 
         def step(w, v, eta, gw):
             k1w = v
-            k1v = accel(w, v)
+            k1v = -g * v - gw
             k2w = v + half_h * k1v
             k2v = accel(w + half_h * k1w, v + half_h * k1v)
             k3w = v + half_h * k2v
             k3v = accel(w + half_h * k2w, v + half_h * k2v)
             k4w = v + h * k3v
             k4v = accel(w + h * k3w, v + h * k3v)
-            w_new = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-            v_new = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            return w_new, v_new, None, None
-        return step, None
-    if method in ("verlet", "damped_splitting"):
+            w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            return w, v, None, grad(w)
+    elif method in ("verlet", "damped_splitting"):
         d = math.exp(-g * h / 2.0)
         if d == 1.0:  # frictionless: 1.0 * v is v bit for bit, so skip it
             def step(w, v, eta, gw):
@@ -382,7 +382,7 @@ def _make_stepper(spec: SystemSpec, method: str, h: float, normal, grad):
             v = d * v
             return w, v, eta, gw
 
-    return step, grad
+    return step
 
 
 @contextmanager
@@ -428,19 +428,19 @@ def _gradient(landscape, n_steps: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _run(step, grad, w: np.ndarray, v: np.ndarray, eta, record: np.ndarray, block: int = _BLOCK,
-         values=None):
+def _run(step, grad, w: np.ndarray, v: np.ndarray, eta, record: np.ndarray, values,
+         block: int = _BLOCK):
     """Step ``(w, v, eta)`` to step ``record[-1]``; returns ``(ws, vs, etas, potentials, bad)``.
 
     Row i of the (len(record), dim) arrays holds step ``record[i]``; ``etas``
-    is None when ``eta`` is. ``grad`` gives the start gradient a splitting
-    step expects, or is None. With ``grad`` and ``values`` (a landscape's
-    ``value_from_gradient``), ``potentials[i]`` is row i's potential, from
-    the gradient its step returned (a new array or float each step), else
-    ``potentials`` is None. ``bad`` is None when every block ends finite;
-    else the run stopped at step ``bad``, the end of the first block of at
-    most ``block`` steps whose final state is not finite, with later rows
-    unwritten: with ``block=1``, ``bad`` is the first non-finite step.
+    is None when ``eta`` is. ``grad`` gives the gradient ``step`` expects at
+    the start, and ``potentials[i]`` is row i's potential, from ``values``
+    (a landscape's ``value_from_gradient``) and the gradient its step
+    returned (a new array or float each step). ``bad`` is None when every
+    block ends finite; else the run stopped at step ``bad``, the end of the
+    first block of at most ``block`` steps whose final state is not finite,
+    with later rows unwritten: with ``block=1``, ``bad`` is the first
+    non-finite step.
     """
     n_rec, dim = record.shape[0], w.shape[0]
     ws, vs = np.empty((n_rec, dim)), np.empty((n_rec, dim))
@@ -448,11 +448,9 @@ def _run(step, grad, w: np.ndarray, v: np.ndarray, eta, record: np.ndarray, bloc
     # record is step 0, every stride-th step and the last step (_record_indices);
     # stepping the target by the stride holds no list of the steps
     n_steps, stride = int(record[-1]), int(record[1])
-    potentials = gws = keep = None
-    if grad is not None and values is not None:
-        # a block keeps the gradients of the rows it records, about _ROW_FLOATS floats
-        potentials, gws = np.empty(n_rec), []
-        keep, block = gws.append, min(block, max(1, _ROW_FLOATS // dim) * stride)
+    # a block keeps the gradients of the rows it records, about _ROW_FLOATS floats
+    potentials, gws = np.empty(n_rec), []
+    keep, block = gws.append, min(block, max(1, _ROW_FLOATS // dim) * stride)
     w_rows, v_rows, eta_rows = ws, vs, etas
     if dim == 1:  # step floats, store through flat views
         w, v = float(w[0]), float(v[0])
@@ -462,9 +460,8 @@ def _run(step, grad, w: np.ndarray, v: np.ndarray, eta, record: np.ndarray, bloc
     w_rows[0], v_rows[0] = w, v
     if eta_rows is not None:
         eta_rows[0] = eta
-    gw = None if grad is None else grad(w)
-    if keep is not None:
-        keep(gw)
+    gw = grad(w)
+    keep(gw)
 
     target, pos = stride, 1
     for start in range(1, n_steps + 1, block):
@@ -475,8 +472,7 @@ def _run(step, grad, w: np.ndarray, v: np.ndarray, eta, record: np.ndarray, bloc
                 w_rows[pos], v_rows[pos] = w, v
                 if eta_rows is not None:
                     eta_rows[pos] = eta
-                if keep is not None:
-                    keep(gw)
+                keep(gw)
                 target, pos = target + stride, pos + 1
         if gws:
             first = pos - len(gws)
@@ -488,18 +484,15 @@ def _run(step, grad, w: np.ndarray, v: np.ndarray, eta, record: np.ndarray, bloc
         w_rows[pos], v_rows[pos] = w, v
         if eta_rows is not None:
             eta_rows[pos] = eta
-        if potentials is not None:
-            potentials[pos:] = values(ws[pos:], np.reshape(gw, (1, dim)))
+        potentials[pos:] = values(ws[pos:], np.reshape(gw, (1, dim)))
     return ws, vs, etas, potentials, None
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _finite_energies(ws: np.ndarray, vs: np.ndarray, potentials, landscape,
-                     record: np.ndarray) -> np.ndarray:
-    """The energies of rows stored at steps ``record``, from ``potentials`` (_run)
-    or else ``inertia_rows``; raises at the first not finite."""
-    energies = (inertia_rows(ws, vs, landscape) if potentials is None
-                else _kinetic_plus(vs, potentials))
+def _finite_energies(vs: np.ndarray, potentials: np.ndarray, record: np.ndarray) -> np.ndarray:
+    """The energies of rows stored at steps ``record``, from their velocities and the
+    ``potentials`` that _run recorded; raises at the first not finite."""
+    energies = _kinetic_plus(vs, potentials)
     bad = np.flatnonzero(~np.isfinite(energies))
     if bad.size:
         k = int(record[bad[0]])
@@ -531,7 +524,7 @@ def _start(spec: SystemSpec, initial: State, config: IntegratorConfig, grad):
         normal = _normal(rng, initial.dim)
         if spec.noise_kind == "ou":
             eta = initial_forcing(spec, rng)
-    step, grad = _make_stepper(spec, config.method, config.h, normal, grad)
+    step = _make_stepper(spec, config.method, config.h, normal, grad)
     return step, grad, initial.w, initial.v, eta
 
 
@@ -547,13 +540,13 @@ def integrate(spec: SystemSpec, initial: State, config: IntegratorConfig) -> Tra
     check_method(spec, config.method)
 
     record = _record_indices(config.n_steps, config.record_every)
+    values = spec.landscape.value_from_gradient
     with _gradient(spec.landscape, config.n_steps) as grad:
-        ws, vs, etas, potentials, bad = _run(*_start(spec, initial, config, grad), record,
-                                             values=spec.landscape.value_from_gradient)
+        ws, vs, etas, potentials, bad = _run(*_start(spec, initial, config, grad), record, values)
         if bad is not None:
-            bad = _run(*_start(spec, initial, config, grad), record, block=1)[4]
+            bad = _run(*_start(spec, initial, config, grad), record, values, block=1)[4]
             raise NumericalFailure(f"non-finite state at step {bad}", step_index=bad)
-    energies = _finite_energies(ws, vs, potentials, spec.landscape, record)
+    energies = _finite_energies(vs, potentials, record)
     return Trajectory(record * config.h, ws, vs, energies, spec, config, noise=etas)
 
 
@@ -660,8 +653,8 @@ def _ensemble_loop(spec, initial, config, n_members, record):
     if spec.noise_kind == "ou":
         eta = np.array([initial_forcing(spec, rng) for rng in rngs])
     draws = _member_draws(rngs, config.n_steps, 1 if eta is not None else 2, initial.dim)
-    step, grad = _make_stepper(spec, config.method, config.h, draws.__next__,
-                               spec.landscape.raw_gradient())
+    grad = spec.landscape.raw_gradient()
+    step = _make_stepper(spec, config.method, config.h, draws.__next__, grad)
     values = spec.landscape.value_from_gradient
     w = np.tile(np.asarray(initial.w, dtype=float), (n_members, 1))
     v = np.tile(np.asarray(initial.v, dtype=float), (n_members, 1))

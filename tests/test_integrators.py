@@ -69,8 +69,9 @@ def run(method, gamma=0.0, h=0.01, t_end=10.0, sigma=0.0, noise="none",
 # --- configuration validation ----------------------------------------------
 
 def test_config_rejects_unknown_method():
-    with pytest.raises(InvalidArgument):
-        IntegratorConfig(method="leapfrog", h=0.01, t_end=1.0)
+    for method in ("leapfrog", "momentum"):  # momentum names the discrete map's kernel only
+        with pytest.raises(InvalidArgument):
+            IntegratorConfig(method=method, h=0.01, t_end=1.0)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -195,6 +196,8 @@ def test_stochastic_step_argument_contract():
         step_stochastic(UNIT_START, white, 0.01, rng, eta=np.array([0.1]))
     with pytest.raises(InvalidArgument):
         step_stochastic(UNIT_START, corr, 0.01, rng)  # forcing vector required
+    with pytest.raises(InvalidArgument):
+        step_stochastic(UNIT_START, corr, 0.01, rng, eta=np.array([0.1, 0.2]))  # wrong length
     with pytest.raises(InvalidArgument):
         step_stochastic(UNIT_START, SystemSpec(landscape=ISO1, gamma=0.4), 0.01, rng)
 
@@ -632,14 +635,15 @@ class CountingLandscape(QuadraticLandscape):
     ("rk4", 4), ("explicit_euler", 1),
 ])
 def test_gradient_calls_per_run(case, per_step):
-    """Splitting runs take one gradient per step plus one at the start."""
+    """A run takes its method's gradients per step, one for splitting runs,
+    plus one at the start."""
     counting = CountingLandscape(coupled5())
     method, spec_args = STEP_CASES.get(case, (case, dict(gamma=0.4)))
     spec = SystemSpec(landscape=counting, **spec_args)
     cfg = IntegratorConfig(method=method, h=0.01, t_end=0.37, seed=2, record_every=5)
     start = State(np.linspace(1.0, -0.5, 5), np.zeros(5))
     integrate(spec, start, cfg)
-    expected = cfg.n_steps + 1 if per_step is None else per_step * cfg.n_steps
+    expected = (per_step or 1) * cfg.n_steps + 1
     assert counting.gradient_calls == expected
     assert counting.value_calls > 0  # the recorded potentials come from the landscape
     if method == "stochastic_splitting":
@@ -682,14 +686,14 @@ def by_row_values(monkeypatch, call):
 @pytest.mark.parametrize("row_floats", [None, 24])  # 24: a few rows' gradients per block
 @pytest.mark.parametrize("record_every", [1, 10, 7])  # 7 leaves the last of 300 steps off it
 @pytest.mark.parametrize("name", sorted(ENERGY_LANDSCAPES))
-@pytest.mark.parametrize("case", sorted(STEP_CASES))
+@pytest.mark.parametrize("case", sorted(DIM1_CASES))
 def test_recorded_energies_have_the_bits_of_inertia_rows(monkeypatch, case, name, record_every,
                                                          row_floats):
     """Each recorded potential comes from the gradient its step carried."""
     if row_floats is not None:
         monkeypatch.setattr(integrators, "_ROW_FLOATS", row_floats)
     landscape = ENERGY_LANDSCAPES[name]
-    method, spec_args = STEP_CASES[case]
+    method, spec_args = DIM1_CASES[case]
     cfg = IntegratorConfig(method=method, h=0.01, t_end=3.0, seed=3, record_every=record_every)
     start = State(np.linspace(1.0, -0.5, landscape.dim), np.linspace(-0.2, 0.4, landscape.dim))
     traj = integrate(SystemSpec(landscape=landscape, **spec_args), start, cfg)
@@ -710,11 +714,11 @@ EDGE_STARTS = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (5e-324, -5e-324), (-5e-3
 
 
 @pytest.mark.parametrize("w0, v0", EDGE_STARTS)
-@pytest.mark.parametrize("case", sorted(STEP_CASES))
+@pytest.mark.parametrize("case", sorted(DIM1_CASES))
 def test_1d_energies_at_the_edges_are_those_of_row_values(monkeypatch, case, w0, v0):
     """Signed zeros, subnormals and an energy past the largest float: the same
     bits, or the same failure at the same step."""
-    method, spec_args = STEP_CASES[case]
+    method, spec_args = DIM1_CASES[case]
     cfg = IntegratorConfig(method=method, h=0.01, t_end=0.5, seed=3, record_every=3)
     spec = SystemSpec(landscape=ISO1, **spec_args)
     run = lambda: integrate(spec, State([w0], [v0]), cfg)  # noqa: E731
@@ -743,7 +747,7 @@ def test_an_energy_that_overflows_mid_run_fails_at_the_same_step(monkeypatch, la
 
 
 def test_trajectory_runs_call_no_quadratic_value(monkeypatch):
-    """The splitting runs, the discrete map and the ensemble take every
+    """Every method's runs, the discrete map and the ensemble take every
     potential from a gradient; only the reference inertia_rows calls row_values."""
     calls = []
     for name in ("value", "row_values"):
@@ -752,8 +756,8 @@ def test_trajectory_runs_call_no_quadratic_value(monkeypatch):
             return _original(self, w)
         monkeypatch.setattr(QuadraticLandscape, name, spy)
     start = State(np.linspace(1.0, -0.5, 5), np.zeros(5))
-    for case in sorted(STEP_CASES):
-        method, spec_args = STEP_CASES[case]
+    for case in sorted(DIM1_CASES):
+        method, spec_args = DIM1_CASES[case]
         spec = SystemSpec(landscape=coupled5(), **spec_args)
         cfg = IntegratorConfig(method=method, h=0.01, t_end=0.37, seed=2, record_every=5)
         traj = integrate(spec, start, cfg)

@@ -4,9 +4,9 @@ import json
 import os
 import pathlib
 import runpy
+import select
 import signal
 import sys
-import time
 
 import pytest
 
@@ -88,6 +88,13 @@ def pids_running(log, text) -> set[int]:
     return {int(line.split(" ", 1)[0]) for line in open(log) if text in line}
 
 
+def wait_for(pipe, seconds=30.0) -> bool:
+    """Read one byte from ``pipe``'s read end; False if none came within ``seconds``."""
+    if not select.select([pipe[0]], [], [], seconds)[0]:
+        return False
+    return os.read(pipe[0], 1) == b"."
+
+
 def test_experiment_names_are_distinct(script):
     """Two processes write the experiments' directories at once."""
     names = [name for name, _, _ in script["EXPERIMENTS"]]
@@ -146,20 +153,47 @@ def test_a_failing_worker_leaves_the_bytes_as_they_were(script, monkeypatch, cap
 def test_output_stops_at_a_failing_experiment(script, monkeypatch, capsys, tmp_path,
                                               claimed_by):
     """The parent claims index 0 before it forks and the worker claims index 1.
-    The other process runs its first experiment slowly, so it sees the failure
-    empty the queue and starts nothing after that experiment."""
+    The other process's first experiment waits until the failing process's
+    claims have ended, so it sees the failure empty the queue and starts
+    nothing after that experiment. A failing parent first waits until the
+    worker's first experiment has started, so that the worker holds index 1."""
     experiments = list(script["EXPERIMENTS"])
     at = 0 if claimed_by == "parent" else 1
     experiments.insert(at, FAILING)
     monkeypatch.setitem(script, "EXPERIMENTS", experiments)
     parent, log = os.getpid(), tmp_path / "calls.log"
-    pids, sleeps = spy_on_fork(monkeypatch), [0.5]
+    pids = spy_on_fork(monkeypatch)
+    started, drained = os.pipe(), os.pipe()  # made before the fork, so both processes hold them
+    firsts, waits = [True], []  # each process acts on its own first CLI call
 
-    def slow_first_run(argv):
-        if sleeps and (os.getpid() == parent) == (claimed_by == "worker"):
-            time.sleep(sleeps.pop())
-    log_runs(script, monkeypatch, log, slow_first_run)
-    two = reproduce(script, monkeypatch, capsys, tmp_path / "two")
+    def failing_here():
+        return (os.getpid() == parent) == (claimed_by == "parent")
+
+    def handshake(argv):
+        if not firsts:
+            return
+        firsts.pop()
+        if failing_here():
+            if claimed_by == "parent":  # until the worker holds index 1
+                waits.append(wait_for(started))
+        else:
+            os.write(started[1], b".")
+            waits.append(wait_for(drained))  # until the failure has emptied the queue
+    log_runs(script, monkeypatch, log, handshake)
+    run_claimed = script["_run_claimed"]
+
+    def drain_then_tell(*args):
+        results = run_claimed(*args)
+        if failing_here():
+            os.write(drained[1], b".")
+        return results
+    monkeypatch.setitem(script, "_run_claimed", drain_then_tell)
+    try:
+        two = reproduce(script, monkeypatch, capsys, tmp_path / "two")
+    finally:
+        for fd in (*started, *drained):
+            os.close(fd)
+    assert waits == [True]  # this process's wait ended in its handshake, not in the bound
     assert_no_child_process()
     assert pids_running(log, " ".join(FAILING[1])) == {parent if at == 0 else pids[0]}
     assert os.listdir(tmp_path / "two" / "runs") == [experiments[1 - at][0]]
