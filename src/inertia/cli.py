@@ -19,11 +19,10 @@ import time
 import numpy as np
 
 from .analysis import ensemble_expected_decay, sweep_gamma
-from .discrete import discrete_trajectory, drift_profile
 from .dynamics import State, SystemSpec
 from .errors import InvalidArgument, NumericalFailure
 from .integrators import (METHODS, RNG_ALGORITHM, IntegratorConfig, Trajectory, check_method,
-                          check_step_count, integrate)
+                          check_step_count, discrete_trajectory, drift_profile, integrate)
 from .landscapes import landscape_from_name
 from .output import (format_float, project_csv, record_render, write_csv, write_json,
                      write_manifest)
@@ -44,6 +43,16 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         return [float(piece) for piece in items]
     except ValueError:
         raise InvalidArgument(f"{flag} expects comma-separated numbers, got {text!r}")
+
+
+def _parse_gammas(text: str) -> list[float]:
+    """The --gammas values, refusing two that print alike (``:g``), as labels and file names do."""
+    gammas = _parse_floats(text, "--gammas")
+    labels = [f"{gamma:g}" for gamma in gammas]
+    twice = [label for label in labels if labels.count(label) > 1]
+    if twice:
+        raise InvalidArgument(f"--gammas {text!r} has two values that both print as {twice[0]}")
+    return gammas
 
 
 def _parse_noise(text: str) -> tuple[str, float | None]:
@@ -227,7 +236,7 @@ def cmd_conserve(args, write) -> None:
 def cmd_phase(args, write) -> None:
     landscape = landscape_from_name(args.landscape)
     initial = _initial(args, landscape)
-    for spec, config in _runs(args, landscape, _parse_floats(args.gammas, "--gammas")):
+    for spec, config in _runs(args, landscape, _parse_gammas(args.gammas)):
         gamma = spec.gamma
         trajectory = _trajectory(write, f"phase_g{gamma:g}", spec, initial, config)
         if gamma == 0:
@@ -252,7 +261,7 @@ def cmd_phase(args, write) -> None:
 
 @_experiment
 def cmd_sweep(args, write) -> None:
-    gammas = _parse_floats(args.gammas, "--gammas")
+    gammas = _parse_gammas(args.gammas)
     # the decay-rate sweep runs on the 1D quadratic
     initial = _initial(args, landscape_from_name("iso1d"))
     entries = sweep_gamma(gammas, h=args.h, n_periods=args.periods,
@@ -331,6 +340,9 @@ def cmd_discrete(args, write) -> None:
     if args.steps is None:
         check_step_count(10.0 / args.eta)  # 10 / eta may overflow to inf, which int() refuses
         args.steps = int(round(10.0 / args.eta))
+        if args.steps < 1:
+            raise InvalidArgument(f"--eta {args.eta:g} leaves no step of the default horizon: "
+                                  "--steps defaults to round(10 / eta) = 0; pass --steps")
     n_steps = args.steps
     if n_steps < 1:
         raise InvalidArgument(f"--steps must be >= 1, got {n_steps}")

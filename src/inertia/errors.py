@@ -1,5 +1,7 @@
 """Error types shared across the package."""
 
+__all__ = ["InvalidArgument", "NumericalFailure"]
+
 
 class InvalidArgument(ValueError):
     """A caller-supplied value violates a documented precondition."""

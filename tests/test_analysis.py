@@ -183,6 +183,8 @@ def test_smoothing_window_must_fit():
     traj = synthetic_trajectory(t, 0.5 * np.exp(-0.4 * t))
     with pytest.raises(InvalidArgument):
         fit_decay_rate(traj, (0.0, 1.0), smooth_period=5.0)
+    with pytest.raises(InvalidArgument, match="smooth_period must be positive"):
+        fit_decay_rate(traj, (0.0, 1.0), smooth_period=0.0)
 
 
 def test_smoothing_refuses_the_short_final_interval():
@@ -256,6 +258,9 @@ def test_ensemble_argument_validation():
         ensemble_expected_decay(white_spec(), State([1.0], [0.0]), coarse, 100)
     with pytest.raises(InvalidArgument):
         ensemble_expected_decay(white_spec(), State([1.0], [0.0]), cfg, 100, burn_in=2.0)
+    # 200 steps: a burn-in to step 195 leaves the interior samples 195..199, fewer than 10
+    with pytest.raises(InvalidArgument, match="too few samples"):
+        ensemble_expected_decay(white_spec(), State([1.0], [0.0]), cfg, 100, burn_in=1.95)
 
 
 def test_degenerate_ensemble_collapses_to_deterministic():

@@ -946,17 +946,36 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
         ["sweep", "--gammas", "nan"],
         # 1e301 steps: over the 1e8 limit, refused before anything is allocated
         ["discrete", "--eta", "1e-300"],
+        ["discrete", "--steps", "0"],
+        # gammas whose runs would share a label (and phase a file), refused before any run
+        ["phase", "--gammas", "0.1,0.1000001", "--T", "2"],
+        ["sweep", "--gammas", "0.2,0.2"],
+        # unparsable values
+        ["phase", "--gammas", "0.1,x"],
+        ["stochastic", "--noise", "ou:x"],
+        ["traj2d", "--inits", ";"],
+        ["conserve", "--landscape", "diag:1,x"],
     ]
     for argv in cases:
         code = main(argv + ["--out-dir", str(tmp_path / "out")])
         assert code == 2, argv
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out").exists(), argv  # no manifest, no data file
+    # --steps derived from 10 / eta = 0.4 rounds to none: the refusal names --eta, which was given
+    assert main(["discrete", "--eta", "25", "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --eta 25 ") and "round(10 / eta) = 0" in err
+    assert not (tmp_path / "out").exists()
     # render takes no --out-dir; exercised on its own
     code = main(["render", "--input", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "x.svg")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+    (tmp_path / "one.csv").write_text("t\n0\n1\n")
+    code = main(["render", "--input", str(tmp_path / "one.csv"), "--out", str(tmp_path / "x.svg")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: need at least two columns to plot\n"
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_a_bad_later_start_is_refused_before_the_first_run(tmp_path, capsys):

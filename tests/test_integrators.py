@@ -985,6 +985,10 @@ def test_ensemble_requires_stochastic_method():
     cfg = IntegratorConfig(method="damped_splitting", h=0.01, t_end=1.0)
     with pytest.raises(InvalidArgument):
         ensemble_arrays(spec, UNIT_START, cfg, 4)
+    noisy = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind="white")
+    stochastic = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=1.0)
+    with pytest.raises(InvalidArgument, match="at least one member"):
+        ensemble_samples(noisy, UNIT_START, stochastic, 0)
 
 
 # --- recording and failure handling -------------------------------------------

@@ -284,6 +284,29 @@ def test_every_exported_name_resolves_once():
         assert not missing, (module.__name__, missing)
 
 
+# Every name the package exported when __init__.py still listed them by hand.
+EXPORTED = [
+    "__version__", "State", "SystemSpec", "inertia", "inertia_rows", "inertia_rate_theoretical",
+    "QuadraticLandscape", "quadratic_isotropic", "quadratic_general", "landscape_from_name",
+    "METHODS", "RNG_ALGORITHM", "IntegratorConfig", "Trajectory", "integrate", "member_rng",
+    "step_verlet", "step_damped_splitting", "step_stochastic", "momentum_step",
+    "discrete_trajectory", "drift_profile", "ClosedFormSolution", "DecayFit", "SweepEntry",
+    "EnsembleStats", "EnsembleResult", "closed_form_underdamped", "damped_period",
+    "fit_decay_rate", "sweep_gamma", "ensemble_expected_decay", "InvalidArgument",
+    "NumericalFailure",
+]
+
+
+def test_the_package_exports_what_its_library_modules_list():
+    """Each public name is declared once, in its module's ``__all__``; none is dropped."""
+    modules = ("dynamics", "landscapes", "integrators", "analysis", "errors")
+    listed = [name for module in modules
+              for name in importlib.import_module(f"inertia.{module}").__all__]
+    assert inertia.__all__ == ["__version__", *listed]
+    assert len(EXPORTED) == 34
+    assert [name for name in EXPORTED if name not in inertia.__all__] == []
+
+
 def test_quadratic_landscape_is_the_one_landscape_class():
     """A plain class, defining itself the methods the benchmark's tracer wraps."""
     assert QuadraticLandscape.__mro__ == (QuadraticLandscape, object)
