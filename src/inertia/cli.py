@@ -24,7 +24,7 @@ from .errors import InvalidArgument, NumericalFailure
 from .integrators import (METHODS, RNG_ALGORITHM, IntegratorConfig, Trajectory, check_method,
                           check_step_count, discrete_trajectory, drift_profile, integrate)
 from .landscapes import landscape_from_name
-from .output import (format_float, project_csv, record_render, write_csv, write_json,
+from .output import (format_float, record_render, write_csv, write_csvs, write_json,
                      write_manifest)
 from .render import render_csv
 
@@ -114,8 +114,8 @@ def _runs(args, landscape, gammas) -> list[tuple[SystemSpec, IntegratorConfig]]:
 def _trajectory(write, stem, spec, initial, config) -> Trajectory:
     """Integrate ``initial`` and write the run as ``stem``."""
     trajectory = integrate(spec, initial, config)
-    write(stem, _trajectory_columns(trajectory.ws, trajectory.vs, trajectory.inertia,
-                                    t=trajectory.times))
+    write({stem: _trajectory_columns(trajectory.ws, trajectory.vs, trajectory.inertia,
+                                     t=trajectory.times)})
     return trajectory
 
 
@@ -147,14 +147,14 @@ def _parameters(args) -> dict:
 def _experiment(body):
     """Wrap ``body(args, write)`` in the run protocol shared by every experiment.
 
-    ``write(stem, columns)`` writes one data file in --format and prints its
-    path; ``write(stem, columns, copy_of=(first, second))`` writes a CSV by
-    copying the text of two tables written before it (``project_csv``), whose
-    values ``columns`` must hold. ``manifest.json`` follows when the body
-    returns, and also when it raises NumericalFailure, with a ``status`` that
-    names the failure. Its ``parameters`` are the parsed flags: a body that
-    derives a default from other flags stores the resolved value back in
-    ``args``. An InvalidArgument leaves no manifest.
+    ``write({stem: columns, ...}, then)`` writes one data file per table in
+    --format, several CSVs in one pass (``write_csvs``), then records and
+    prints each path in turn, calling ``then(stem)``, if given, after each.
+    ``manifest.json`` follows when the body returns, and also when it raises
+    NumericalFailure, with a ``status`` that names the failure. Its
+    ``parameters`` are the parsed flags: a body that derives a default from
+    other flags stores the resolved value back in ``args``. An InvalidArgument
+    leaves no manifest.
     """
 
     @functools.wraps(body)
@@ -162,19 +162,21 @@ def _experiment(body):
         started = time.monotonic()
         outputs: list[str] = []
 
-        def write(stem: str, columns: dict[str, np.ndarray], copy_of: tuple[str, ...] = ()) -> None:
-            filename = f"{stem}.{args.format}"
-            path = os.path.join(args.out_dir, filename)
+        def write(tables: dict[str, dict], then=None) -> None:
+            paths = {stem: os.path.join(args.out_dir, f"{stem}.{args.format}") for stem in tables}
             os.makedirs(args.out_dir, exist_ok=True)
             if args.format == "json":
-                write_json(path, columns)
-            elif copy_of:
-                project_csv(path, list(columns),
-                            *(os.path.join(args.out_dir, f"{source}.csv") for source in copy_of))
+                for stem, columns in tables.items():
+                    write_json(paths[stem], columns)
+            elif len(tables) == 1:  # the writer perfbench's tracer times
+                write_csv(*paths.values(), *tables.values())
             else:
-                write_csv(path, columns)
-            outputs.append(filename)
-            print(f"wrote {path}")
+                write_csvs({paths[stem]: columns for stem, columns in tables.items()})
+            for stem, path in paths.items():
+                outputs.append(os.path.basename(path))
+                print(f"wrote {path}")
+                if then is not None:
+                    then(stem)
 
         def manifest(status: dict) -> None:
             os.makedirs(args.out_dir, exist_ok=True)
@@ -208,11 +210,29 @@ def cmd_conserve(args, write) -> None:
     if args.gamma != 0.0:
         gammas.append(args.gamma)
 
-    combined: dict[str, np.ndarray] = {}
+    # Every gamma is integrated before any table is written, so that all the
+    # tables are written in one pass; a run that fails has the runs before it
+    # written and reported first.
+    runs, failure = {}, None
     for spec, config in _runs(args, landscape, gammas):
-        gamma, method = spec.gamma, config.method
-        trajectory = _trajectory(write, f"conserve_g{gamma:g}", spec, initial, config)
-        energy = trajectory.inertia
+        try:
+            runs[f"conserve_g{spec.gamma:g}"] = integrate(spec, initial, config)
+        except NumericalFailure as exc:
+            failure = exc
+            break
+    # every gamma takes the same steps of the same h, so one t serves every table
+    t = next((trajectory.times for trajectory in runs.values()), None)
+    tables = {stem: _trajectory_columns(trajectory.ws, trajectory.vs, trajectory.inertia, t=t)
+              for stem, trajectory in runs.items()}
+    if len(runs) > 1:
+        tables["conserve"] = {"t": t, **{f"inertia_g{trajectory.spec.gamma:g}": trajectory.inertia
+                                         for trajectory in runs.values()}}
+
+    def report(stem):
+        if stem not in runs:
+            return
+        trajectory = runs[stem]
+        gamma, method, energy = trajectory.spec.gamma, trajectory.config.method, trajectory.inertia
         print(f"gamma={gamma:g} ({method}): max relative inertia drift = {_drift(energy)[1]:.3e}")
         if gamma > 0:
             # a run from rest at the minimum has no ratio; print I(T) itself
@@ -224,12 +244,10 @@ def cmd_conserve(args, write) -> None:
                 "warning: explicit_euler grows the energy monotonically; "
                 "it is the negative control, not a production integrator"
             )
-        combined.setdefault("t", trajectory.times)
-        combined[f"inertia_g{gamma:g}"] = energy
 
-    if len(gammas) > 1:
-        # t and each inertia column as the runs' own tables hold them (first and last field)
-        write("conserve", combined, copy_of=("conserve_g0", f"conserve_g{args.gamma:g}"))
+    write(tables, report)
+    if failure is not None:
+        raise failure
 
 
 @_experiment
@@ -267,14 +285,13 @@ def cmd_sweep(args, write) -> None:
     entries = sweep_gamma(gammas, h=args.h, n_periods=args.periods,
                           w0=initial.w[0], v0=initial.v[0])
     nan = float("nan")
-    write(
-        "sweep",
-        {
+    write({
+        "sweep": {
             "gamma": np.array([e.gamma for e in entries]),
             "gamma_hat": np.array([nan if e.gamma_hat is None else e.gamma_hat for e in entries]),
             "r_squared": np.array([nan if e.r_squared is None else e.r_squared for e in entries]),
         },
-    )
+    })
 
     failed = [e for e in entries if e.error is not None]
     for entry in failed:
@@ -346,11 +363,16 @@ def cmd_discrete(args, write) -> None:
     n_steps = args.steps
     if n_steps < 1:
         raise InvalidArgument(f"--steps must be >= 1, got {n_steps}")
+    if args.eta_halving:
+        # the eta/2 run's refusals, before the run at eta writes discrete.csv
+        check_step_count(2 * n_steps)
+        if not args.eta / 2 > 0:
+            raise InvalidArgument(f"--eta {args.eta:g} has no positive half for --eta-halving")
     initial = _initial(args, landscape)
 
     ws, vs, energy = discrete_trajectory(initial.w, initial.v, args.eta, n_steps, landscape)
-    write("discrete",
-          _trajectory_columns(ws, vs, energy, step=np.arange(n_steps + 1, dtype=float)))
+    write({"discrete":
+           _trajectory_columns(ws, vs, energy, step=np.arange(n_steps + 1, dtype=float))})
     max_drift, relative = _drift(energy)
     print(
         f"eta={args.eta:g}, {n_steps} steps: max |I_t - I_0| = {max_drift:.3e} "
@@ -361,14 +383,13 @@ def cmd_discrete(args, write) -> None:
         # drift_profile(eta, n_steps) is this run's own energy series, so
         # max_drift is its drift; only eta/2 needs a new run.
         _, drift_half = drift_profile(initial.w, initial.v, args.eta / 2, 2 * n_steps, landscape)
-        write(
-            "discrete_halving",
-            {
+        write({
+            "discrete_halving": {
                 "eta": np.array([args.eta, args.eta / 2]),
                 "n_steps": np.array([float(n_steps), float(2 * n_steps)]),
                 "max_drift": np.array([max_drift, drift_half]),
             },
-        )
+        })
         if drift_half > 0:
             print(f"drift ratio eta vs eta/2 (same horizon): {max_drift / drift_half:.3f}")
 
@@ -395,7 +416,7 @@ def cmd_stochastic(args, write) -> None:
     }
     if result.mean_noise_dot_v is not None:
         columns["mean_noise_dot_v"] = result.mean_noise_dot_v
-    write("stochastic", columns)
+    write({"stochastic": columns})
     print(
         f"balance residual = {format_float(result.balance_residual)} "
         f"+/- {format_float(result.balance_stderr)} ({args.members} members)"

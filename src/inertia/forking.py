@@ -2,7 +2,7 @@
 
 Four jobs fork a helper, each only where ``may_fork`` holds. The two
 one-shot helpers go through ``beside``: the second half of a large text
-(``output._format_halves``) and ``scripts/reproduce_all.py``'s worker
+(``output._halves``) and ``scripts/reproduce_all.py``'s worker
 each send back bytes over a pipe. The two streaming helpers go through
 ``partner``: the ensemble noise producer (``integrators._member_draws``)
 and the right column block of a long dense run's gradient
@@ -66,11 +66,13 @@ def _kill_and_reap(pid: int) -> int:
     return os.waitpid(pid, 0)[1]
 
 
-def beside(child, here):
+def beside(child, here, take=lambda pipe: pipe.read()):
     """``(here(), sent)``, with ``here()`` run while a forked child sends back
-    the bytes that ``child()`` returns over a pipe. ``sent`` is None where the
-    pipe or the fork failed, or the child did not exit 0 after sending: the
-    caller then does the child's share. The child is reaped before this ends.
+    the bytes that ``child()`` returns over a pipe; then ``sent = take(pipe)``
+    reads them from the pipe's binary handle, by default whole. ``sent`` is
+    None where the pipe or the fork failed, or the child did not exit 0 after
+    sending: the caller then does the child's share, and undoes what ``take``
+    did with a part of it. The child is reaped before this ends.
     """
     fds = []
     try:
@@ -92,7 +94,7 @@ def beside(child, here):
     try:
         with open(r, "rb") as pipe:
             done = here()
-            sent = pipe.read()
+            sent = take(pipe)
     finally:
         status = _kill_and_reap(pid)
     return done, sent if status == 0 else None

@@ -7,10 +7,12 @@ written atomically (temp file + rename), so an interrupted write leaves no
 partial file under the real name; manifests follow the data files they
 describe.
 
-A large text, a CSV table of at least _FORK_NUMBERS cells or an SVG
+Tables written together (``write_csvs``) share their column objects: each
+is formatted once, and its text serves every table that holds it. A large
+text, CSV tables of at least _FORK_NUMBERS distinct numbers or an SVG
 polyline of at least half as many points (two numbers each), is formatted
-in two processes where ``forking.may_fork`` holds (``_format_halves``),
-to the bytes of one process.
+in two processes where ``forking.may_fork`` holds (``_halves``), to the
+bytes of one process.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from . import __version__
 from .errors import InvalidArgument
 from .forking import beside, may_fork
 
-__all__ = ["format_float", "write_csv", "project_csv", "write_json", "write_manifest",
+__all__ = ["format_float", "write_csv", "write_csvs", "write_json", "write_manifest",
            "record_render"]
 
 
@@ -68,52 +70,97 @@ def _replacing(path):
 _FORK_NUMBERS = 1 << 15
 
 
-def _format_halves(chunks, n: int, numbers: int):
-    """The text of items [0, n), as strings to be written one after another.
+def _halves(texts, n: int, numbers: int, sinks) -> None:
+    """Write the texts of items [0, n) to ``sinks``, about 256 items at a time.
 
-    ``chunks(start, stop)`` yields the text of items [start, stop) in
-    pieces. Below _FORK_NUMBERS formatted ``numbers``, or where ``may_fork``
-    does not hold, this is ``chunks(0, n)`` itself, so the text is never held
-    whole. Otherwise a child formats items [n // 2, n) (``forking.beside``).
+    ``texts(start, stop)`` gives one str per sink: that sink's text of items
+    [start, stop). Below _FORK_NUMBERS formatted ``numbers``, or where
+    ``may_fork`` does not hold, this process formats every item. Otherwise a
+    child (``forking.beside``) formats items [n // 2, n) while this process
+    writes items [0, n // 2); then each sink's text of the child's items
+    comes over the pipe, one sink after another, and is appended in blocks
+    as it comes, so no sink's text is held whole. Where it does not all
+    come, each sink is cut back to where the child's text began and this
+    process formats those items. A sink is a text handle that can ``tell``,
+    ``seek`` and ``truncate``: a file or an ``io.StringIO``.
     """
+    def blocks(start, stop):
+        for first in range(start, stop, 256):
+            yield texts(first, min(first + 256, stop))
+
+    def write(start, stop):
+        for pieces in blocks(start, stop):
+            for sink, piece in zip(sinks, pieces):
+                sink.write(piece)
+
     if numbers < _FORK_NUMBERS or not may_fork():
-        return chunks(0, n)
+        write(0, n)
+        return
     mid = n // 2
-    head, tail = beside(lambda: "".join(chunks(mid, n)).encode(),
-                        lambda: "".join(chunks(0, mid)))
-    return [head, "".join(chunks(mid, n)) if tail is None else tail.decode()]
+
+    def there():
+        # each sink's text, led by its length in bytes
+        sent = ["".join(pieces).encode() for pieces in zip(*blocks(mid, n))]
+        return b"".join(len(text).to_bytes(8, "little") + text for text in sent)
+
+    def here():
+        write(0, mid)
+        return [sink.tell() for sink in sinks]
+
+    def take(pipe) -> bool:
+        for sink in sinks:
+            size = int.from_bytes(pipe.read(8), "little")
+            while size > 0:
+                block = pipe.read(min(size, 1 << 16))  # a Linux pipe's capacity
+                if not block:
+                    return False
+                sink.write(block.decode())  # ASCII, so a block may end anywhere
+                size -= len(block)
+        return not pipe.read()  # the end, which comes as the child exits: its own status
+
+    marks, took = beside(there, here, take)
+    if not took:
+        for sink, mark in zip(sinks, marks):
+            sink.seek(mark)
+            sink.truncate()
+        write(mid, n)
 
 
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:
     """Write named columns as CSV with a header row and LF line endings."""
-    n = _validate_columns(columns)
-    arrays = [np.asarray(col, dtype=float) for col in columns.values()]
-
-    def rows(start, stop):
-        # repr whole columns, then join rows: cheaper than a map and join per row
-        cells = zip(*(map(repr, _floats(a[start:stop])) for a in arrays))
-        return (",".join(row) + "\n" for row in cells)
-
-    text = _format_halves(rows, n, n * len(arrays))
-    with _replacing(path) as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(text)
+    write_csvs({path: columns})
 
 
-def project_csv(path, header: list[str], first: str, second: str) -> None:
-    """Write a CSV whose rows copy, as text, the first and last fields of a row
-    of the CSV ``first`` and the last field of that row of the CSV ``second``.
+def write_csvs(tables: dict) -> None:
+    """Write each ``path: columns`` item of ``tables`` as ``write_csv`` does, in one pass.
 
-    Both are tables that write_csv wrote, with as many rows as each other, so
-    each cell has the bytes of the one it copies and no number is formatted
-    again. A source that runs out first raises ValueError, leaving no file.
+    A column object that several tables hold is formatted once, and the
+    rows of all the tables are split once between this process and a
+    forked child (``_halves``). Every file replaces its path, in order,
+    only once all of them are written; a failure leaves none of their temp
+    files.
     """
-    with open(first, newline="") as a, open(second, newline="") as b, _replacing(path) as fh:
-        next(a)  # the headers
-        next(b)
-        fh.write(",".join(header) + "\n")
-        fh.writelines(f"{x[:x.index(',')]}{x[x.rindex(','):-1]}{y[y.rindex(','):]}"
-                      for x, y in zip(a, b, strict=True))
+    rows = [_validate_columns(columns) for columns in tables.values()]
+    arrays = {}  # id of a column object -> its values
+    for columns in tables.values():
+        for column in columns.values():
+            if id(column) not in arrays:
+                arrays[id(column)] = np.asarray(column, dtype=float)
+    layouts = [[id(column) for column in columns.values()] for columns in tables.values()]
+
+    def texts(start, stop):
+        # repr each distinct column once, then join each table's rows from those cells
+        cells = {key: list(map(repr, _floats(values[start:stop])))
+                 for key, values in arrays.items()}
+        return ["".join(",".join(row) + "\n" for row in zip(*(cells[key] for key in keys)))
+                for keys in layouts]
+
+    with contextlib.ExitStack() as stack:
+        # entered last to first, so that the files replace their paths first to last
+        handles = [stack.enter_context(_replacing(path)) for path in reversed(tables)][::-1]
+        for handle, columns in zip(handles, tables.values()):
+            handle.write(",".join(columns) + "\n")
+        _halves(texts, max(rows, default=0), sum(map(len, arrays.values())), handles)
 
 
 def _json_column(column) -> list[float | None]:

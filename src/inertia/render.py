@@ -8,13 +8,14 @@ identical bytes (no timestamps, no library version strings).
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 
 import numpy as np
 
 from .errors import InvalidArgument
-from .output import _format_halves, _replacing
+from .output import _halves, _replacing
 
 __all__ = ["read_csv_columns", "render_csv"]
 
@@ -214,12 +215,13 @@ def render_csv(input_path: str, out_path: str, xy: str | None = None) -> None:
         y_pixels = _pixels(to_py, y)
 
         def format_points(start, stop):
-            # a second half leads with the space that joins it to the first
+            # a later block leads with the space that joins it to the one before
             pairs = map("{:.2f},{:.2f}".format, x_pixels[start:stop], y_pixels[start:stop])
-            yield " " * (start > 0) + " ".join(pairs)
+            return [" " * (start > 0) + " ".join(pairs)]
 
-        points = "".join(_format_halves(format_points, n, 2 * n))
-        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        points = io.StringIO()
+        _halves(format_points, n, 2 * n, [points])
+        parts.append(f'<polyline points="{points.getvalue()}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{_WIDTH - _MARGIN_R - 6}" y="{_MARGIN_T + 14 + 16 * idx}" font-size="12" '
             f'text-anchor="end" fill="{color}">{name}</text>'

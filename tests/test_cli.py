@@ -3,7 +3,9 @@ import csv
 import json
 import math
 import os
+import signal
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -15,7 +17,7 @@ from inertia import InvalidArgument, __version__, drift_profile, quadratic_isotr
 from inertia import cli, integrators, output, render
 from inertia.cli import build_parser, main
 from inertia.integrators import METHODS
-from inertia.output import format_float, project_csv, write_csv, write_json, write_manifest
+from inertia.output import format_float, write_csv, write_csvs, write_json, write_manifest
 from inertia.render import read_csv_columns, render_csv
 
 from ensemble_arrays import (assert_no_child_process, no_file_to_spare, no_process_to_spare,
@@ -148,6 +150,159 @@ def test_a_failed_pipe_formats_the_text_in_process(tmp_path, monkeypatch):
     render_csv(str(tmp_path / "pts.csv"), str(tmp_path / "here.svg"))
     assert (tmp_path / "no_pipe.svg").read_bytes() == (tmp_path / "here.svg").read_bytes()
     assert pids == []
+
+
+def shared_tables(rows: int, count: int) -> dict[str, dict]:
+    """The first ``count`` of three tables laid out like conserve's, each of
+    ``rows`` rows of AWKWARD values: two run tables that hold one ``t`` object,
+    and a third of that ``t`` and each run table's last column object."""
+    c = {name: np.resize(np.asarray(col, dtype=float), rows) for name, col in AWKWARD.items()}
+    c["listed"] = c["listed"].tolist()  # a column that is not an array
+    tables = {
+        "conserve_g0.csv": {"t": c["thirds"], "w0": c["tiny"], "v0": c["signed_zero"],
+                            "inertia": c["large"]},
+        "conserve_g0.4.csv": {"t": c["thirds"], "w0": c["whole"], "v0": c["ints"],
+                              "inertia": c["listed"]},
+        "conserve.csv": {"t": c["thirds"], "inertia_g0": c["large"],
+                         "inertia_g0.4": c["listed"]},
+    }
+    return dict(list(tables.items())[:count])
+
+
+def rows_at_the_cutoff(count: int) -> int:
+    """The fewest rows at which ``count`` shared tables hold _FORK_NUMBERS distinct numbers."""
+    distinct = {1: 4, 2: 7, 3: 7}[count]  # t is shared, and the third table adds no column
+    return -(-output._FORK_NUMBERS // distinct)
+
+
+def formatted_here(monkeypatch) -> list[int]:
+    """The length of each column ``_floats`` converts in this process from now on."""
+    parent, floats, formatted = os.getpid(), output._floats, []
+
+    def counted(column):
+        if os.getpid() == parent:
+            formatted.append(len(column))
+        return floats(column)
+    monkeypatch.setattr(output, "_floats", counted)
+    return formatted
+
+
+def write_shared(tmp_path, tables) -> list[str]:
+    tmp_path.mkdir(exist_ok=True)
+    write_csvs({str(tmp_path / name): columns for name, columns in tables.items()})
+    return sorted(p.name for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+def test_tables_written_together_have_the_bytes_of_each_written_alone(tmp_path, monkeypatch,
+                                                                      count, above):
+    """Each distinct column is formatted once for all the tables, forked above the
+    cutoff and in process where may_fork does not hold, to each table's own bytes.
+    Forked, this process formats only its half of the rows."""
+    rows = rows_at_the_cutoff(count) - (not above)
+    tables = shared_tables(rows, count)
+    distinct = len({id(column) for columns in tables.values() for column in columns.values()})
+    formatted = formatted_here(monkeypatch)
+    pids = spy_on_fork(monkeypatch)
+    assert write_shared(tmp_path / "forked", tables) == sorted(tables)
+    assert len(pids) == above
+    assert sum(formatted) == distinct * (rows // 2 if above else rows)
+    assert_no_child_process()
+    monkeypatch.setattr(output, "may_fork", lambda: False)
+    formatted.clear()
+    assert write_shared(tmp_path / "here", tables) == sorted(tables)
+    assert len(pids) == above
+    assert sum(formatted) == distinct * rows
+    for name, columns in tables.items():
+        for side in ("forked", "here"):
+            assert (tmp_path / side / name).read_bytes() == expected_csv(columns), (side, name)
+
+
+def fails_in_a_later_chunk(monkeypatch, in_child_only=False):
+    """``_floats`` raises OSError at its 20th call in a process, past the first
+    chunk of rows, which takes one call per distinct column."""
+    parent, floats, calls = os.getpid(), output._floats, []
+
+    def floats_then_full(column):
+        calls.append(os.getpid())
+        if calls.count(os.getpid()) >= 20 and (os.getpid() != parent or not in_child_only):
+            raise OSError("disk full")
+        return floats(column)
+    monkeypatch.setattr(output, "_floats", floats_then_full)
+
+
+def killed_while_sending(monkeypatch):
+    """The child sends part of its first table's text, then is killed."""
+    parent, write = os.getpid(), os.write
+
+    def write_a_part(fd, data):
+        if os.getpid() == parent:
+            return write(fd, data)
+        write(fd, bytes(data[:100000]))
+        os.kill(os.getpid(), signal.SIGKILL)
+    monkeypatch.setattr(os, "write", write_a_part)
+
+
+def exits_1_after_sending(monkeypatch):
+    exit = os._exit
+    monkeypatch.setattr(os, "_exit", lambda code: exit(1))
+
+
+@pytest.mark.parametrize("helper_fails", [
+    lambda monkeypatch: fails_in_a_later_chunk(monkeypatch, in_child_only=True),
+    killed_while_sending, exits_1_after_sending,
+], ids=["raises in a later chunk", "killed while sending", "exits 1 after sending"])
+def test_a_failing_helper_leaves_the_bytes_of_one_process(tmp_path, monkeypatch, helper_fails):
+    """Whatever of the child's text came before it failed is cut back, and this
+    process formats the child's rows of every table itself."""
+    tables = shared_tables(rows_at_the_cutoff(3) + 4000, 3)
+    helper_fails(monkeypatch)
+    pids = spy_on_fork(monkeypatch)
+    assert write_shared(tmp_path, tables) == sorted(tables)
+    assert len(pids) == 1
+    assert_no_child_process()
+    for name, columns in tables.items():
+        assert (tmp_path / name).read_bytes() == expected_csv(columns), name
+
+
+def test_a_helper_that_exits_late_is_not_taken_for_a_failed_one(tmp_path, monkeypatch):
+    """The child has sent all its text but has not exited yet: this process reads
+    the pipe to its end, which comes as the child exits 0, and formats no row again."""
+    tables = shared_tables(rows_at_the_cutoff(3), 3)
+    exit = os._exit
+
+    def late_exit(code):
+        time.sleep(0.2)
+        exit(code)
+    monkeypatch.setattr(os, "_exit", late_exit)
+    formatted = formatted_here(monkeypatch)
+    pids = spy_on_fork(monkeypatch)
+    assert write_shared(tmp_path, tables) == sorted(tables)
+    assert len(pids) == 1
+    assert sum(formatted) == 7 * (rows_at_the_cutoff(3) // 2)
+    assert_no_child_process()
+    for name, columns in tables.items():
+        assert (tmp_path / name).read_bytes() == expected_csv(columns), name
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+@pytest.mark.parametrize("existed", [False, True])
+def test_a_batch_that_fails_midway_leaves_no_table(tmp_path, monkeypatch, above, existed):
+    """A chunk past the first fails in this process: no table, temp file or
+    child is left, and a table that was there before is as it was."""
+    tables = shared_tables(rows_at_the_cutoff(3) - (not above), 3)
+    if existed:
+        (tmp_path / "conserve.csv").write_text("old\n")
+    fails_in_a_later_chunk(monkeypatch)
+    pids = spy_on_fork(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        write_csvs({str(tmp_path / name): columns for name, columns in tables.items()})
+    assert len(pids) == above
+    assert_no_child_process()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conserve.csv"] * existed
+    if existed:
+        assert (tmp_path / "conserve.csv").read_text() == "old\n"
 
 
 def test_json_bytes_match_the_per_element_conversion(tmp_path):
@@ -652,7 +807,8 @@ def combined_columns(runs, gamma: str) -> dict[str, np.ndarray]:
     ["--landscape", "diag:1,4", "--w0", "1,0.5", "--v0", "0,-0.3", "--T", "5", "--gamma", "0.7"],
 ])
 def test_conserve_csv_has_the_bytes_of_its_columns_formatted_anew(tmp_path, monkeypatch, argv):
-    """conserve.csv copies the runs' tables as text, to write_csv's bytes of the same values."""
+    """conserve.csv, written in one pass with the runs' tables from the cells they
+    share, has write_csv's bytes of the same values."""
     runs = capture_runs(monkeypatch)
     code, out = run_cli(tmp_path, "conserve", *argv)
     assert code == 0
@@ -677,22 +833,47 @@ def test_conserve_json_writes_its_combined_table_as_before(tmp_path, monkeypatch
     assert manifest["outputs"] == ["conserve_g0.json", "conserve_g0.4.json", "conserve.json"]
 
 
-@pytest.mark.parametrize("existed", [False, True])
-def test_a_projection_that_fails_midway_leaves_no_file(tmp_path, existed):
-    """A source that runs out first stops the copy, and no partial file is left."""
-    t = np.arange(3000.0)
-    first, second = tmp_path / "conserve_g0.csv", tmp_path / "conserve_g0.4.csv"
-    write_csv(first, {"t": t, "w0": t, "v0": t, "inertia": t})
-    write_csv(second, {"t": t[:2000], "w0": t[:2000], "v0": t[:2000], "inertia": t[:2000]})
-    path = tmp_path / "conserve.csv"
-    if existed:
-        path.write_text("old\n")
-    with pytest.raises(ValueError):
-        project_csv(path, ["t", "inertia_g0", "inertia_g0.4"], first, second)
-    names = ["conserve.csv"] * existed + ["conserve_g0.4.csv", "conserve_g0.csv"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == names
-    if existed:
-        assert path.read_text() == "old\n"
+def test_a_horizon_conserve_forks_one_formatting_helper(tmp_path, monkeypatch):
+    """Its three 20001-row tables are split between the run and one child, which
+    is reaped before the run returns."""
+    pids = spy_on_fork(monkeypatch)
+    code, out = run_cli(tmp_path, "conserve", "--T", "200", "--gamma", "0.4")
+    assert code == 0
+    assert len(pids) == 1
+    assert_no_child_process()
+    assert sorted(os.listdir(out)) == ["conserve.csv", "conserve_g0.4.csv", "conserve_g0.csv",
+                                       "manifest.json"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_conserve_whose_second_run_fails_writes_the_first(tmp_path, monkeypatch, capsys, fmt):
+    """The damped run overflows: the frictionless run's table is written, its lines
+    printed and the failed manifest lists it, as when each run was written as it ended."""
+    runs = capture_runs(monkeypatch)
+    spy_on_fork(monkeypatch)
+    code, out = run_cli(tmp_path, "conserve", "--method", "explicit_euler", "--gamma", "1e5",
+                        "--T", "200", "--format", fmt)
+    assert code == 3
+    assert len(runs) == 1
+    assert_no_child_process()
+    captured = capsys.readouterr()
+    assert captured.out == (
+        f"wrote {out}/conserve_g0.{fmt}\n"
+        "gamma=0 (explicit_euler): max relative inertia drift = 6.388e+00\n"
+        "warning: explicit_euler grows the energy monotonically; "
+        "it is the negative control, not a production integrator\n")
+    assert captured.err == "numerical failure: non-finite state at step 104\n"
+    assert sorted(os.listdir(out)) == [f"conserve_g0.{fmt}", "manifest.json"]
+    g0 = runs[0]
+    columns = {"t": g0.times, "w0": g0.ws[:, 0], "v0": g0.vs[:, 0], "inertia": g0.inertia}
+    (write_csv if fmt == "csv" else write_json)(tmp_path / "expected", columns)
+    assert (tmp_path / "out" / f"conserve_g0.{fmt}").read_bytes() == \
+        (tmp_path / "expected").read_bytes()
+    manifest = _manifest(out)
+    assert manifest["outputs"] == [f"conserve_g0.{fmt}"]
+    assert manifest["status"] == {"state": "failed", "exit_code": 3,
+                                  "error": "non-finite state at step 104", "step_index": 104,
+                                  "member": None}
 
 
 def test_phase_runs_and_reports_closure(tmp_path, capsys):
@@ -763,6 +944,30 @@ def test_discrete_halving_reuses_the_run_at_eta(tmp_path):
     _, full = drift_profile([0.3], [-0.7], 0.1, 100, iso1)
     _, half = drift_profile([0.3], [-0.7], 0.05, 200, iso1)
     assert table["max_drift"].tolist() == [full, half]
+
+
+def test_discrete_halving_refuses_its_second_run_before_the_first(tmp_path, monkeypatch,
+                                                                  capsys):
+    """With the step limit at 1000, 600 steps at eta are allowed but 1200 at eta/2
+    are not: exit 2 before either run, and no output directory."""
+    def at_most_1000(n_steps):
+        if not n_steps <= 1000:
+            raise InvalidArgument(f"refusing a run of {n_steps:.3g} steps (limit 1e3)")
+    monkeypatch.setattr(integrators, "check_step_count", at_most_1000)
+    monkeypatch.setattr(cli, "check_step_count", at_most_1000)
+    runs = []
+    monkeypatch.setattr(cli, "discrete_trajectory", lambda *args: runs.append(args))
+    code, out = run_cli(tmp_path, "discrete", "--steps", "600", "--eta-halving")
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: refusing a run of 1.2e+03 steps (limit 1e3)\n")
+    assert runs == []
+    assert not os.path.exists(out)
+    monkeypatch.undo()
+    # an eta whose half rounds to zero has no second run either
+    code, out = run_cli(tmp_path, "discrete", "--eta", "5e-324", "--steps", "1", "--eta-halving")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --eta 4.94066e-324 ")
+    assert not os.path.exists(out)
 
 
 def test_failed_sweep_fit_is_null_in_json(tmp_path, capsys):
