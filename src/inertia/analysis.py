@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import State, SystemSpec
 from .errors import InvalidArgument, NumericalFailure
-from .integrators import IntegratorConfig, Trajectory, ensemble_samples, integrate
+from .integrators import IntegratorConfig, Trajectory, ensemble_groups, integrate
 from .landscapes import quadratic_isotropic
 
 __all__ = [
@@ -285,7 +285,32 @@ def _with_rates(samples, n_rec: int, dt: float):
             yield e2, (3.0 * e2 - 4.0 * e1 + e0) / two_dt, *rest2
 
 
-_GROUP_FLOATS = 1 << 15  # floats per group of finished samples in the ensemble reduction
+def _reduce_group(rows: np.ndarray, out: np.ndarray) -> None:
+    """Reduce a group of finished samples over its members, into ``out``.
+
+    ``rows`` is (n_rows, filled, n_members): per sample, every member's
+    energy, energy rate, squared speed and, for correlated noise, <eta, v>.
+    ``out[:n_rows]`` gets their member means and ``out[n_rows:]`` the
+    standard errors of the first three. Each sum is a member-order fold,
+    ``np.add.accumulate`` along the member axis, so it adds member after
+    member exactly as the column sum of a full (n_members, n_samples) array
+    does: the series equal that reduction bit for bit and do not depend on
+    the group size. (A contiguous ``np.add.reduce`` sums pairwise and would
+    move the last bits.)
+    """
+    n_rows, _, n_members = rows.shape
+    fold = np.empty_like(rows)
+    mean = np.add.accumulate(rows, axis=-1, out=fold)[..., -1] / n_members
+    out[:n_rows] = mean
+    spread = np.subtract(rows[:3], mean[:3, :, None], out=fold[:3])
+    spread *= spread
+    variance = np.add.accumulate(spread, axis=-1, out=spread)[..., -1] / (n_members - 1)
+    stderr = np.sqrt(variance) / math.sqrt(n_members)
+    # Rows where every member agrees bitwise have zero sample scatter by
+    # definition; the two-pass variance can still leave ~1 ulp of the
+    # mean behind, so force those to exact zero.
+    stderr[rows[:3].max(axis=-1) == rows[:3].min(axis=-1)] = 0.0
+    out[n_rows:] = stderr
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -305,20 +330,17 @@ def ensemble_expected_decay(
     transient from the balance time averages; the recorded series always
     cover the full run.
 
-    The reduction is sample-major and streams. Each sample's per-member
-    rows (energy, its rate, squared speed and, for correlated noise,
-    <eta, v>) are copied into a group of finished samples, sized by a fixed
-    budget of _GROUP_FLOATS floats (one sample at 10^4 members, dozens at
-    a few hundred). A full group is reduced over members with member-order
-    folds, ``np.add.accumulate`` along the member axis, so each sum adds
-    member after member exactly as the column sum of a full
-    (n_members, n_samples) array does: the series equal that reduction bit
-    for bit and do not depend on the group size. (A contiguous
-    ``np.add.reduce`` sums pairwise and would move the last bits.) Memory
-    is O(n_members * dim + n_samples): the group and its scratch copy hold
-    _GROUP_FLOATS floats each, or one sample's rows where those are more.
-    The balance's per-member time sums are accumulated group by group, so
-    they match a full-array mean to rounding, not bitwise.
+    The reduction is sample-major and streams, through
+    ``integrators.ensemble_groups``. Each sample's per-member rows (energy,
+    its rate, squared speed and, for correlated noise, <eta, v>) go into a
+    group of finished samples of about 2^15 floats (one sample at 10^4
+    members, dozens at a few hundred), and each group is reduced whole, with
+    member-order folds (_reduce_group). Memory is O(n_members * dim +
+    n_samples). The balance's per-member time sums are added group by
+    group, so they match a full-array mean to rounding, not bitwise. A run
+    that forks a partner for half of its members reduces every other group
+    there, and each process adds its own members' time sums; the result is
+    that of one process, bit for bit.
 
     Finite member states can still overflow a statistic (the spread of
     members near 1e154 overflows the variance), so a NaN or Inf in any
@@ -334,7 +356,7 @@ def ensemble_expected_decay(
     if not 0 <= burn_in < config.t_end:
         raise InvalidArgument(f"burn_in must lie in [0, t_end), got {burn_in}")
 
-    times, samples = ensemble_samples(spec, initial, config, n_members)
+    times, run = ensemble_groups(spec, initial, config, n_members)
     n_rec = times.shape[0]
     # Per-member time-averaged balance over interior samples past the burn-in.
     start = int(np.searchsorted(times, burn_in - 1e-9))
@@ -346,35 +368,18 @@ def ensemble_expected_decay(
     correlated = spec.noise_kind == "ou"
     # rows: inertia, inertia_rate, speed_squared and, if correlated, noise_dot_v
     n_rows = 4 if correlated else 3
-    size = max(1, min(n_rec, _GROUP_FLOATS // (n_rows * n_members)))
-    group = np.empty((n_rows, size, n_members))  # group[:, r] holds sample first + r
-    folds = np.empty_like(group)
     means = np.empty((n_rows, n_rec))
     stderrs = np.empty((3, n_rec))
-    # window sums per member of dI/dt, ||v||^2 and <eta, v>
-    window_sums = np.zeros((n_rows - 1, n_members))
 
-    for k, sample in enumerate(_with_rates(samples, n_rec, config.h)):
-        r = k % size
-        for row, values in zip(group, sample):
-            row[r] = values
-        if r + 1 < size and k + 1 < n_rec:
-            continue
-        first, filled = k - r, r + 1
-        rows, fold = group[:, :filled], folds[:, :filled]
-        mean = np.add.accumulate(rows, axis=-1, out=fold)[..., -1] / n_members
-        means[:, first : k + 1] = mean
-        spread = np.subtract(rows[:3], mean[:3, :, None], out=fold[:3])
-        spread *= spread
-        variance = np.add.accumulate(spread, axis=-1, out=spread)[..., -1] / (n_members - 1)
-        stderr = np.sqrt(variance) / math.sqrt(n_members)
-        # Rows where every member agrees bitwise have zero sample scatter by
-        # definition; the two-pass variance can still leave ~1 ulp of the
-        # mean behind, so force those to exact zero.
-        stderr[rows[:3].max(axis=-1) == rows[:3].min(axis=-1)] = 0.0
-        stderrs[:, first : k + 1] = stderr
-        window = slice(max(start - first, 0), stop - first)
-        window_sums += rows[1:, window].sum(axis=1)
+    def tally(group, sums, first):  # window sums per member of dI/dt, ||v||^2 and <eta, v>
+        sums += group[1:, max(start - first, 0) : stop - first].sum(axis=1)
+
+    groups = run(n_rows, rows=lambda samples: _with_rates(samples, n_rec, config.h),
+                 reduce=_reduce_group, n_out=n_rows + 3, tally=tally, n_sums=n_rows - 1)
+    for first, _, out, window_sums in groups:
+        filled = out.shape[1]
+        means[:, first : first + filled] = out[:n_rows]
+        stderrs[:, first : first + filled] = out[n_rows:]
 
     finite = np.isfinite(means).all(axis=0) & np.isfinite(stderrs).all(axis=0)
     if not finite.all():

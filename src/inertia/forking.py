@@ -4,11 +4,11 @@ Four jobs fork a helper, each only where ``may_fork`` holds. The two
 one-shot helpers go through ``beside``: the second half of a large text
 (``output._halves``) and ``scripts/reproduce_all.py``'s worker
 each send back bytes over a pipe. The two streaming helpers go through
-``partner``: the ensemble noise producer (``integrators._member_draws``)
-and the right column block of a long dense run's gradient
-(``integrators._gradient``) each serve asks, in order, through shared
-memory and two semaphores. Where a fork fails, each job does its
-helper's share in this process.
+``partner``: the second half of a large ensemble's members
+(``integrators.ensemble_groups``) and the right column block of a long
+dense run's gradient (``integrators._gradient``) each serve asks, in
+order, through shared memory and two semaphores. Where a fork fails, each
+job does its helper's share in this process.
 """
 
 from __future__ import annotations
@@ -107,7 +107,8 @@ def _acquire(semaphore, alive) -> bool:
     A hand-off of the dense gradient's partner waits about as long as one
     block of a product takes, or a pause of the run between products, far
     less than waking a blocked process does, so the poll usually takes it.
-    A noise refill takes tens of milliseconds, so its waits block.
+    An ensemble's noise refill takes tens of milliseconds, so a wait that
+    spans one blocks.
     """
     for _ in range(_SPINS):
         if semaphore.acquire(False):

@@ -55,6 +55,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -75,6 +76,7 @@ __all__ = [
     "step_verlet",
     "step_damped_splitting",
     "step_stochastic",
+    "ensemble_groups",
     "ensemble_samples",
     "momentum_step",
     "discrete_trajectory",
@@ -405,6 +407,20 @@ def _make_stepper(spec: SystemSpec, method: str, h: float, normal, grad):
     return step
 
 
+def _aligned_copy(block: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``block`` whose data starts on a 64-byte cache line.
+
+    Where a heap copy happened to start 32 bytes off a line, the split dim-512
+    product ran 10-30 % slower (``coupled``), so the speed of the same code
+    moved with the sizes of unrelated allocations before it.
+    """
+    buffer = np.empty(block.size + 8)
+    first = -buffer.ctypes.data % 64 // 8
+    copy = buffer[first : first + block.size].reshape(block.shape)
+    copy[...] = block
+    return copy
+
+
 @contextmanager
 def _gradient(landscape, n_steps: int):
     """A context giving the gradient a single trajectory of ``n_steps`` steps runs with.
@@ -421,7 +437,7 @@ def _gradient(landscape, n_steps: int):
     cut = dim >= _SPLIT_DIM and n_steps >= _SPLIT_STEPS and landscape.column_cut
 
     def start(shared):  # in the partner: w in shared[:dim], its block into shared[dim:]
-        right = np.ascontiguousarray(landscape.matrix[:, cut:])
+        right = _aligned_copy(landscape.matrix[:, cut:])
         return lambda: np.matmul(shared[:dim], right, out=shared[dim:])
 
     with partner(2 * dim - cut, start) if cut else nullcontext() as hand:
@@ -429,7 +445,7 @@ def _gradient(landscape, n_steps: int):
             yield raw
             return
         shared, ask, answer = hand
-        left = np.ascontiguousarray(landscape.matrix[:, :cut])  # None once the partner is gone
+        left = _aligned_copy(landscape.matrix[:, :cut])  # None once the partner is gone
 
         def product(w):
             nonlocal left
@@ -518,17 +534,6 @@ def _finite_energies(vs: np.ndarray, potentials: np.ndarray, record: np.ndarray)
         k = int(record[bad[0]])
         raise NumericalFailure(f"energy not finite at step {k}", step_index=k)
     return energies
-
-
-def _raise_nonfinite(w, v, k: int):
-    """Raise naming the first member of a batched state that is not finite at step ``k``."""
-    if np.all(np.isfinite(w)) and np.all(np.isfinite(v)):
-        return
-    bad = ~(np.all(np.isfinite(w), axis=1) & np.all(np.isfinite(v), axis=1))
-    member = int(np.flatnonzero(bad)[0])
-    raise NumericalFailure(
-        f"non-finite state in member {member} at step {k}", step_index=k, member=member
-    )
 
 
 def _normal(rng: np.random.Generator, dim: int):
@@ -640,22 +645,36 @@ def drift_profile(
 # ---------------------------------------------------------------------------
 # ensembles
 #
-# An ensemble advances all members at once through the stepper above, on
-# (n_members, dim) arrays. Member i draws from member_rng(seed, i) in the
-# order a single run consumes its stream, so each member's noise does not
-# depend on the ensemble size. The draws are served a chunk of steps at a
-# time from two slots of one buffer, and recorded samples are handed out one
-# at a time, so memory does not grow with the horizon.
-# A run that needs more than one refill forks a producer where it can
-# (forking.partner): it fills one slot while this process steps and reduces
-# from the other, and each ask hands it the next refill.
-# Each fill writes every member's draws into its own column, so which
-# process draws them moves no bit. Threads gain nothing here: each member's
-# call of a few hundred normals hands off the GIL, and two filling threads
-# ran slower than one.
+# An ensemble advances its members at once through the stepper above, on
+# (members, dim) arrays. Member i draws from member_rng(seed, i) in the
+# order a single run consumes its stream, so its noise does not depend on
+# the ensemble size or on which members are stepped together. A batch of
+# members draws a chunk of steps at a time into one slot, in place
+# (_member_draws), and its recorded samples go a group at a time into a
+# ring of groups (ensemble_groups), so memory does not grow with the
+# horizon.
+# A run that needs more than one noise refill is split by members where it
+# can (forking.partner): this process runs members [0, cut) and a forked
+# partner [cut, M). Each builds the generators of its own members, draws,
+# steps and samples them, and writes their rows of each group into the
+# shared ring; then the group is reduced whole by one process, this one
+# the even groups and the partner the odd ones. Each group is thus
+# reduced over all M members in member order, and each member's stream,
+# state and rows are those of a one-process run: the step is per member
+# but for the batched W @ A, whose row bits the cut keeps
+# (QuadraticLandscape.row_cut). Where the cut does not keep them, or no
+# partner forks, this process runs every member through the same code.
+# Threads gain nothing here: each member's call of a few hundred normals
+# hands off the GIL, and two filling threads ran slower than one.
 
-_NOISE_FLOATS = 1 << 21  # floats in the two ensemble noise slots together (16 MB)
+_NOISE_FLOATS = 1 << 21  # floats in two noise slots of 8 MB: one per process of a split run
 _TILE_FLOATS = 1 << 13  # floats in one member-major tile of draws (64 KB)
+_GROUP_FLOATS = 1 << 15  # floats of per-member rows in one group of samples
+
+
+def _refill_steps(per_step: int, n_members: int, dim: int) -> int:
+    """Steps of noise that one slot of ``n_members`` holds."""
+    return max(1, _NOISE_FLOATS // (2 * per_step * n_members * dim))
 
 
 def _fill(slot: np.ndarray, n: int, rngs) -> None:
@@ -663,8 +682,8 @@ def _fill(slot: np.ndarray, n: int, rngs) -> None:
 
     ``slot`` is step-major, (rows, per_step, n_members, dim). Each member
     draws its ``n`` steps in one call into a row of a member-major tile of
-    _TILE_FLOATS floats (78 members at 10^4 members, where a refill holds
-    52 steps of white noise), which one transposed copy writes into the slot.
+    _TILE_FLOATS floats (39 members at 5000 members, where a refill holds
+    104 steps of white noise), which one transposed copy writes into the slot.
     """
     _, per_step, n_members, dim = slot.shape
     per_member = n * per_step * dim
@@ -678,87 +697,218 @@ def _fill(slot: np.ndarray, n: int, rngs) -> None:
         slot[:n, :, first : first + len(members)] = columns
 
 
-def _member_draws(rngs, n_steps: int, per_step: int, dim: int):
+def _member_draws(rngs, n_steps: int, per_step: int, dim: int, rows: int):
     """Yield ``per_step`` (n_members, dim) draws per step; row i comes from ``rngs[i]``.
 
-    Each refill draws every member's next whole steps into one of two slots
-    (_fill). Chunked PCG64 draws equal one long draw bit for bit, so the
-    values are those of step-by-step draws. Use a yielded block before
-    asking for the next: its slot may then be refilled.
-
-    A run that needs more than one refill forks a producer where it can
-    (``forking.partner``), which fills the slots in shared memory ahead of
-    the consumer, refill r into slot r % 2 at its r-th ask, and takes no
-    other ``rngs`` draws; the caller must not use ``rngs`` once iteration
-    starts. Elsewhere one slot is filled in place. Closing the generator,
-    or the producer ending early (which raises RuntimeError), stops and
-    reaps it.
+    Each refill draws every member's next ``rows`` steps (the last refill
+    fewer) into one slot, in place (_fill). Chunked PCG64 draws equal one
+    long draw bit for bit, so the values are those of step-by-step draws.
+    Use a yielded block before asking for the next: its slot may then be
+    refilled.
     """
     n_members = len(rngs)
-    rows = max(1, min(n_steps, _NOISE_FLOATS // (2 * per_step * n_members * dim)))
-    counts = [min(rows, n_steps - first) for first in range(0, n_steps, rows)]
-    shape = (rows, per_step, n_members, dim)
+    slot = np.empty((rows, per_step, n_members, dim))
+    for first in range(0, n_steps, rows):
+        n = min(rows, n_steps - first)
+        _fill(slot, n, rngs)
+        yield from slot[:n].reshape(-1, n_members, dim)
 
-    def start(shared):  # in the producer
-        slots, refills = shared.reshape(2, *shape), enumerate(counts)
 
-        def fill():
-            r, n = next(refills)
-            _fill(slots[r % 2], n, rngs)
-        return fill
-
-    with partner(2 * math.prod(shape), start) if len(counts) > 1 else nullcontext() as producer:
-        if producer is None:
-            slot = np.empty(shape)
-            for n in counts:
-                _fill(slot, n, rngs)
-                yield from slot[:n].reshape(-1, n_members, dim)
-            return
-        shared, ask, answer = producer
-        slots = shared.reshape(2, *shape)
-        ask(), ask()  # refills 0 and 1, one per slot
-        for r, n in enumerate(counts):
-            if not answer():
-                raise RuntimeError(f"the ensemble noise producer ended before refill {r}")
-            yield from slots[r % 2, :n].reshape(-1, n_members, dim)
-            if r + 2 < len(counts):
-                ask()  # refill r + 2 may overwrite refill r
+def _raise_nonfinite(w, v, k: int, first: int):
+    """Raise naming the first member of a batched state that is not finite at step
+    ``k``; the batch holds members ``first`` on."""
+    if np.all(np.isfinite(w)) and np.all(np.isfinite(v)):
+        return
+    bad = ~(np.all(np.isfinite(w), axis=1) & np.all(np.isfinite(v), axis=1))
+    member = first + int(np.flatnonzero(bad)[0])
+    raise NumericalFailure(
+        f"non-finite state in member {member} at step {k}", step_index=k, member=member
+    )
 
 
 def _sample(w, v, eta, gw, values):
-    """Per-member (inertia, speed_squared, noise_dot_v) of one recorded state."""
+    """Per-member rows of one recorded state: inertia and speed_squared, then
+    noise_dot_v for correlated noise."""
     speed_sq = np.sum(v * v, axis=1)
-    noise_dot_v = None if eta is None else np.sum(eta * v, axis=1)
-    return 0.5 * speed_sq + values(w, gw), speed_sq, noise_dot_v
+    inertia = 0.5 * speed_sq + values(w, gw)
+    return (inertia, speed_sq) if eta is None else (inertia, speed_sq, np.sum(eta * v, axis=1))
 
 
-def _ensemble_loop(spec, initial, config, n_members, record):
-    from .streams import member_rngs
-
-    rngs = member_rngs(config.seed, 0, n_members)
+def _member_samples(spec, initial, config, record, rngs, first: int, refill: int):
+    """Yield the rows (_sample) of members ``first`` on, drawing from ``rngs``
+    ``refill`` steps at a time, at each step of ``record``; raise at the first
+    step whose state is not finite."""
     eta = None
     if spec.noise_kind == "ou":
         eta = np.array([initial_forcing(spec, rng) for rng in rngs])
-    draws = _member_draws(rngs, config.n_steps, 1 if eta is not None else 2, initial.dim)
+    draws = _member_draws(rngs, config.n_steps, 1 if eta is not None else 2, initial.dim, refill)
     grad = spec.landscape.raw_gradient()
     step = _make_stepper(spec, config.method, config.h, draws.__next__, grad)
     values = spec.landscape.value_from_gradient
-    w = np.tile(np.asarray(initial.w, dtype=float), (n_members, 1))
-    v = np.tile(np.asarray(initial.v, dtype=float), (n_members, 1))
+    w = np.tile(np.asarray(initial.w, dtype=float), (len(rngs), 1))
+    v = np.tile(np.asarray(initial.v, dtype=float), (len(rngs), 1))
     gw = grad(w)
 
     yield _sample(w, v, eta, gw, values)  # record[0] is step 0
     stride = int(record[1])  # record: step 0, every stride-th step and the last
-    try:
-        for k in range(1, config.n_steps + 1):
-            w, v, eta, gw = step(w, v, eta, gw)
-            _raise_nonfinite(w, v, k)
-            if k % stride == 0:
-                yield _sample(w, v, eta, gw, values)
-        if config.n_steps % stride:  # the last step, off the stride
+    for k in range(1, config.n_steps + 1):
+        w, v, eta, gw = step(w, v, eta, gw)
+        _raise_nonfinite(w, v, k, first)
+        if k % stride == 0:
             yield _sample(w, v, eta, gw, values)
-    finally:
-        draws.close()  # a failure's traceback must not keep the producer alive
+    if config.n_steps % stride:  # the last step, off the stride
+        yield _sample(w, v, eta, gw, values)
+
+
+def _groups(spec, initial, config, n_members, record, n_rows, rows=iter, reduce=None, n_out=0,
+            tally=None, n_sums=0):
+    """The groups of ``ensemble_groups``' ``run``; its docstring says what they are."""
+    from .streams import member_rngs  # loaded before the fork, so the partner need not
+
+    n_rec = record.shape[0]
+    size = max(1, min(n_rec, _GROUP_FLOATS // (n_rows * n_members)))
+    n_groups = -(-n_rec // size)
+    block = n_rows * size * n_members
+    slot = block + n_out * size
+    per_step = 1 if spec.noise_kind == "ou" else 2
+    several = _refill_steps(per_step, n_members, initial.dim) < config.n_steps
+    cut = spec.landscape.row_cut(n_members) if several else None
+    # groups in the ring: the one the caller reads, the one this process
+    # writes and, in a split run, the one the partner writes ahead
+    n_ring = 3 if cut else 2
+
+    def layout(buffer):
+        """Per ring slot, the rows and the out of a group; the per-member sums;
+        per ring slot, the partner's failure in that group."""
+        ring = buffer[: n_ring * slot].reshape(n_ring, slot)
+        groups = [(r[:block].reshape(n_rows, size, n_members), r[block:].reshape(n_out, size))
+                  for r in ring]
+        sums = buffer[n_ring * slot : -2 * n_ring].reshape(n_sums, n_members)
+        return groups, sums, buffer[-2 * n_ring :].reshape(n_ring, 2)
+
+    def group(groups, g):
+        """The rows and the out of group g."""
+        filled = min(size, n_rec - g * size)
+        rows, out = groups[g % n_ring]
+        return rows[:, :filled], out[:, :filled]
+
+    def half(groups, sums, first, stop):
+        """fill(g): write the rows of members [first, stop) of group g into the
+        ring and tally them; returns (step, member) of the first non-finite
+        state among those members, or None."""
+        # a slot holds the whole run where one refill covers every member,
+        # else as many steps as fit: the same at any horizon
+        refill = _refill_steps(per_step, stop - first, initial.dim) if several else config.n_steps
+        produced = rows(_member_samples(spec, initial, config, record,
+                                        member_rngs(config.seed, first, stop), first, refill))
+        sums = sums[:, first:stop]
+
+        def fill(g):
+            mine = group(groups, g)[0][:, :, first:stop]
+            try:
+                for r in range(mine.shape[1]):
+                    for row, values in zip(mine[:, r], next(produced)):
+                        row[:] = values
+            except NumericalFailure as failure:
+                return failure.step_index, failure.member
+            if tally is not None:
+                tally(mine, sums, g * size)
+            return None
+        return fill
+
+    def start(shared):  # in the partner: its rows of group g, after reducing group g - 1 if odd
+        groups, sums, failures = layout(shared)
+        failures[:] = -1
+        fill, jobs = half(groups, sums, cut, n_members), iter(range(n_groups + 1))
+
+        def job():
+            g = next(jobs)
+            if failures[(g - 1) % n_ring, 0] >= 0:  # its half failed in group g - 1
+                return
+            if g % 2 == 0 and g and reduce is not None:
+                reduce(*group(groups, g - 1))
+            if g < n_groups:
+                failures[g % n_ring] = fill(g) or -1
+        return job
+
+    floats = n_ring * slot + n_sums * n_members + 2 * n_ring
+    with partner(floats, start) if cut else nullcontext() as hand:
+        if hand is None:
+            buffer, ask, answer, cut = np.zeros(floats), lambda: None, lambda: True, n_members
+        else:
+            buffer, ask, answer = hand
+        groups, sums, failures = layout(buffer)
+        fill = half(groups, sums, 0, cut)
+        ask()  # the partner's rows of group 0
+        for g in range(n_groups + 1):
+            failed = None
+            if g < n_groups:
+                failed = fill(g)
+                if failed is None:
+                    ask()  # the partner reduces group g if odd, then writes its rows of g + 1
+            if not answer():
+                raise RuntimeError(f"the ensemble partner ended before group {g}")
+            theirs = failures[g % n_ring]  # the partner may be writing group g + 1's slot by now
+            if hand is not None and g < n_groups and theirs[0] >= 0:  # the lower member wins a tie
+                failed = min(failed or (math.inf, 0), (int(theirs[0]), int(theirs[1])))
+            if failed is not None:
+                k, member = failed
+                raise NumericalFailure(f"non-finite state in member {member} at step {k}",
+                                       step_index=k, member=member)
+            if g:  # group g - 1 is whole; this process reduces it unless the partner did
+                done = group(groups, g - 1)
+                if reduce is not None and (hand is None or g % 2):
+                    reduce(*done)
+                yield ((g - 1) * size, *done, sums)
+
+
+def ensemble_groups(spec: SystemSpec, initial: State, config: IntegratorConfig, n_members: int):
+    """Sample times and a runner of an ensemble that hands out its samples in groups.
+
+    Returns ``(times, run)``. ``run(n_rows, rows=iter, reduce=None, n_out=0,
+    tally=None, n_sums=0)`` runs the ensemble as its iterator is consumed and
+    yields ``(first, group, out, sums)`` per group of recorded samples, in order:
+    ``group`` is an (n_rows, filled, n_members) array whose ``group[:, r]``
+    holds every member's rows of sample ``first + r``, ``out`` an (n_out,
+    filled) array, and ``sums`` (n_sums, n_members), complete once the last
+    group is out. Each is valid until the next group is asked for. Groups
+    hold about _GROUP_FLOATS floats, one sample at 10^4 members.
+
+    ``rows(samples)`` turns a batch of members' samples, each a tuple of
+    (members,) arrays (inertia, speed_squared and, for correlated noise,
+    noise_dot_v), into ``n_rows`` such arrays per sample, in order. The
+    samples of a group are those rows. ``tally(group, sums, first)`` adds a
+    batch's own columns of each group into those members' columns of
+    ``sums``, group after group. ``reduce(group, out)`` reduces each whole
+    group into ``out``, in one process. A run that needs more than one noise
+    refill runs its second half of the members in a forked partner where it
+    can, which makes its own rows, tallies and every other reduction; the
+    yielded values are those of one process bit for bit, provided ``rows``
+    and ``tally`` act on each member alone and ``reduce`` on the group alone.
+    Finishing, failing, closing or dropping the iterator ends and reaps the
+    partner; a partner that ends early fails the run with a RuntimeError.
+
+    A run raises ``NumericalFailure`` at the first step at which a member's
+    state is not finite, naming the lowest such member; the groups it
+    yielded before end a group or more short of that step. Arguments are
+    checked at the call.
+    """
+    spec.landscape.check_point(initial.w)
+    check_method(spec, config.method)
+    if config.method != "stochastic_splitting":
+        raise InvalidArgument("ensembles are for the stochastic method")
+    if n_members < 1:
+        raise InvalidArgument(f"need at least one member, got {n_members}")
+    record = _record_indices(config.n_steps, config.record_every)
+    return record * config.h, partial(_groups, spec, initial, config, n_members, record)
+
+
+def _unstacked(groups):
+    """Each sample of ``groups`` as fresh (inertia, speed_squared, noise_dot_v) arrays."""
+    for _, group, _, _ in groups:
+        for r in range(group.shape[1]):
+            inertia, speed_sq, *noise_dot_v = group[:, r].copy()
+            yield inertia, speed_sq, noise_dot_v[0] if noise_dot_v else None
 
 
 def ensemble_samples(
@@ -775,9 +925,10 @@ def ensemble_samples(
     for white noise. It holds O(n_members * dim) state whatever the horizon,
     and raises ``NumericalFailure`` naming the step and the first member
     whose state left the finite range. Arguments are checked at the call.
-    A run whose noise takes more than one refill draws it in a forked
-    producer process (_member_draws); finishing, failing, closing or
-    dropping ``samples`` ends and reaps that process.
+    These are the rows of ``ensemble_groups``, run with no group job: a run
+    whose noise takes more than one refill runs half of its members in a
+    forked partner process, which finishing, failing, closing or dropping
+    ``samples`` ends and reaps.
 
     All members start from ``initial`` and member i draws from
     ``member_rng(config.seed, i)``, so member 0 follows ``integrate`` with
@@ -787,12 +938,5 @@ def ensemble_samples(
     sums take different BLAS kernels than a single trajectory's ``w @ A``
     and ``v @ v``.
     """
-    spec.landscape.check_point(initial.w)
-    check_method(spec, config.method)
-    if config.method != "stochastic_splitting":
-        raise InvalidArgument("ensembles are for the stochastic method")
-    if n_members < 1:
-        raise InvalidArgument(f"need at least one member, got {n_members}")
-    record = _record_indices(config.n_steps, config.record_every)
-    return record * config.h, _ensemble_loop(spec, initial, config, n_members, record)
-
+    times, run = ensemble_groups(spec, initial, config, n_members)
+    return times, _unstacked(run(3 if spec.noise_kind == "ou" else 2))

@@ -210,17 +210,17 @@ def render_csv(input_path: str, out_path: str, xy: str | None = None) -> None:
         f'font-size="12" text-anchor="middle">{x_name}</text>'
     )
 
-    for idx, (name, y) in enumerate(series):
+    y_pixels = [_pixels(to_py, y) for _, y in series]
+
+    def format_points(start, stop):
+        # one text per polyline; a later block leads with the space that joins it to the one before
+        lead, xs = " " * (start > 0), x_pixels[start:stop]
+        return [lead + " ".join(map("{:.2f},{:.2f}".format, xs, ys[start:stop])) for ys in y_pixels]
+
+    polylines = [io.StringIO() for _ in series]
+    _halves(format_points, n, 2 * n * len(series), polylines)
+    for idx, ((name, _), points) in enumerate(zip(series, polylines)):
         color = _PALETTE[idx % len(_PALETTE)]
-        y_pixels = _pixels(to_py, y)
-
-        def format_points(start, stop):
-            # a later block leads with the space that joins it to the one before
-            pairs = map("{:.2f},{:.2f}".format, x_pixels[start:stop], y_pixels[start:stop])
-            return [" " * (start > 0) + " ".join(pairs)]
-
-        points = io.StringIO()
-        _halves(format_points, n, 2 * n, [points])
         parts.append(f'<polyline points="{points.getvalue()}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{_WIDTH - _MARGIN_R - 6}" y="{_MARGIN_T + 14 + 16 * idx}" font-size="12" '

@@ -26,7 +26,7 @@ from inertia import (
     sweep_gamma,
 )
 from inertia import integrators
-from inertia.analysis import _GROUP_FLOATS
+from inertia.integrators import _GROUP_FLOATS
 
 from ensemble_arrays import ensemble_arrays, spy_on_fork
 

@@ -637,14 +637,15 @@ def test_render_points_match_the_numpy_scalar_formatter(tmp_path):
 
 
 def test_a_large_render_has_the_bytes_of_one_process(tmp_path, monkeypatch):
-    """Each polyline above the cutoff is formatted in two processes, joined by one space."""
+    """A figure above the cutoff formats all its polylines in two processes, with one
+    fork; each polyline's halves are joined by one space."""
     n = output._FORK_NUMBERS // 2 + 1
     t = np.linspace(0.0, 7.0, n)
     src = str(tmp_path / "pts.csv")
     write_csv(src, {"t": t, "a": np.sin(t), "b": np.cumsum(np.cos(3.0 * t))})
     pids = spy_on_fork(monkeypatch)
     render_csv(src, str(tmp_path / "forked.svg"))
-    assert len(pids) == 2  # one per polyline
+    assert len(pids) == 1  # one for both polylines
     assert_no_child_process()
     monkeypatch.delattr(os, "fork")
     render_csv(src, str(tmp_path / "here.svg"))
@@ -1014,15 +1015,15 @@ def test_stochastic_correlated_adds_work_column(tmp_path):
 def test_desk_scale_ensembles_draw_their_noise_in_process(tmp_path, monkeypatch, noise):
     """reproduce_all.py's 200-member runs take one noise refill, so they never fork."""
     def no_fork():
-        raise AssertionError("a desk-scale ensemble forked a producer")
+        raise AssertionError("a desk-scale ensemble forked a partner")
     monkeypatch.setattr(os, "fork", no_fork)
     code, _ = run_cli(tmp_path, "stochastic", "--members", "200", "--noise", noise)
     assert code == 0
 
 
 def test_a_stochastic_run_whose_fork_fails_writes_the_forked_bytes(tmp_path, monkeypatch):
-    """Refills of 3 steps: the first run draws them in a forked producer, the
-    second, refused a process, in place."""
+    """Refills of 3 steps: the first run steps half of its members in a forked
+    partner; the second, refused a process, steps them all in process."""
     monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * 3 * 2 * 100)
     pids = spy_on_fork(monkeypatch)
     argv = ["stochastic", "--T", "1", "--members", "100"]
@@ -1211,7 +1212,7 @@ def test_an_overflowing_energy_fails_without_numpy_warnings(tmp_path, capsys, ar
                                                             step_index):
     """integrate, its replay, discrete_trajectory and the ensemble report the overflow alone.
 
-    At 10^4 members the ensemble's noise comes from a forked producer, which
+    At 10^4 members the ensemble steps half of its members in a forked partner, which
     the failure must not leave behind.
     """
     with warnings.catch_warnings():

@@ -96,7 +96,7 @@ def is_killed_at_ask_3(shared):
 
 
 def asks_two_ahead(hand):
-    """Like the noise producer: two asks up front, one more after each answer.
+    """Two asks up front, one more after each answer: a streaming helper may work ahead.
     Returns (answer, shared[n]) per answer, up to the first False."""
     shared, ask, answer = hand
     shared[0] = 10.0

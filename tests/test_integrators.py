@@ -826,11 +826,12 @@ def test_ensemble_rows_match_independent_runs():
 
 @pytest.mark.parametrize("noise, tau", [("white", None), ("ou", 0.5)])
 def test_ensemble_noise_refills_do_not_change_the_draws(monkeypatch, noise, tau):
-    """Members' draws are the same however many steps a slot holds and whoever fills it.
+    """Members' draws are the same however many steps a slot holds and whichever process draws them.
 
-    One refill is filled in place. Several are filled by a forked producer
-    or, where os.fork is missing or one CPU is usable, in place; all four
-    runs agree bitwise.
+    One refill is drawn in place. Several are drawn by two half-ensembles,
+    this process's and a forked partner's, or, where os.fork is missing or
+    one CPU is usable, by this process for every member; all four runs
+    agree bitwise.
     """
     landscape = MULTI_D["diag"]
     spec = SystemSpec(landscape=landscape, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
@@ -860,21 +861,20 @@ def test_ensemble_noise_refills_do_not_change_the_draws(monkeypatch, noise, tau)
 @pytest.mark.parametrize("can_fork", [True, False])
 def test_member_draws_are_each_members_own_stream(monkeypatch, can_fork):
     """Refills of 3, 3 and 1 steps, the first two in tiles of 64, 64 and 22 members:
-    member i's column is its own stream drawn step by step, forked or filled in place."""
+    member i's column is its own stream drawn step by step, in place, whether or
+    not a process could be forked."""
     n_members, n_steps, per_step, dim = 150, 7, 2, 2
-    monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * 3 * per_step * n_members * dim)
     monkeypatch.setattr(integrators, "_TILE_FLOATS", 64 * 3 * per_step * dim)
     if not can_fork:
         monkeypatch.delattr(os, "fork")
     pids = spy_on_fork(monkeypatch) if can_fork else []
     rngs = [member_rng(3, i) for i in range(n_members)]
-    draws = integrators._member_draws(rngs, n_steps, per_step, dim)
+    draws = integrators._member_draws(rngs, n_steps, per_step, dim, 3)
     got = np.array([block.copy() for block in draws])  # a block is valid until the next
     expected = [member_rng(3, i).standard_normal((n_steps * per_step, dim))
                 for i in range(n_members)]
     assert np.array_equal(got, np.stack(expected, axis=1))
-    assert len(pids) == can_fork
-    assert_no_child_process()
+    assert pids == []
 
 
 @pytest.mark.parametrize("target, name", [
@@ -882,29 +882,30 @@ def test_member_draws_are_each_members_own_stream(monkeypatch, can_fork):
 ], ids=["semaphore", "mapping", "fork"])
 def test_a_failing_semaphore_mapping_or_fork_draws_the_noise_in_place(monkeypatch, target,
                                                                       name):
-    """Several refills with no producer to spare: the slots are filled in
-    place, to the same bits, and no file is left open."""
-    n_members, n_steps, per_step, dim = 150, 7, 2, 2
-    monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * 3 * per_step * n_members * dim)
+    """Several refills with no partner to spare: this process draws and steps
+    every member, to the same bits, and no file is left open."""
+    spec = SystemSpec(landscape=MULTI_D["diag"], gamma=0.4, sigma=0.3, noise_kind="white")
+    cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=0.2, seed=3)
+    start = State([1.0, 0.5, -0.2], [0.0, 0.1, 0.0])
+    monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * 3 * 2 * 150 * 3)  # refills of 3 steps
 
-    def draws():
-        rngs = [member_rng(3, i) for i in range(n_members)]
-        return np.array([block.copy() for block in
-                         integrators._member_draws(rngs, n_steps, per_step, dim)])
+    def run():
+        return ensemble_arrays(spec, start, cfg, 150)
     with monkeypatch.context() as m:
         m.setattr(forking, "may_fork", lambda: False)
-        in_place = draws()
+        in_process = run()
     pids = spy_on_fork(monkeypatch)
     monkeypatch.setattr(target, name, refuse)
     fds = open_fds()
-    got = draws()
+    got = run()
     assert pids == []
     assert open_fds() == fds
     assert_no_child_process()
-    assert np.array_equal(got, in_place)
+    for key in in_process:
+        assert np.array_equal(got[key], in_process[key]), key
 
 
-KILLED_CONSUMER = """
+KILLED_RUN = """
 import os, signal
 from inertia import IntegratorConfig, State, SystemSpec, quadratic_isotropic
 from inertia import integrators
@@ -918,6 +919,7 @@ def announcing_fork():
 os.fork = announcing_fork
 os.sched_getaffinity = lambda pid: {0, 1}
 integrators._NOISE_FLOATS = 2 * 3 * 2 * 6
+integrators._GROUP_FLOATS = 2 * 6  # a group per sample
 spec = SystemSpec(landscape=quadratic_isotropic(1), gamma=0.4, sigma=0.3, noise_kind="white")
 cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=1.0, seed=2)
 samples = integrators.ensemble_samples(spec, State([1.0], [0.0]), cfg, 6)[1]
@@ -926,33 +928,40 @@ os.kill(os.getpid(), signal.SIGKILL)
 """
 
 
-def test_a_consumer_killed_outright_takes_its_producer_along():
-    """No finally runs in a SIGKILLed consumer; its producer sees the pipes break and
-    exits, which closes the stdout it inherited, so the run below returns."""
+def test_an_ensemble_killed_outright_takes_its_partner_along():
+    """No finally runs in a SIGKILLed run; its partner sees its parent change
+    and exits, which closes the stdout it inherited, so the run below returns."""
     package_root = os.path.dirname(os.path.dirname(integrators.__file__))
     env = dict(os.environ, PYTHONPATH=package_root)
     try:
-        done = subprocess.run([sys.executable, "-c", KILLED_CONSUMER], env=env,
+        done = subprocess.run([sys.executable, "-c", KILLED_RUN], env=env,
                               stdout=subprocess.PIPE, timeout=60)
     except subprocess.TimeoutExpired as exc:
-        if exc.output:  # the producer is still running: stop it
+        if exc.output:  # the partner is still running: stop it
             os.kill(int(exc.output), signal.SIGKILL)
         raise
     assert done.returncode == -signal.SIGKILL
-    assert int(done.stdout) > 0  # the producer's pid: it was forked
+    assert int(done.stdout) > 0  # the partner's pid: it was forked
 
 
 def ensemble_of_refills(n_members=6):
-    """A 1-D white-noise ensemble whose draws take about 34 refills of 3 steps."""
+    """A 1-D white-noise ensemble whose draws take about 34 refills of 3 steps,
+    with each of its 101 samples a group of its own, so two half-ensembles run it."""
     spec = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind="white")
     cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=1.0, seed=2)
     return ensemble_samples(spec, UNIT_START, cfg, n_members)[1]
 
 
-def test_a_dropped_ensemble_leaves_no_process(monkeypatch):
-    """Dropped while a second ensemble's producer, which holds copies of the
-    first one's pipe ends, is running: neither producer hangs or outlives its run."""
+@pytest.fixture
+def small_refills_and_groups(monkeypatch):
     monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * 3 * 2 * 6)
+    monkeypatch.setattr(integrators, "_GROUP_FLOATS", 2 * 6)
+
+
+def test_a_dropped_ensemble_leaves_no_process(monkeypatch, small_refills_and_groups):
+    """Dropped while a second ensemble's partner, which holds copies of the
+    first one's mapping and semaphores, is running: neither partner hangs or
+    outlives its run."""
     pids = spy_on_fork(monkeypatch)
     first, second = ensemble_of_refills(), ensemble_of_refills()
     for _ in range(10):
@@ -963,18 +972,17 @@ def test_a_dropped_ensemble_leaves_no_process(monkeypatch):
     assert_no_child_process()
 
 
-def test_a_killed_producer_fails_the_run(monkeypatch):
-    """The run raises once it needs a refill the producer never made; it does not hang."""
-    monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * 3 * 2 * 6)
+def test_a_killed_partner_fails_the_run(monkeypatch, small_refills_and_groups):
+    """The run raises once it waits for a group the partner never wrote; it does not hang."""
     pids = spy_on_fork(monkeypatch)
     samples = ensemble_of_refills()
-    next(samples), next(samples)  # step 0, then step 1 forks the producer
+    next(samples), next(samples)  # the partner is forked before the first group
     os.kill(pids[0], signal.SIGKILL)
-    # Wait until it is gone, without reaping it, so that the run's next token
-    # goes to a pipe nobody reads.
+    # Wait until it is gone, without reaping it, so that the run's next ask
+    # goes to a process that is no more.
     while os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
         time.sleep(0.001)
-    with pytest.raises(RuntimeError, match="the ensemble noise producer ended before refill"):
+    with pytest.raises(RuntimeError, match="the ensemble partner ended before group"):
         for _ in samples:
             pass
     assert_no_child_process()
