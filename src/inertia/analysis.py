@@ -263,56 +263,6 @@ class EnsembleResult:
     burn_in: float
 
 
-def _with_rates(samples, n_rec: int, dt: float):
-    """Each recorded sample with its energy rate, in order.
-
-    Yields ``(inertia, inertia_rate, speed_squared, noise_dot_v)``. The rate
-    of sample k is the centered difference (E[k+1] - E[k-1]) / (2 dt), so it
-    is yielded once sample k + 1 arrives; the first and last samples use
-    one-sided O(h^2) stencils. Only the last three samples are held.
-    """
-    two_dt = 2.0 * dt
-    ring = []
-    for k, sample in enumerate(samples):
-        ring = ring[-2:] + [sample]
-        if k < 2:
-            continue
-        (e0, *rest0), (e1, *rest1), (e2, *rest2) = ring
-        if k == 2:
-            yield e0, (-3.0 * e0 + 4.0 * e1 - e2) / two_dt, *rest0
-        yield e1, (e2 - e0) / two_dt, *rest1
-        if k == n_rec - 1:
-            yield e2, (3.0 * e2 - 4.0 * e1 + e0) / two_dt, *rest2
-
-
-def _reduce_group(rows: np.ndarray, out: np.ndarray) -> None:
-    """Reduce a group of finished samples over its members, into ``out``.
-
-    ``rows`` is (n_rows, filled, n_members): per sample, every member's
-    energy, energy rate, squared speed and, for correlated noise, <eta, v>.
-    ``out[:n_rows]`` gets their member means and ``out[n_rows:]`` the
-    standard errors of the first three. Each sum is a member-order fold,
-    ``np.add.accumulate`` along the member axis, so it adds member after
-    member exactly as the column sum of a full (n_members, n_samples) array
-    does: the series equal that reduction bit for bit and do not depend on
-    the group size. (A contiguous ``np.add.reduce`` sums pairwise and would
-    move the last bits.)
-    """
-    n_rows, _, n_members = rows.shape
-    fold = np.empty_like(rows)
-    mean = np.add.accumulate(rows, axis=-1, out=fold)[..., -1] / n_members
-    out[:n_rows] = mean
-    spread = np.subtract(rows[:3], mean[:3, :, None], out=fold[:3])
-    spread *= spread
-    variance = np.add.accumulate(spread, axis=-1, out=spread)[..., -1] / (n_members - 1)
-    stderr = np.sqrt(variance) / math.sqrt(n_members)
-    # Rows where every member agrees bitwise have zero sample scatter by
-    # definition; the two-pass variance can still leave ~1 ulp of the
-    # mean behind, so force those to exact zero.
-    stderr[rows[:3].max(axis=-1) == rows[:3].min(axis=-1)] = 0.0
-    out[n_rows:] = stderr
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def ensemble_expected_decay(
     spec: SystemSpec,
@@ -335,12 +285,12 @@ def ensemble_expected_decay(
     its rate, squared speed and, for correlated noise, <eta, v>) go into a
     group of finished samples of about 2^15 floats (one sample at 10^4
     members, dozens at a few hundred), and each group is reduced whole, with
-    member-order folds (_reduce_group). Memory is O(n_members * dim +
-    n_samples). The balance's per-member time sums are added group by
-    group, so they match a full-array mean to rounding, not bitwise. A run
-    that forks a partner for half of its members reduces every other group
-    there, and each process adds its own members' time sums; the result is
-    that of one process, bit for bit.
+    member-order folds. Memory is O(n_members * dim + n_samples). The
+    balance's per-member time sums are added here from each group's rows,
+    group by group, so they match a full-array mean to rounding, not
+    bitwise. A run that forks a partner for half of its members reduces
+    every other group there; the result is that of one process, bit for
+    bit.
 
     Finite member states can still overflow a statistic (the spread of
     members near 1e154 overflows the variance), so a NaN or Inf in any
@@ -356,7 +306,7 @@ def ensemble_expected_decay(
     if not 0 <= burn_in < config.t_end:
         raise InvalidArgument(f"burn_in must lie in [0, t_end), got {burn_in}")
 
-    times, run = ensemble_groups(spec, initial, config, n_members)
+    times, groups = ensemble_groups(spec, initial, config, n_members)
     n_rec = times.shape[0]
     # Per-member time-averaged balance over interior samples past the burn-in.
     start = int(np.searchsorted(times, burn_in - 1e-9))
@@ -370,16 +320,12 @@ def ensemble_expected_decay(
     n_rows = 4 if correlated else 3
     means = np.empty((n_rows, n_rec))
     stderrs = np.empty((3, n_rec))
-
-    def tally(group, sums, first):  # window sums per member of dI/dt, ||v||^2 and <eta, v>
-        sums += group[1:, max(start - first, 0) : stop - first].sum(axis=1)
-
-    groups = run(n_rows, rows=lambda samples: _with_rates(samples, n_rec, config.h),
-                 reduce=_reduce_group, n_out=n_rows + 3, tally=tally, n_sums=n_rows - 1)
-    for first, _, out, window_sums in groups:
+    window_sums = np.zeros((n_rows - 1, n_members))  # per member: dI/dt, ||v||^2, <eta, v>
+    for first, rows, out in groups:
         filled = out.shape[1]
         means[:, first : first + filled] = out[:n_rows]
         stderrs[:, first : first + filled] = out[n_rows:]
+        window_sums += rows[1:, max(start - first, 0) : stop - first].sum(axis=1)
 
     finite = np.isfinite(means).all(axis=0) & np.isfinite(stderrs).all(axis=0)
     if not finite.all():

@@ -55,7 +55,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -360,23 +359,17 @@ def _make_stepper(spec: SystemSpec, method: str, h: float, normal, grad):
             v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             return w, v, None, grad(w)
     elif method in ("verlet", "damped_splitting"):
+        # at gamma = 0, d is 1.0 and 1.0 * v is v bit for bit: this is velocity Verlet
         d = math.exp(-g * h / 2.0)
-        if d == 1.0:  # frictionless: 1.0 * v is v bit for bit, so skip it
-            def step(w, v, eta, gw):
-                v = v - half_h * gw
-                w = w + h * v
-                gw = grad(w)
-                v = v - half_h * gw
-                return w, v, None, gw
-        else:
-            def step(w, v, eta, gw):
-                v = d * v
-                v = v - half_h * gw
-                w = w + h * v
-                gw = grad(w)
-                v = v - half_h * gw
-                v = d * v
-                return w, v, None, gw
+
+        def step(w, v, eta, gw):
+            v = d * v
+            v = v - half_h * gw
+            w = w + h * v
+            gw = grad(w)
+            v = v - half_h * gw
+            v = d * v
+            return w, v, None, gw
     elif spec.noise_kind == "white":
         d = math.exp(-g * h / 2.0)
         s = _white_noise_scale(spec, h)
@@ -650,20 +643,24 @@ def drift_profile(
 # order a single run consumes its stream, so its noise does not depend on
 # the ensemble size or on which members are stepped together. A batch of
 # members draws a chunk of steps at a time into one slot, in place
-# (_member_draws), and its recorded samples go a group at a time into a
-# ring of groups (ensemble_groups), so memory does not grow with the
-# horizon.
+# (_member_draws), so memory does not grow with the horizon.
+# ensemble_samples steps every member in this process and hands out each
+# sample. ensemble_groups, which ensemble_expected_decay runs, turns each
+# sample into per-member rows (_with_rates), writes them into a group of
+# samples and reduces each whole group over the members (_reduce_group); in
+# one process it holds one group and hands it out as soon as it is reduced.
 # A run that needs more than one noise refill is split by members where it
 # can (forking.partner): this process runs members [0, cut) and a forked
 # partner [cut, M). Each builds the generators of its own members, draws,
-# steps and samples them, and writes their rows of each group into the
-# shared ring; then the group is reduced whole by one process, this one
-# the even groups and the partner the odd ones. Each group is thus
-# reduced over all M members in member order, and each member's stream,
-# state and rows are those of a one-process run: the step is per member
-# but for the batched W @ A, whose row bits the cut keeps
-# (QuadraticLandscape.row_cut). Where the cut does not keep them, or no
-# partner forks, this process runs every member through the same code.
+# steps and samples them, and writes their rows of each group into a
+# shared ring of three groups; then the group is reduced whole by one
+# process, this one the even groups and the partner the odd ones. The
+# partner writes a group ahead, so this process hands each group out one
+# group late. Each group is thus reduced over all M members in member
+# order, and each member's stream, state and rows are those of a
+# one-process run: the step is per member but for the batched W @ A, whose
+# row bits the cut keeps (QuadraticLandscape.row_cut). Where the cut does
+# not keep them, or no partner forks, this process runs every member.
 # Threads gain nothing here: each member's call of a few hundred normals
 # hands off the GIL, and two filling threads ran slower than one.
 
@@ -672,9 +669,11 @@ _TILE_FLOATS = 1 << 13  # floats in one member-major tile of draws (64 KB)
 _GROUP_FLOATS = 1 << 15  # floats of per-member rows in one group of samples
 
 
-def _refill_steps(per_step: int, n_members: int, dim: int) -> int:
-    """Steps of noise that one slot of ``n_members`` holds."""
-    return max(1, _NOISE_FLOATS // (2 * per_step * n_members * dim))
+def _refill_steps(spec: SystemSpec, n_members: int) -> int:
+    """Steps of noise that one slot of ``n_members`` holds: two draws a step
+    per coordinate for white noise, one for correlated noise."""
+    per_step = 1 if spec.noise_kind == "ou" else 2
+    return max(1, _NOISE_FLOATS // (2 * per_step * n_members * spec.landscape.dim))
 
 
 def _fill(slot: np.ndarray, n: int, rngs) -> None:
@@ -714,16 +713,19 @@ def _member_draws(rngs, n_steps: int, per_step: int, dim: int, rows: int):
         yield from slot[:n].reshape(-1, n_members, dim)
 
 
+def _member_failure(k: int, member: int) -> NumericalFailure:
+    """The failure of an ensemble whose ``member`` is first not finite at step ``k``."""
+    return NumericalFailure(f"non-finite state in member {member} at step {k}",
+                            step_index=k, member=member)
+
+
 def _raise_nonfinite(w, v, k: int, first: int):
     """Raise naming the first member of a batched state that is not finite at step
     ``k``; the batch holds members ``first`` on."""
     if np.all(np.isfinite(w)) and np.all(np.isfinite(v)):
         return
     bad = ~(np.all(np.isfinite(w), axis=1) & np.all(np.isfinite(v), axis=1))
-    member = first + int(np.flatnonzero(bad)[0])
-    raise NumericalFailure(
-        f"non-finite state in member {member} at step {k}", step_index=k, member=member
-    )
+    raise _member_failure(k, first + int(np.flatnonzero(bad)[0]))
 
 
 def _sample(w, v, eta, gw, values):
@@ -760,87 +762,131 @@ def _member_samples(spec, initial, config, record, rngs, first: int, refill: int
         yield _sample(w, v, eta, gw, values)
 
 
-def _groups(spec, initial, config, n_members, record, n_rows, rows=iter, reduce=None, n_out=0,
-            tally=None, n_sums=0):
-    """The groups of ``ensemble_groups``' ``run``; its docstring says what they are."""
+def _with_rates(samples, n_rec: int, dt: float):
+    """Each of ``n_rec`` recorded samples with its energy rate, in order.
+
+    Yields ``(inertia, inertia_rate, speed_squared[, noise_dot_v])``. The
+    rate of sample k is the centered difference (E[k+1] - E[k-1]) / (2 dt),
+    so it is yielded once sample k + 1 arrives; the first and last samples
+    use one-sided O(h^2) stencils. Only the last three samples are held.
+    """
+    two_dt = 2.0 * dt
+    ring = []
+    for k, sample in enumerate(samples):
+        ring = ring[-2:] + [sample]
+        if k < 2:
+            continue
+        (e0, *rest0), (e1, *rest1), (e2, *rest2) = ring
+        if k == 2:
+            yield e0, (-3.0 * e0 + 4.0 * e1 - e2) / two_dt, *rest0
+        yield e1, (e2 - e0) / two_dt, *rest1
+        if k == n_rec - 1:
+            yield e2, (3.0 * e2 - 4.0 * e1 + e0) / two_dt, *rest2
+
+
+def _reduce_group(rows: np.ndarray, out: np.ndarray) -> None:
+    """Reduce a group of finished samples over its members, into ``out``.
+
+    ``rows`` is (n_rows, filled, n_members): per sample, every member's
+    energy, energy rate, squared speed and, for correlated noise, <eta, v>.
+    ``out[:n_rows]`` gets their member means and ``out[n_rows:]`` the
+    standard errors of the first three. Each sum is a member-order fold,
+    ``np.add.accumulate`` along the member axis, so it adds member after
+    member exactly as the column sum of a full (n_members, n_samples) array
+    does: the series equal that reduction bit for bit and do not depend on
+    the group size. (A contiguous ``np.add.reduce`` sums pairwise and would
+    move the last bits.)
+    """
+    n_rows, _, n_members = rows.shape
+    fold = np.empty_like(rows)
+    mean = np.add.accumulate(rows, axis=-1, out=fold)[..., -1] / n_members
+    out[:n_rows] = mean
+    spread = np.subtract(rows[:3], mean[:3, :, None], out=fold[:3])
+    spread *= spread
+    variance = np.add.accumulate(spread, axis=-1, out=spread)[..., -1] / (n_members - 1)
+    stderr = np.sqrt(variance) / math.sqrt(n_members)
+    # Rows where every member agrees bitwise have zero sample scatter by
+    # definition; the two-pass variance can still leave ~1 ulp of the
+    # mean behind, so force those to exact zero.
+    stderr[rows[:3].max(axis=-1) == rows[:3].min(axis=-1)] = 0.0
+    out[n_rows:] = stderr
+
+
+def _groups(spec, initial, config, n_members, record):
+    """The groups that ``ensemble_groups`` yields; its docstring says what they are."""
     from .streams import member_rngs  # loaded before the fork, so the partner need not
 
     n_rec = record.shape[0]
+    n_rows = 4 if spec.noise_kind == "ou" else 3
     size = max(1, min(n_rec, _GROUP_FLOATS // (n_rows * n_members)))
     n_groups = -(-n_rec // size)
     block = n_rows * size * n_members
-    slot = block + n_out * size
-    per_step = 1 if spec.noise_kind == "ou" else 2
-    several = _refill_steps(per_step, n_members, initial.dim) < config.n_steps
+    slot = block + (n_rows + 3) * size + 2  # a group's rows and out, and a failure in it
+    several = _refill_steps(spec, n_members) < config.n_steps
     cut = spec.landscape.row_cut(n_members) if several else None
-    # groups in the ring: the one the caller reads, the one this process
-    # writes and, in a split run, the one the partner writes ahead
-    n_ring = 3 if cut else 2
 
     def layout(buffer):
-        """Per ring slot, the rows and the out of a group; the per-member sums;
-        per ring slot, the partner's failure in that group."""
-        ring = buffer[: n_ring * slot].reshape(n_ring, slot)
-        groups = [(r[:block].reshape(n_rows, size, n_members), r[block:].reshape(n_out, size))
-                  for r in ring]
-        sums = buffer[n_ring * slot : -2 * n_ring].reshape(n_sums, n_members)
-        return groups, sums, buffer[-2 * n_ring :].reshape(n_ring, 2)
+        """Per ring slot of ``buffer``: the rows and the out of a group, and
+        the partner's failure in that group."""
+        return [(r[:block].reshape(n_rows, size, n_members), r[block:-2].reshape(-1, size), r[-2:])
+                for r in buffer.reshape(-1, slot)]
 
-    def group(groups, g):
+    def group(ring, g):
         """The rows and the out of group g."""
         filled = min(size, n_rec - g * size)
-        rows, out = groups[g % n_ring]
+        rows, out, _ = ring[g % len(ring)]
         return rows[:, :filled], out[:, :filled]
 
-    def half(groups, sums, first, stop):
-        """fill(g): write the rows of members [first, stop) of group g into the
-        ring and tally them; returns (step, member) of the first non-finite
-        state among those members, or None."""
+    def half(ring, first, stop):
+        """fill(g): write the rows of members [first, stop) of group g into
+        the ring; returns (step, member) of the first non-finite state among
+        those members, or None."""
         # a slot holds the whole run where one refill covers every member,
         # else as many steps as fit: the same at any horizon
-        refill = _refill_steps(per_step, stop - first, initial.dim) if several else config.n_steps
-        produced = rows(_member_samples(spec, initial, config, record,
-                                        member_rngs(config.seed, first, stop), first, refill))
-        sums = sums[:, first:stop]
+        refill = _refill_steps(spec, stop - first) if several else config.n_steps
+        samples = _member_samples(spec, initial, config, record,
+                                  member_rngs(config.seed, first, stop), first, refill)
+        produced = _with_rates(samples, n_rec, config.h)
 
         def fill(g):
-            mine = group(groups, g)[0][:, :, first:stop]
+            mine = group(ring, g)[0][:, :, first:stop]
             try:
                 for r in range(mine.shape[1]):
                     for row, values in zip(mine[:, r], next(produced)):
                         row[:] = values
             except NumericalFailure as failure:
                 return failure.step_index, failure.member
-            if tally is not None:
-                tally(mine, sums, g * size)
             return None
         return fill
 
     def start(shared):  # in the partner: its rows of group g, after reducing group g - 1 if odd
-        groups, sums, failures = layout(shared)
-        failures[:] = -1
-        fill, jobs = half(groups, sums, cut, n_members), iter(range(n_groups + 1))
+        ring = layout(shared)
+        for _, _, failed in ring:
+            failed[:] = -1
+        fill, jobs = half(ring, cut, n_members), iter(range(n_groups + 1))
 
         def job():
             g = next(jobs)
-            if failures[(g - 1) % n_ring, 0] >= 0:  # its half failed in group g - 1
+            if ring[(g - 1) % 3][2][0] >= 0:  # its half failed in group g - 1
                 return
-            if g % 2 == 0 and g and reduce is not None:
-                reduce(*group(groups, g - 1))
+            if g % 2 == 0 and g:
+                _reduce_group(*group(ring, g - 1))
             if g < n_groups:
-                failures[g % n_ring] = fill(g) or -1
+                ring[g % 3][2][:] = fill(g) or -1
         return job
 
-    floats = n_ring * slot + n_sums * n_members + 2 * n_ring
-    with partner(floats, start) if cut else nullcontext() as hand:
+    # A split run's ring holds three groups: the one the caller reads, the one
+    # this process writes and the one the partner writes ahead. It hands each
+    # group out one pass late, once the partner is done with it (lag).
+    with partner(3 * slot, start) if cut else nullcontext() as hand:
         if hand is None:
-            buffer, ask, answer, cut = np.zeros(floats), lambda: None, lambda: True, n_members
+            shared, ask, answer, cut, lag = np.empty(slot), lambda: None, lambda: True, n_members, 0
         else:
-            buffer, ask, answer = hand
-        groups, sums, failures = layout(buffer)
-        fill = half(groups, sums, 0, cut)
+            (shared, ask, answer), lag = hand, 1
+        ring = layout(shared)
+        fill = half(ring, 0, cut)
         ask()  # the partner's rows of group 0
-        for g in range(n_groups + 1):
+        for g in range(n_groups + lag):
             failed = None
             if g < n_groups:
                 failed = fill(g)
@@ -848,67 +894,60 @@ def _groups(spec, initial, config, n_members, record, n_rows, rows=iter, reduce=
                     ask()  # the partner reduces group g if odd, then writes its rows of g + 1
             if not answer():
                 raise RuntimeError(f"the ensemble partner ended before group {g}")
-            theirs = failures[g % n_ring]  # the partner may be writing group g + 1's slot by now
-            if hand is not None and g < n_groups and theirs[0] >= 0:  # the lower member wins a tie
+            theirs = ring[g % len(ring)][2]  # the partner may be writing group g + 1's slot by now
+            if lag and g < n_groups and theirs[0] >= 0:  # the lower member wins a tie
                 failed = min(failed or (math.inf, 0), (int(theirs[0]), int(theirs[1])))
             if failed is not None:
-                k, member = failed
-                raise NumericalFailure(f"non-finite state in member {member} at step {k}",
-                                       step_index=k, member=member)
-            if g:  # group g - 1 is whole; this process reduces it unless the partner did
-                done = group(groups, g - 1)
-                if reduce is not None and (hand is None or g % 2):
-                    reduce(*done)
-                yield ((g - 1) * size, *done, sums)
+                raise _member_failure(*failed)
+            if g >= lag:  # group g - lag is whole; this process reduces it unless the partner did
+                done = group(ring, g - lag)
+                if not lag or g % 2:
+                    _reduce_group(*done)
+                yield (g - lag) * size, *done
 
 
-def ensemble_groups(spec: SystemSpec, initial: State, config: IntegratorConfig, n_members: int):
-    """Sample times and a runner of an ensemble that hands out its samples in groups.
-
-    Returns ``(times, run)``. ``run(n_rows, rows=iter, reduce=None, n_out=0,
-    tally=None, n_sums=0)`` runs the ensemble as its iterator is consumed and
-    yields ``(first, group, out, sums)`` per group of recorded samples, in order:
-    ``group`` is an (n_rows, filled, n_members) array whose ``group[:, r]``
-    holds every member's rows of sample ``first + r``, ``out`` an (n_out,
-    filled) array, and ``sums`` (n_sums, n_members), complete once the last
-    group is out. Each is valid until the next group is asked for. Groups
-    hold about _GROUP_FLOATS floats, one sample at 10^4 members.
-
-    ``rows(samples)`` turns a batch of members' samples, each a tuple of
-    (members,) arrays (inertia, speed_squared and, for correlated noise,
-    noise_dot_v), into ``n_rows`` such arrays per sample, in order. The
-    samples of a group are those rows. ``tally(group, sums, first)`` adds a
-    batch's own columns of each group into those members' columns of
-    ``sums``, group after group. ``reduce(group, out)`` reduces each whole
-    group into ``out``, in one process. A run that needs more than one noise
-    refill runs its second half of the members in a forked partner where it
-    can, which makes its own rows, tallies and every other reduction; the
-    yielded values are those of one process bit for bit, provided ``rows``
-    and ``tally`` act on each member alone and ``reduce`` on the group alone.
-    Finishing, failing, closing or dropping the iterator ends and reaps the
-    partner; a partner that ends early fails the run with a RuntimeError.
-
-    A run raises ``NumericalFailure`` at the first step at which a member's
-    state is not finite, naming the lowest such member; the groups it
-    yielded before end a group or more short of that step. Arguments are
-    checked at the call.
-    """
+def _ensemble_record(spec: SystemSpec, initial: State, config: IntegratorConfig,
+                     n_members: int) -> np.ndarray:
+    """The steps an ensemble records; raises InvalidArgument where none can run."""
     spec.landscape.check_point(initial.w)
     check_method(spec, config.method)
     if config.method != "stochastic_splitting":
         raise InvalidArgument("ensembles are for the stochastic method")
     if n_members < 1:
         raise InvalidArgument(f"need at least one member, got {n_members}")
-    record = _record_indices(config.n_steps, config.record_every)
-    return record * config.h, partial(_groups, spec, initial, config, n_members, record)
+    return _record_indices(config.n_steps, config.record_every)
 
 
-def _unstacked(groups):
-    """Each sample of ``groups`` as fresh (inertia, speed_squared, noise_dot_v) arrays."""
-    for _, group, _, _ in groups:
-        for r in range(group.shape[1]):
-            inertia, speed_sq, *noise_dot_v = group[:, r].copy()
-            yield inertia, speed_sq, noise_dot_v[0] if noise_dot_v else None
+def ensemble_groups(spec: SystemSpec, initial: State, config: IntegratorConfig, n_members: int):
+    """Sample times and an iterator over an ensemble's samples, reduced a group at a time.
+
+    Returns ``(times, groups)``. ``groups`` runs the ensemble as it is
+    consumed and yields ``(first, rows, out)`` per group of recorded
+    samples, in order. ``rows`` is an (n_rows, filled, n_members) array
+    whose ``rows[:, r]`` holds every member's rows of sample ``first + r``:
+    its energy, the energy's rate (the centered difference
+    (E[k+1] - E[k-1]) / (2h), one-sided O(h^2) at both ends: the rate where
+    every step is recorded), its squared speed and, for correlated noise,
+    <eta, v>. ``out`` is (n_rows + 3,
+    filled): the member means of those rows, then the standard errors of the
+    first three, each a member-order fold (_reduce_group). Both are valid
+    until the next group is asked for. A group holds about _GROUP_FLOATS
+    floats of rows, one sample at 10^4 members.
+
+    A run that needs more than one noise refill runs its second half of the
+    members in a forked partner where it can, which writes their rows and
+    reduces every other group; the yielded values are those of one process
+    bit for bit. Finishing, failing, closing or dropping ``groups`` ends and
+    reaps the partner; a partner that ends early fails the run with a
+    RuntimeError.
+
+    A run raises ``NumericalFailure`` at the first step at which a member's
+    state is not finite, naming the lowest such member; the groups it
+    yielded before hold only samples recorded before that step. Arguments
+    are checked at the call.
+    """
+    record = _ensemble_record(spec, initial, config, n_members)
+    return record * config.h, _groups(spec, initial, config, n_members, record)
 
 
 def ensemble_samples(
@@ -925,10 +964,8 @@ def ensemble_samples(
     for white noise. It holds O(n_members * dim) state whatever the horizon,
     and raises ``NumericalFailure`` naming the step and the first member
     whose state left the finite range. Arguments are checked at the call.
-    These are the rows of ``ensemble_groups``, run with no group job: a run
-    whose noise takes more than one refill runs half of its members in a
-    forked partner process, which finishing, failing, closing or dropping
-    ``samples`` ends and reaps.
+    Every member steps in this process, with the kernel and the draws of
+    ``ensemble_groups``, and no group is formed or reduced.
 
     All members start from ``initial`` and member i draws from
     ``member_rng(config.seed, i)``, so member 0 follows ``integrate`` with
@@ -938,5 +975,12 @@ def ensemble_samples(
     sums take different BLAS kernels than a single trajectory's ``w @ A``
     and ``v @ v``.
     """
-    times, run = ensemble_groups(spec, initial, config, n_members)
-    return times, _unstacked(run(3 if spec.noise_kind == "ou" else 2))
+    from .streams import member_rngs
+
+    record = _ensemble_record(spec, initial, config, n_members)
+    refill = min(config.n_steps, _refill_steps(spec, n_members))
+    samples = _member_samples(spec, initial, config, record,
+                              member_rngs(config.seed, 0, n_members), 0, refill)
+    if spec.noise_kind != "ou":
+        samples = ((*sample, None) for sample in samples)
+    return record * config.h, samples

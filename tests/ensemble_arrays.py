@@ -1,5 +1,5 @@
-"""Test helpers: an ensemble's whole-run arrays, a watch on forked processes,
-and stand-ins for a pipe, mapping or fork that fails."""
+"""Test helpers: an ensemble's whole-run arrays, sampled or grouped, a watch on
+forked processes, and stand-ins for a pipe, mapping or fork that fails."""
 
 import errno
 import os
@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from inertia.integrators import ensemble_samples
+from inertia.integrators import ensemble_groups, ensemble_samples
 
 
 def ensemble_arrays(spec, initial, config, n_members):
@@ -22,6 +22,23 @@ def ensemble_arrays(spec, initial, config, n_members):
     columns = zip(names, zip(*samples))
     return {"times": times, **{name: np.column_stack(col) for name, col in columns
                                if col[0] is not None}}
+
+
+def group_arrays(spec, initial, config, n_members):
+    """``ensemble_groups`` joined over its groups, plus ``times``.
+
+    Keys: ``times``, ``rows`` of shape (n_rows, n_samples, n_members) and
+    ``out`` of shape (n_rows + 3, n_samples). Each group must start where
+    the one before it ended.
+    """
+    times, groups = ensemble_groups(spec, initial, config, n_members)
+    rows, outs = [], []
+    for first, group_rows, out in groups:  # each is valid until the next group
+        assert first == sum(r.shape[1] for r in rows)
+        rows.append(group_rows.copy())
+        outs.append(out.copy())
+    return {"times": times, "rows": np.concatenate(rows, axis=1),
+            "out": np.concatenate(outs, axis=1)}
 
 
 def spy_on_fork(monkeypatch):

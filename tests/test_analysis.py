@@ -441,8 +441,9 @@ def test_streamed_reduction_in_groups_of_one_sample(name, noise, tau):
 def test_ensemble_memory_does_not_grow_with_the_horizon(monkeypatch):
     """From T = 5 to T = 40 the traced peak grows by the longer result series only.
 
-    The noise slots are an anonymous shared mapping, which tracemalloc does
-    not see, so their size is checked on its own: the same at both horizons.
+    A split run's ring of groups is an anonymous shared mapping, which
+    tracemalloc does not see, so its size is checked on its own: the same at
+    both horizons.
     The result holds seven series of one float per sample (times, and the
     mean and standard error of three quantities); the run also holds the
     recorded step indices as one array. The growth measured 1.14 times the

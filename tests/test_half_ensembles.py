@@ -9,7 +9,7 @@ from inertia import (IntegratorConfig, NumericalFailure, QuadraticLandscape, Sta
 from inertia.analysis import ensemble_expected_decay
 from inertia.streams import member_rngs
 
-from ensemble_arrays import assert_no_child_process, ensemble_arrays, spy_on_fork
+from ensemble_arrays import assert_no_child_process, group_arrays, spy_on_fork
 
 
 def dense(dim):
@@ -36,18 +36,21 @@ def split_and_whole(monkeypatch, run, landscape, n_members):
     return split, whole
 
 
-@pytest.mark.parametrize("n_members, n_steps", [
+@pytest.mark.parametrize("n_members, n_steps, burn_in", [
     # 1000 members: groups of 10 samples (white) or 8 (ou), and of 16 or 10
     # for the samples. 40 samples fill 4 or 5 groups, 45 fill 5 or 6 with a
     # last partial group, 51 fill 6 or 7 with one of 1 or 3.
-    (1000, 39), (1000, 44), (1000, 50),
-    (6000, 16),  # a group per sample, 17 of them
-])
+    (1000, 39, 0.05), (1000, 44, 0.05), (1000, 50, 0.05),
+    # the balance window, samples 25 to 43, starts inside the third or
+    # fourth group and ends inside the partial last one
+    (1000, 44, 0.25),
+    (6000, 16, 0.05),  # a group per sample, 17 of them
+], ids=["1000-39", "1000-44", "1000-50", "1000-44-late-window", "6000-16"])
 @pytest.mark.parametrize("noise, tau", [("white", None), ("ou", 0.5)])
 @pytest.mark.parametrize("name", LANDSCAPES)
 def test_a_split_ensemble_has_the_bits_of_one_process(monkeypatch, name, noise, tau, n_members,
-                                                      n_steps):
-    """Every series, the balance and its stderr, and every sampled row."""
+                                                      n_steps, burn_in):
+    """Every series, the balance and its stderr, and every member's rows of every group."""
     landscape = LANDSCAPES[name]
     dim = landscape.dim
     spec = SystemSpec(landscape=landscape, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
@@ -58,10 +61,13 @@ def test_a_split_ensemble_has_the_bits_of_one_process(monkeypatch, name, noise, 
     # refills of 5 steps for the whole ensemble, 10 for each half
     monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * per_step * n_members * dim * 5)
     rows = 4 if noise == "ou" else 3
-    assert (integrators._GROUP_FLOATS // (rows * n_members) > 1) == (n_members == 1000)
+    size = integrators._GROUP_FLOATS // (rows * n_members)
+    assert (size > 1) == (n_members == 1000)
+    if burn_in == 0.25:
+        assert size < 25 and 25 % size and 45 % size
 
     split, whole = split_and_whole(
-        monkeypatch, lambda: ensemble_expected_decay(spec, start, cfg, n_members, burn_in=0.05),
+        monkeypatch, lambda: ensemble_expected_decay(spec, start, cfg, n_members, burn_in=burn_in),
         landscape, n_members)
     for q in ("inertia", "inertia_rate", "speed_squared"):
         for series in ("mean_series", "stderr_series"):
@@ -72,9 +78,8 @@ def test_a_split_ensemble_has_the_bits_of_one_process(monkeypatch, name, noise, 
     assert split.balance_residual.hex() == whole.balance_residual.hex()
     assert split.balance_stderr.hex() == whole.balance_stderr.hex()
 
-    split, whole = split_and_whole(monkeypatch, lambda: ensemble_arrays(spec, start, cfg, n_members),
+    split, whole = split_and_whole(monkeypatch, lambda: group_arrays(spec, start, cfg, n_members),
                                    landscape, n_members)
-    assert split.keys() == whole.keys()
     for key in whole:
         assert split[key].tobytes() == whole[key].tobytes(), key
 
@@ -102,10 +107,10 @@ def test_an_ensemble_without_a_cut_runs_in_one_process(monkeypatch):
     start = State([1.0, 0.5, -0.2], [0.0, 0.1, 0.0])
     monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * 2 * 100 * 3 * 5)  # refills of 5 steps
     pids = spy_on_fork(monkeypatch)
-    split = ensemble_arrays(spec, start, cfg, 100)
+    split = group_arrays(spec, start, cfg, 100)
     assert len(pids) == 1
     monkeypatch.setattr(QuadraticLandscape, "row_cut", lambda self, rows: None)
-    whole = ensemble_arrays(spec, start, cfg, 100)
+    whole = group_arrays(spec, start, cfg, 100)
     assert len(pids) == 1
     for key in whole:
         assert split[key].tobytes() == whole[key].tobytes(), key
@@ -143,7 +148,6 @@ def test_a_split_ensemble_names_the_failure_of_one_process(monkeypatch, seed, pa
         with pytest.raises(NumericalFailure) as caught, np.errstate(over="ignore", invalid="ignore"):
             run()
         return caught.value.step_index, caught.value.member
-    for run in (lambda: ensemble_expected_decay(spec, State([1.0], [0.0]), cfg, 1000),
-                lambda: ensemble_arrays(spec, State([1.0], [0.0]), cfg, 1000)):
-        split, whole = split_and_whole(monkeypatch, lambda: failure(run), spec.landscape, 1000)
-        assert split == whole == expected
+    run = lambda: ensemble_expected_decay(spec, State([1.0], [0.0]), cfg, 1000)  # noqa: E731
+    split, whole = split_and_whole(monkeypatch, lambda: failure(run), spec.landscape, 1000)
+    assert split == whole == expected

@@ -34,10 +34,10 @@ from inertia import (
 )
 from inertia import forking, integrators, streams
 from inertia.analysis import ensemble_expected_decay
-from inertia.integrators import ensemble_samples, initial_forcing, member_rng
+from inertia.integrators import ensemble_groups, ensemble_samples, initial_forcing, member_rng
 
-from ensemble_arrays import (assert_no_child_process, ensemble_arrays, open_fds, refuse,
-                             spy_on_fork)
+from ensemble_arrays import (assert_no_child_process, ensemble_arrays, group_arrays, open_fds,
+                             refuse, spy_on_fork)
 
 ISO1 = quadratic_isotropic(1)
 UNIT_START = State([1.0], [0.0])
@@ -828,10 +828,11 @@ def test_ensemble_rows_match_independent_runs():
 def test_ensemble_noise_refills_do_not_change_the_draws(monkeypatch, noise, tau):
     """Members' draws are the same however many steps a slot holds and whichever process draws them.
 
-    One refill is drawn in place. Several are drawn by two half-ensembles,
+    One refill is drawn in place. Several are drawn by this process for
+    ``ensemble_samples``; for ``ensemble_groups`` by two half-ensembles,
     this process's and a forked partner's, or, where os.fork is missing or
-    one CPU is usable, by this process for every member; all four runs
-    agree bitwise.
+    one CPU is usable, by this process for every member. The samples and
+    the groups each agree bitwise with their one-refill run.
     """
     landscape = MULTI_D["diag"]
     spec = SystemSpec(landscape=landscape, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
@@ -839,23 +840,27 @@ def test_ensemble_noise_refills_do_not_change_the_draws(monkeypatch, noise, tau)
                            record_every=3)
     start = State([1.0, 0.5, -0.2], [0.0, 0.1, 0.0])
     pids = spy_on_fork(monkeypatch)
-    whole = ensemble_arrays(spec, start, cfg, 4)
+    whole, whole_groups = ensemble_arrays(spec, start, cfg, 4), group_arrays(spec, start, cfg, 4)
     assert pids == []
     assert integrators._NOISE_FLOATS >= 2 * 2 * 4 * 3 * cfg.n_steps  # one refill above
     monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * (2 * 4 * 3 * 3 + 5))  # slots of 3 or 6 steps
-    forked = ensemble_arrays(spec, start, cfg, 4)
+    refilled = ensemble_arrays(spec, start, cfg, 4)
+    assert pids == []
+    forked = group_arrays(spec, start, cfg, 4)
     assert len(pids) == 1
     assert_no_child_process()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    one_cpu = ensemble_arrays(spec, start, cfg, 4)
+    one_cpu = group_arrays(spec, start, cfg, 4)
     assert len(pids) == 1
     monkeypatch.delattr(os, "fork")
-    in_place = ensemble_arrays(spec, start, cfg, 4)
-    assert whole.keys() == forked.keys() == one_cpu.keys() == in_place.keys()
+    in_place = group_arrays(spec, start, cfg, 4)
+    assert whole.keys() == refilled.keys()
     for key in whole:
-        assert np.array_equal(whole[key], forked[key]), key
-        assert np.array_equal(whole[key], one_cpu[key]), key
-        assert np.array_equal(whole[key], in_place[key]), key
+        assert np.array_equal(whole[key], refilled[key]), key
+    for key in whole_groups:
+        assert np.array_equal(whole_groups[key], forked[key]), key
+        assert np.array_equal(whole_groups[key], one_cpu[key]), key
+        assert np.array_equal(whole_groups[key], in_place[key]), key
 
 
 @pytest.mark.parametrize("can_fork", [True, False])
@@ -922,8 +927,8 @@ integrators._NOISE_FLOATS = 2 * 3 * 2 * 6
 integrators._GROUP_FLOATS = 2 * 6  # a group per sample
 spec = SystemSpec(landscape=quadratic_isotropic(1), gamma=0.4, sigma=0.3, noise_kind="white")
 cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=1.0, seed=2)
-samples = integrators.ensemble_samples(spec, State([1.0], [0.0]), cfg, 6)[1]
-next(samples), next(samples)
+groups = integrators.ensemble_groups(spec, State([1.0], [0.0]), cfg, 6)[1]
+next(groups), next(groups)
 os.kill(os.getpid(), signal.SIGKILL)
 """
 
@@ -945,11 +950,12 @@ def test_an_ensemble_killed_outright_takes_its_partner_along():
 
 
 def ensemble_of_refills(n_members=6):
-    """A 1-D white-noise ensemble whose draws take about 34 refills of 3 steps,
-    with each of its 101 samples a group of its own, so two half-ensembles run it."""
+    """The groups of a 1-D white-noise ensemble whose draws take about 34 refills
+    of 3 steps, with each of its 101 samples a group of its own, so two
+    half-ensembles run it."""
     spec = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind="white")
     cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=1.0, seed=2)
-    return ensemble_samples(spec, UNIT_START, cfg, n_members)[1]
+    return ensemble_groups(spec, UNIT_START, cfg, n_members)[1]
 
 
 @pytest.fixture
@@ -975,17 +981,37 @@ def test_a_dropped_ensemble_leaves_no_process(monkeypatch, small_refills_and_gro
 def test_a_killed_partner_fails_the_run(monkeypatch, small_refills_and_groups):
     """The run raises once it waits for a group the partner never wrote; it does not hang."""
     pids = spy_on_fork(monkeypatch)
-    samples = ensemble_of_refills()
-    next(samples), next(samples)  # the partner is forked before the first group
+    groups = ensemble_of_refills()
+    next(groups), next(groups)  # the partner is forked before the first group
     os.kill(pids[0], signal.SIGKILL)
     # Wait until it is gone, without reaping it, so that the run's next ask
     # goes to a process that is no more.
     while os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
         time.sleep(0.001)
     with pytest.raises(RuntimeError, match="the ensemble partner ended before group"):
-        for _ in samples:
+        for _ in groups:
             pass
     assert_no_child_process()
+
+
+@pytest.mark.parametrize("noise, tau", [("white", None), ("ou", 0.5)])
+def test_a_one_process_ensemble_holds_one_group_and_hands_it_out_at_once(monkeypatch, noise, tau):
+    """200 members take one noise refill, so no partner runs: every group is
+    written into the same memory and handed out as soon as its last sample's
+    rate is known, one sample past the group, before any later sample."""
+    sampled, sample = [], integrators._sample
+    monkeypatch.setattr(integrators, "_sample", lambda *args: sampled.append(1) or sample(*args))
+    pids = spy_on_fork(monkeypatch)
+    spec = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
+    cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=2.0, seed=4)
+    times, groups = ensemble_groups(spec, UNIT_START, cfg, 200)
+    n_rec, addresses, n_groups = times.shape[0], set(), 0
+    for first, rows, out in groups:
+        assert len(sampled) == min(first + rows.shape[1] + 1, n_rec)
+        addresses.add(rows.__array_interface__["data"][0])
+        n_groups += 1
+    assert n_groups >= 4 and len(addresses) == 1  # groups of 54 (white) or 40 samples
+    assert pids == []
 
 
 def test_ensemble_requires_stochastic_method():
@@ -995,8 +1021,9 @@ def test_ensemble_requires_stochastic_method():
         ensemble_arrays(spec, UNIT_START, cfg, 4)
     noisy = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind="white")
     stochastic = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=1.0)
-    with pytest.raises(InvalidArgument, match="at least one member"):
-        ensemble_samples(noisy, UNIT_START, stochastic, 0)
+    for run_ensemble in (ensemble_samples, ensemble_groups):
+        with pytest.raises(InvalidArgument, match="at least one member"):
+            run_ensemble(noisy, UNIT_START, stochastic, 0)
 
 
 # --- recording and failure handling -------------------------------------------
