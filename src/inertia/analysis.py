@@ -301,8 +301,6 @@ def ensemble_expected_decay(
     """
     if n_members < 100:
         raise InvalidArgument(f"need at least 100 members for stable statistics, got {n_members}")
-    if config.record_every != 1:
-        raise InvalidArgument("balance estimates need every step recorded (record_every=1)")
     if not 0 <= burn_in < config.t_end:
         raise InvalidArgument(f"burn_in must lie in [0, t_end), got {burn_in}")
 
@@ -313,7 +311,8 @@ def ensemble_expected_decay(
     start = max(start, 1)
     stop = n_rec - 1
     if stop - start < 10:
-        raise InvalidArgument("burn_in leaves too few samples for the balance average")
+        raise InvalidArgument(f"too few samples for the balance average: it needs 10 interior "
+                              f"samples, this run leaves {stop - start}; lengthen t_end or shorten h")
 
     correlated = spec.noise_kind == "ou"
     # rows: inertia, inertia_rate, speed_squared and, if correlated, noise_dot_v

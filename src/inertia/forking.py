@@ -5,11 +5,10 @@ one-shot helpers go through ``beside``: the second half of a large text
 (``output._halves``) and ``scripts/reproduce_all.py``'s worker
 each send back bytes over a pipe. The two streaming helpers go through
 ``partner``: the second half of a large ensemble's members, with every
-other group reduction (``integrators.ensemble_groups``, as
-``analysis.ensemble_expected_decay`` runs it; ``ensemble_samples`` forks
-nothing), and the right column block of a long dense run's gradient
-(``integrators._gradient``) each serve asks, in order, through shared
-memory and two semaphores. Where a fork fails, each
+other group reduction (``integrators.ensemble_groups``, the one function
+that runs an ensemble's members), and the right column block of a long
+dense run's gradient (``integrators._gradient``) each serve asks, in
+order, through shared memory and two semaphores. Where a fork fails, each
 job does its helper's share in this process.
 """
 

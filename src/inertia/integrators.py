@@ -76,7 +76,6 @@ __all__ = [
     "step_damped_splitting",
     "step_stochastic",
     "ensemble_groups",
-    "ensemble_samples",
     "momentum_step",
     "discrete_trajectory",
     "drift_profile",
@@ -644,11 +643,12 @@ def drift_profile(
 # the ensemble size or on which members are stepped together. A batch of
 # members draws a chunk of steps at a time into one slot, in place
 # (_member_draws), so memory does not grow with the horizon.
-# ensemble_samples steps every member in this process and hands out each
-# sample. ensemble_groups, which ensemble_expected_decay runs, turns each
-# sample into per-member rows (_with_rates), writes them into a group of
-# samples and reduces each whole group over the members (_reduce_group); in
-# one process it holds one group and hands it out as soon as it is reduced.
+# ensemble_groups is the one function that runs members. It records every
+# step, since a sample's energy rate is the centered difference of its
+# neighbours, so it needs at least 2 steps. It turns each sample into
+# per-member rows (_with_rates), writes them into a group of samples and
+# reduces each whole group over the members (_reduce_group); in one
+# process it holds one group and hands it out as soon as it is reduced.
 # A run that needs more than one noise refill is split by members where it
 # can (forking.partner): this process runs members [0, cut) and a forked
 # partner [cut, M). Each builds the generators of its own members, draws,
@@ -736,10 +736,10 @@ def _sample(w, v, eta, gw, values):
     return (inertia, speed_sq) if eta is None else (inertia, speed_sq, np.sum(eta * v, axis=1))
 
 
-def _member_samples(spec, initial, config, record, rngs, first: int, refill: int):
-    """Yield the rows (_sample) of members ``first`` on, drawing from ``rngs``
-    ``refill`` steps at a time, at each step of ``record``; raise at the first
-    step whose state is not finite."""
+def _member_samples(spec, initial, config, rngs, first: int, refill: int):
+    """Yield the rows (_sample) of members ``first`` on at every step, drawing
+    from ``rngs`` ``refill`` steps at a time; raise at the first step whose
+    state is not finite."""
     eta = None
     if spec.noise_kind == "ou":
         eta = np.array([initial_forcing(spec, rng) for rng in rngs])
@@ -751,14 +751,10 @@ def _member_samples(spec, initial, config, record, rngs, first: int, refill: int
     v = np.tile(np.asarray(initial.v, dtype=float), (len(rngs), 1))
     gw = grad(w)
 
-    yield _sample(w, v, eta, gw, values)  # record[0] is step 0
-    stride = int(record[1])  # record: step 0, every stride-th step and the last
+    yield _sample(w, v, eta, gw, values)
     for k in range(1, config.n_steps + 1):
         w, v, eta, gw = step(w, v, eta, gw)
         _raise_nonfinite(w, v, k, first)
-        if k % stride == 0:
-            yield _sample(w, v, eta, gw, values)
-    if config.n_steps % stride:  # the last step, off the stride
         yield _sample(w, v, eta, gw, values)
 
 
@@ -803,7 +799,8 @@ def _reduce_group(rows: np.ndarray, out: np.ndarray) -> None:
     out[:n_rows] = mean
     spread = np.subtract(rows[:3], mean[:3, :, None], out=fold[:3])
     spread *= spread
-    variance = np.add.accumulate(spread, axis=-1, out=spread)[..., -1] / (n_members - 1)
+    # one member's spread is 0: divide it by 1, not 0, and its stderr is 0 below
+    variance = np.add.accumulate(spread, axis=-1, out=spread)[..., -1] / max(n_members - 1, 1)
     stderr = np.sqrt(variance) / math.sqrt(n_members)
     # Rows where every member agrees bitwise have zero sample scatter by
     # definition; the two-pass variance can still leave ~1 ulp of the
@@ -812,11 +809,11 @@ def _reduce_group(rows: np.ndarray, out: np.ndarray) -> None:
     out[n_rows:] = stderr
 
 
-def _groups(spec, initial, config, n_members, record):
+def _groups(spec, initial, config, n_members):
     """The groups that ``ensemble_groups`` yields; its docstring says what they are."""
     from .streams import member_rngs  # loaded before the fork, so the partner need not
 
-    n_rec = record.shape[0]
+    n_rec = config.n_steps + 1
     n_rows = 4 if spec.noise_kind == "ou" else 3
     size = max(1, min(n_rec, _GROUP_FLOATS // (n_rows * n_members)))
     n_groups = -(-n_rec // size)
@@ -844,8 +841,8 @@ def _groups(spec, initial, config, n_members, record):
         # a slot holds the whole run where one refill covers every member,
         # else as many steps as fit: the same at any horizon
         refill = _refill_steps(spec, stop - first) if several else config.n_steps
-        samples = _member_samples(spec, initial, config, record,
-                                  member_rngs(config.seed, first, stop), first, refill)
+        samples = _member_samples(spec, initial, config, member_rngs(config.seed, first, stop),
+                                  first, refill)
         produced = _with_rates(samples, n_rec, config.h)
 
         def fill(g):
@@ -906,33 +903,30 @@ def _groups(spec, initial, config, n_members, record):
                 yield (g - lag) * size, *done
 
 
-def _ensemble_record(spec: SystemSpec, initial: State, config: IntegratorConfig,
-                     n_members: int) -> np.ndarray:
-    """The steps an ensemble records; raises InvalidArgument where none can run."""
-    spec.landscape.check_point(initial.w)
-    check_method(spec, config.method)
-    if config.method != "stochastic_splitting":
-        raise InvalidArgument("ensembles are for the stochastic method")
-    if n_members < 1:
-        raise InvalidArgument(f"need at least one member, got {n_members}")
-    return _record_indices(config.n_steps, config.record_every)
-
-
 def ensemble_groups(spec: SystemSpec, initial: State, config: IntegratorConfig, n_members: int):
     """Sample times and an iterator over an ensemble's samples, reduced a group at a time.
 
+    The one function that runs an ensemble's members. It records every
+    step, so it needs ``record_every`` = 1 and a run of at least 2 steps.
     Returns ``(times, groups)``. ``groups`` runs the ensemble as it is
-    consumed and yields ``(first, rows, out)`` per group of recorded
-    samples, in order. ``rows`` is an (n_rows, filled, n_members) array
-    whose ``rows[:, r]`` holds every member's rows of sample ``first + r``:
-    its energy, the energy's rate (the centered difference
-    (E[k+1] - E[k-1]) / (2h), one-sided O(h^2) at both ends: the rate where
-    every step is recorded), its squared speed and, for correlated noise,
-    <eta, v>. ``out`` is (n_rows + 3,
+    consumed and yields ``(first, rows, out)`` per group of samples, in
+    order. ``rows`` is an (n_rows, filled, n_members) array whose
+    ``rows[:, r]`` holds every member's rows of step ``first + r``: its
+    energy, the energy's rate (the centered difference
+    (E[k+1] - E[k-1]) / (2h), one-sided O(h^2) at both ends), its squared
+    speed and, for correlated noise, <eta, v>. ``out`` is (n_rows + 3,
     filled): the member means of those rows, then the standard errors of the
     first three, each a member-order fold (_reduce_group). Both are valid
     until the next group is asked for. A group holds about _GROUP_FLOATS
     floats of rows, one sample at 10^4 members.
+
+    All members start from ``initial`` and member i draws from
+    ``member_rng(config.seed, i)``, so member 0 follows ``integrate`` with
+    the same config and noise. On a 1-D landscape its energy and squared
+    speed equal that run's ``inertia`` and ``speed_squared`` bit for bit; at
+    dim >= 2 they agree to a few ulps only, because the batched ``W @ A``
+    and per-member sums take different BLAS kernels than a single
+    trajectory's ``w @ A`` and ``v @ v``.
 
     A run that needs more than one noise refill runs its second half of the
     members in a forked partner where it can, which writes their rows and
@@ -946,41 +940,15 @@ def ensemble_groups(spec: SystemSpec, initial: State, config: IntegratorConfig, 
     yielded before hold only samples recorded before that step. Arguments
     are checked at the call.
     """
-    record = _ensemble_record(spec, initial, config, n_members)
-    return record * config.h, _groups(spec, initial, config, n_members, record)
-
-
-def ensemble_samples(
-    spec: SystemSpec,
-    initial: State,
-    config: IntegratorConfig,
-    n_members: int,
-):
-    """Sample times and an iterator over the recorded samples of an ensemble run.
-
-    Returns ``(times, samples)``. ``samples`` runs the ensemble as it is
-    consumed and yields, per recorded time, ``(inertia, speed_squared,
-    noise_dot_v)``: arrays of shape (n_members,), with ``noise_dot_v`` None
-    for white noise. It holds O(n_members * dim) state whatever the horizon,
-    and raises ``NumericalFailure`` naming the step and the first member
-    whose state left the finite range. Arguments are checked at the call.
-    Every member steps in this process, with the kernel and the draws of
-    ``ensemble_groups``, and no group is formed or reduced.
-
-    All members start from ``initial`` and member i draws from
-    ``member_rng(config.seed, i)``, so member 0 follows ``integrate`` with
-    the same config and noise. On a 1-D landscape its samples equal that
-    run's ``inertia`` and ``speed_squared`` bit for bit; at dim >= 2 they
-    agree to a few ulps only, because the batched ``W @ A`` and per-member
-    sums take different BLAS kernels than a single trajectory's ``w @ A``
-    and ``v @ v``.
-    """
-    from .streams import member_rngs
-
-    record = _ensemble_record(spec, initial, config, n_members)
-    refill = min(config.n_steps, _refill_steps(spec, n_members))
-    samples = _member_samples(spec, initial, config, record,
-                              member_rngs(config.seed, 0, n_members), 0, refill)
-    if spec.noise_kind != "ou":
-        samples = ((*sample, None) for sample in samples)
-    return record * config.h, samples
+    spec.landscape.check_point(initial.w)
+    check_method(spec, config.method)
+    if config.method != "stochastic_splitting":
+        raise InvalidArgument("ensembles are for the stochastic method")
+    if n_members < 1:
+        raise InvalidArgument(f"need at least one member, got {n_members}")
+    if config.record_every != 1:
+        raise InvalidArgument(f"ensembles record every step (record_every=1), "
+                              f"got record_every={config.record_every}")
+    if config.n_steps < 2:
+        raise InvalidArgument(f"an ensemble needs at least 2 steps, got {config.n_steps}")
+    return np.arange(config.n_steps + 1) * config.h, _groups(spec, initial, config, n_members)

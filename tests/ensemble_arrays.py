@@ -1,4 +1,4 @@
-"""Test helpers: an ensemble's whole-run arrays, sampled or grouped, a watch on
+"""Test helpers: an ensemble's whole-run arrays, a watch on
 forked processes, and stand-ins for a pipe, mapping or fork that fails."""
 
 import errno
@@ -7,21 +7,21 @@ import os
 import numpy as np
 import pytest
 
-from inertia.integrators import ensemble_groups, ensemble_samples
+from inertia.integrators import ensemble_groups
 
 
 def ensemble_arrays(spec, initial, config, n_members):
-    """``ensemble_samples`` stacked into (n_members, n_samples) arrays, plus ``times``.
+    """Every member's recorded rows as (n_members, n_samples) arrays, plus ``times``.
 
     Keys: ``times``, ``inertia``, ``speed_squared`` and, for correlated
-    noise, ``noise_dot_v``. This holds every sample of every member, which
-    the package's own reduction avoids.
+    noise, ``noise_dot_v``: rows 0, 2 and 3 of ``group_arrays``. This holds
+    every sample of every member, which the package's own reduction avoids.
     """
-    times, samples = ensemble_samples(spec, initial, config, n_members)
-    names = ("inertia", "speed_squared", "noise_dot_v")
-    columns = zip(names, zip(*samples))
-    return {"times": times, **{name: np.column_stack(col) for name, col in columns
-                               if col[0] is not None}}
+    joined = group_arrays(spec, initial, config, n_members)
+    rows = joined["rows"]
+    names = ("inertia", None, "speed_squared", "noise_dot_v")
+    return {"times": joined["times"], **{name: np.ascontiguousarray(row.T)
+                                         for name, row in zip(names, rows) if name}}
 
 
 def group_arrays(spec, initial, config, n_members):

@@ -1003,6 +1003,17 @@ def test_stochastic_reports_balance(tmp_path, capsys):
     assert doc["seed"] == 0
 
 
+def test_a_stochastic_run_too_short_for_its_balance_exits_2(tmp_path, capsys):
+    """5 steps leave 4 interior samples: the refusal says what the balance
+    needs, what the run leaves and what to change, before any output."""
+    code, out = run_cli(tmp_path, "stochastic", "--members", "100", "--T", "0.05")
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: too few samples for the balance average: it "
+                                   "needs 10 interior samples, this run leaves 4; lengthen "
+                                   "t_end or shorten h\n")
+    assert not os.path.exists(out)
+
+
 def test_stochastic_correlated_adds_work_column(tmp_path):
     code, out = run_cli(tmp_path, "stochastic", "--T", "2", "--members", "100",
                         "--noise", "ou:0.5")

@@ -118,8 +118,7 @@ def test_an_ensemble_without_a_cut_runs_in_one_process(monkeypatch):
 
 def first_failure(spec, cfg, first, stop):
     """(step, member) of the first non-finite state of members [first, stop) run alone."""
-    record = integrators._record_indices(cfg.n_steps, 1)
-    samples = integrators._member_samples(spec, State([1.0], [0.0]), cfg, record,
+    samples = integrators._member_samples(spec, State([1.0], [0.0]), cfg,
                                           member_rngs(cfg.seed, first, stop), first, 100)
     with pytest.raises(NumericalFailure) as failure, np.errstate(over="ignore", invalid="ignore"):
         for _ in samples:

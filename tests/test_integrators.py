@@ -34,7 +34,7 @@ from inertia import (
 )
 from inertia import forking, integrators, streams
 from inertia.analysis import ensemble_expected_decay
-from inertia.integrators import ensemble_groups, ensemble_samples, initial_forcing, member_rng
+from inertia.integrators import ensemble_groups, initial_forcing, member_rng
 
 from ensemble_arrays import (assert_no_child_process, ensemble_arrays, group_arrays, open_fds,
                              refuse, spy_on_fork)
@@ -648,13 +648,10 @@ def test_gradient_calls_per_run(case, per_step):
     assert counting.value_calls > 0  # the recorded potentials come from the landscape
     if method == "stochastic_splitting":
         counting.gradient_calls = counting.value_calls = 0
-        ensemble_arrays(spec, start, cfg, 6)
+        every_step = IntegratorConfig(method=method, h=0.01, t_end=0.37, seed=2)
+        ensemble_arrays(spec, start, every_step, 6)
         assert counting.gradient_calls == cfg.n_steps + 1  # one batched call per step
-        assert counting.value_calls == len(_record_steps(cfg))
-
-
-def _record_steps(cfg):
-    return integrators._record_indices(cfg.n_steps, cfg.record_every)
+        assert counting.value_calls == cfg.n_steps + 1  # one per recorded step
 
 
 def dense(dim, seed):
@@ -762,7 +759,7 @@ def test_trajectory_runs_call_no_quadratic_value(monkeypatch):
         cfg = IntegratorConfig(method=method, h=0.01, t_end=0.37, seed=2, record_every=5)
         traj = integrate(spec, start, cfg)
         if method == "stochastic_splitting":
-            ensemble_arrays(spec, start, cfg, 6)
+            ensemble_arrays(spec, start, IntegratorConfig(method=method, h=0.01, t_end=0.37), 6)
     integrate(SystemSpec(landscape=ISO1, gamma=0.4), UNIT_START,
               IntegratorConfig(method="damped_splitting", h=0.01, t_end=1.0))
     discrete_trajectory(start.w, start.v, 0.05, 300, coupled5())
@@ -828,24 +825,20 @@ def test_ensemble_rows_match_independent_runs():
 def test_ensemble_noise_refills_do_not_change_the_draws(monkeypatch, noise, tau):
     """Members' draws are the same however many steps a slot holds and whichever process draws them.
 
-    One refill is drawn in place. Several are drawn by this process for
-    ``ensemble_samples``; for ``ensemble_groups`` by two half-ensembles,
+    One refill is drawn in place. Several are drawn by two half-ensembles,
     this process's and a forked partner's, or, where os.fork is missing or
-    one CPU is usable, by this process for every member. The samples and
-    the groups each agree bitwise with their one-refill run.
+    one CPU is usable, by this process for every member. Every member's
+    rows and every reduced series agree bitwise with the one-refill run's.
     """
     landscape = MULTI_D["diag"]
     spec = SystemSpec(landscape=landscape, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
-    cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=0.5, seed=8,
-                           record_every=3)
+    cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=0.5, seed=8)
     start = State([1.0, 0.5, -0.2], [0.0, 0.1, 0.0])
     pids = spy_on_fork(monkeypatch)
-    whole, whole_groups = ensemble_arrays(spec, start, cfg, 4), group_arrays(spec, start, cfg, 4)
+    whole = group_arrays(spec, start, cfg, 4)
     assert pids == []
     assert integrators._NOISE_FLOATS >= 2 * 2 * 4 * 3 * cfg.n_steps  # one refill above
     monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * (2 * 4 * 3 * 3 + 5))  # slots of 3 or 6 steps
-    refilled = ensemble_arrays(spec, start, cfg, 4)
-    assert pids == []
     forked = group_arrays(spec, start, cfg, 4)
     assert len(pids) == 1
     assert_no_child_process()
@@ -854,13 +847,10 @@ def test_ensemble_noise_refills_do_not_change_the_draws(monkeypatch, noise, tau)
     assert len(pids) == 1
     monkeypatch.delattr(os, "fork")
     in_place = group_arrays(spec, start, cfg, 4)
-    assert whole.keys() == refilled.keys()
     for key in whole:
-        assert np.array_equal(whole[key], refilled[key]), key
-    for key in whole_groups:
-        assert np.array_equal(whole_groups[key], forked[key]), key
-        assert np.array_equal(whole_groups[key], one_cpu[key]), key
-        assert np.array_equal(whole_groups[key], in_place[key]), key
+        assert np.array_equal(whole[key], forked[key]), key
+        assert np.array_equal(whole[key], one_cpu[key]), key
+        assert np.array_equal(whole[key], in_place[key]), key
 
 
 @pytest.mark.parametrize("can_fork", [True, False])
@@ -1021,9 +1011,48 @@ def test_ensemble_requires_stochastic_method():
         ensemble_arrays(spec, UNIT_START, cfg, 4)
     noisy = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind="white")
     stochastic = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=1.0)
-    for run_ensemble in (ensemble_samples, ensemble_groups):
-        with pytest.raises(InvalidArgument, match="at least one member"):
-            run_ensemble(noisy, UNIT_START, stochastic, 0)
+    with pytest.raises(InvalidArgument, match="at least one member"):
+        ensemble_groups(noisy, UNIT_START, stochastic, 0)
+
+
+@pytest.mark.parametrize("config, message", [
+    (dict(t_end=0.5, record_every=3), "record_every=3"),
+    (dict(t_end=0.01), "at least 2 steps, got 1"),
+], ids=["stride", "one-step"])
+def test_ensemble_groups_refuses_a_run_it_cannot_record_whole(config, message):
+    """Every step is recorded, and a rate needs a sample on each side or two on one."""
+    spec = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind="white")
+    cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, **config)
+    with pytest.raises(InvalidArgument, match=message):
+        ensemble_groups(spec, UNIT_START, cfg, 4)
+
+
+@pytest.mark.parametrize("n_steps", [2, 3, 50])
+@pytest.mark.parametrize("noise, tau", [("white", None), ("ou", 0.5)])
+def test_ensemble_rates_are_each_members_centered_difference(noise, tau, n_steps):
+    """rows[1] is (E[k+1] - E[k-1]) / 2h inside and the one-sided O(h^2)
+    stencils at both ends, member by member."""
+    spec = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
+    cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=n_steps * 0.01, seed=9)
+    rows = group_arrays(spec, State([0.8], [-0.1]), cfg, 4)["rows"]
+    assert rows.shape[1] == n_steps + 1
+    two_h = 2.0 * cfg.h
+    for energy, rate in zip(rows[0].T, rows[1].T):
+        assert np.array_equal(rate[1:-1], (energy[2:] - energy[:-2]) / two_h)
+        assert rate[0] == (-3.0 * energy[0] + 4.0 * energy[1] - energy[2]) / two_h
+        assert rate[-1] == (3.0 * energy[-1] - 4.0 * energy[-2] + energy[-3]) / two_h
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("noise, tau", [("white", None), ("ou", 0.5)])
+def test_a_one_member_ensemble_reduces_without_a_warning(noise, tau):
+    """One member's means are its rows and its standard errors are 0, with no 0 / 0."""
+    spec = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
+    cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=0.5, seed=4)
+    joined = group_arrays(spec, UNIT_START, cfg, 1)
+    rows, out = joined["rows"], joined["out"]
+    assert np.array_equal(out[: rows.shape[0]], rows[:, :, 0])
+    assert not out[rows.shape[0]:].any()
 
 
 # --- recording and failure handling -------------------------------------------
@@ -1037,7 +1066,7 @@ def test_record_every_subsamples_without_recomputing():
 
 
 def test_record_indices_are_every_stride_th_step_and_the_last():
-    """The loops step their next target by record[1], so the layout is a contract."""
+    """The trajectory loop steps its next target by record[1], so the layout is a contract."""
     for n_steps, stride in itertools.product(range(1, 30), range(1, 35)):
         record = integrators._record_indices(n_steps, stride)
         assert record[-1] == n_steps

@@ -25,7 +25,8 @@ def random_psd(dim, seed):
     return quadratic_general(0.5 * (a + a.T))
 
 
-LANDSCAPES = {"diag": landscape_from_name("diag:1,4,9"), "psd5": random_psd(5, 11)}
+LANDSCAPES = {"iso1d": landscape_from_name("iso1d"), "diag": landscape_from_name("diag:1,4,9"),
+              "psd5": random_psd(5, 11)}
 
 
 def kick(lam, h):
@@ -64,13 +65,14 @@ def run(method, landscape, gamma, w0, v0):
 
 
 CASES = [(method, gamma) for method in ("explicit_euler", "rk4", "damped_splitting")
-         for gamma in (0.0, 0.4)] + [("verlet", 0.0), ("discrete_trajectory", 0.0)]
+         for gamma in (0.0, 0.4, 5.0)] + [("verlet", 0.0), ("discrete_trajectory", 0.0)]
 
 
 @pytest.mark.parametrize("name", sorted(LANDSCAPES))
 @pytest.mark.parametrize("method, gamma", CASES)
 def test_recorded_energy_is_the_step_matrix_energy_of_each_mode(method, gamma, name):
-    """verlet and the discrete map are frictionless; the rest run at gamma 0 and 0.4."""
+    """verlet and the discrete map are frictionless; the rest run at gamma 0, 0.4 and 5.
+    At gamma 5 the modes of curvature 1 and 4 (iso1d's, and two of diag's) are overdamped."""
     landscape = LANDSCAPES[name]
     rng = np.random.default_rng(7)
     w0, v0 = rng.standard_normal(landscape.dim), rng.standard_normal(landscape.dim)
