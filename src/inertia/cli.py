@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .analysis import ensemble_expected_decay, sweep_gamma
-from .dynamics import State, SystemSpec
+from .dynamics import State, SystemSpec, shadow_inertia_rows
 from .errors import InvalidArgument, NumericalFailure
 from .integrators import (METHODS, RNG_ALGORITHM, IntegratorConfig, Trajectory, check_method,
                           check_step_count, discrete_trajectory, drift_profile, integrate)
@@ -238,7 +238,9 @@ def cmd_conserve(args, write) -> None:
             # a run from rest at the minimum has no ratio; print I(T) itself
             ratio = (f"I(T)/I(0) = {energy[-1] / energy[0]:.6f}" if energy[0] != 0
                      else f"I(T) = {energy[-1]:.6f} (I(0) = 0)")
-            print(f"gamma={gamma:g}: {ratio}, exp(-gamma*T) = {np.exp(-gamma * args.T):.6f}")
+            # n_steps rounds up, so a run may end past --T: T is its last recorded time
+            decay = np.exp(-gamma * trajectory.times[-1])
+            print(f"gamma={gamma:g}: {ratio}, exp(-gamma*T) = {decay:.6f}")
         if method == "explicit_euler" and np.all(np.diff(energy) > 0):
             print(
                 "warning: explicit_euler grows the energy monotonically; "
@@ -337,10 +339,8 @@ def cmd_traj2d(args, write) -> None:
             print(f"init {w0}: inertia {energy[0]:g} -> {energy[-1]:.6g}")
             judged = "energy"
             if config.method == "damped_splitting":
-                # On a quadratic the damping half-steps only shrink v and kick-drift-kick
-                # conserves I - (h^2/8)|grad L(w)|^2, so that falls at every step; I need not.
-                gradients = landscape.gradient(trajectory.ws)
-                energy = energy - config.h ** 2 / 8 * np.sum(gradients * gradients, axis=1)
+                # the shadow energy falls at every step; I need not
+                energy = shadow_inertia_rows(trajectory.ws, trajectory.vs, landscape, config.h)
                 judged = "modified energy"
             increase = float(np.diff(energy).max())
             if increase > 1e-12 * max(1.0, float(np.abs(energy).max())):  # round-off

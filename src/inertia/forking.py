@@ -8,8 +8,10 @@ each send back bytes over a pipe. The two streaming helpers go through
 other group reduction (``integrators.ensemble_groups``, the one function
 that runs an ensemble's members), and the right column block of a long
 dense run's gradient (``integrators._gradient``) each serve asks, in
-order, through shared memory and two semaphores. Where a fork fails, each
-job does its helper's share in this process.
+order, through shared memory and two semaphores. Where no helper forks,
+each job does its helper's share in this process: the ensemble calls the
+partner's own ``start`` and runs its job at each ask, so both halves take
+one code path; the dense gradient computes the whole product.
 """
 
 from __future__ import annotations

@@ -647,24 +647,25 @@ def drift_profile(
 # step, since a sample's energy rate is the centered difference of its
 # neighbours, so it needs at least 2 steps. It turns each sample into
 # per-member rows (_with_rates), writes them into a group of samples and
-# reduces each whole group over the members (_reduce_group); in one
-# process it holds one group and hands it out as soon as it is reduced.
-# A run that needs more than one noise refill is split by members where it
-# can (forking.partner): this process runs members [0, cut) and a forked
-# partner [cut, M). Each builds the generators of its own members, draws,
-# steps and samples them, and writes their rows of each group into a
-# shared ring of three groups; then the group is reduced whole by one
-# process, this one the even groups and the partner the odd ones. The
-# partner writes a group ahead, so this process hands each group out one
-# group late. Each group is thus reduced over all M members in member
-# order, and each member's stream, state and rows are those of a
-# one-process run: the step is per member but for the batched W @ A, whose
-# row bits the cut keeps (QuadraticLandscape.row_cut). Where the cut does
-# not keep them, or no partner forks, this process runs every member.
+# reduces each whole group over the members (_reduce_group). A run that
+# one noise refill covers steps its members as one batch, holds one group
+# and hands it out as soon as it is reduced.
+# A run that needs more than one noise refill is always split by members at
+# M // 2: members [0, M // 2) are one half and [M // 2, M) the other. Each
+# half builds the generators of its own members, draws, steps and samples
+# them, and writes their rows of each group into a ring of three groups;
+# then the group is reduced whole, the even groups by this process's half
+# and the odd ones by the other's job. Where forking.partner forks, a
+# partner process runs that job in shared memory, a group ahead; where it
+# does not, this process runs the same job at each ask. Either way this
+# process hands each group out one group late, and each group is reduced
+# over all M members in member order, by the same code on the same batches.
+# The noise slots of one process hold at most _NOISE_FLOATS / 2 floats,
+# whether it steps one half or both (half's ``here``).
 # Threads gain nothing here: each member's call of a few hundred normals
 # hands off the GIL, and two filling threads ran slower than one.
 
-_NOISE_FLOATS = 1 << 21  # floats in two noise slots of 8 MB: one per process of a split run
+_NOISE_FLOATS = 1 << 21  # floats in the noise slots of a split run: at most half in one process
 _TILE_FLOATS = 1 << 13  # floats in one member-major tile of draws (64 KB)
 _GROUP_FLOATS = 1 << 15  # floats of per-member rows in one group of samples
 
@@ -820,7 +821,7 @@ def _groups(spec, initial, config, n_members):
     block = n_rows * size * n_members
     slot = block + (n_rows + 3) * size + 2  # a group's rows and out, and a failure in it
     several = _refill_steps(spec, n_members) < config.n_steps
-    cut = spec.landscape.row_cut(n_members) if several else None
+    cut = n_members // 2 if several else 0
 
     def layout(buffer):
         """Per ring slot of ``buffer``: the rows and the out of a group, and
@@ -834,13 +835,15 @@ def _groups(spec, initial, config, n_members):
         rows, out, _ = ring[g % len(ring)]
         return rows[:, :filled], out[:, :filled]
 
-    def half(ring, first, stop):
+    def half(ring, first, stop, here):
         """fill(g): write the rows of members [first, stop) of group g into
         the ring; returns (step, member) of the first non-finite state among
-        those members, or None."""
+        those members, or None. The process that runs it steps ``here``
+        members in all."""
         # a slot holds the whole run where one refill covers every member,
-        # else as many steps as fit: the same at any horizon
-        refill = _refill_steps(spec, stop - first) if several else config.n_steps
+        # else as many steps as fit: the same at any horizon, and the slots of
+        # one process hold at most _NOISE_FLOATS / 2 floats between them
+        refill = _refill_steps(spec, here) if several else config.n_steps
         samples = _member_samples(spec, initial, config, member_rngs(config.seed, first, stop),
                                   first, refill)
         produced = _with_rates(samples, n_rec, config.h)
@@ -856,11 +859,13 @@ def _groups(spec, initial, config, n_members):
             return None
         return fill
 
-    def start(shared):  # in the partner: its rows of group g, after reducing group g - 1 if odd
+    # The partner's job: its rows of group g, after reducing group g - 1 if
+    # odd. This process runs it itself where no partner forks (here = M).
+    def start(shared, here=n_members - cut):
         ring = layout(shared)
         for _, _, failed in ring:
             failed[:] = -1
-        fill, jobs = half(ring, cut, n_members), iter(range(n_groups + 1))
+        fill, jobs = half(ring, cut, n_members, here), iter(range(n_groups + 1))
 
         def job():
             g = next(jobs)
@@ -874,14 +879,18 @@ def _groups(spec, initial, config, n_members):
 
     # A split run's ring holds three groups: the one the caller reads, the one
     # this process writes and the one the partner writes ahead. It hands each
-    # group out one pass late, once the partner is done with it (lag).
+    # group out one pass late, once the partner is done with it (lag). Where
+    # no partner forks, this process runs the partner's job at each ask.
     with partner(3 * slot, start) if cut else nullcontext() as hand:
-        if hand is None:
+        if not cut:  # one refill covers the run: one batch, one group
             shared, ask, answer, cut, lag = np.empty(slot), lambda: None, lambda: True, n_members, 0
+        elif hand is None:
+            shared, answer, lag = np.empty(3 * slot), lambda: True, 1
+            ask = start(shared, n_members)
         else:
             (shared, ask, answer), lag = hand, 1
         ring = layout(shared)
-        fill = half(ring, 0, cut)
+        fill = half(ring, 0, cut, cut if hand else n_members)
         ask()  # the partner's rows of group 0
         for g in range(n_groups + lag):
             failed = None
@@ -928,10 +937,11 @@ def ensemble_groups(spec: SystemSpec, initial: State, config: IntegratorConfig, 
     and per-member sums take different BLAS kernels than a single
     trajectory's ``w @ A`` and ``v @ v``.
 
-    A run that needs more than one noise refill runs its second half of the
-    members in a forked partner where it can, which writes their rows and
-    reduces every other group; the yielded values are those of one process
-    bit for bit. Finishing, failing, closing or dropping ``groups`` ends and
+    A run that needs more than one noise refill steps members [0, M // 2)
+    and [M // 2, M) as two batches. The second half runs in a forked
+    partner where one forks, which writes their rows and reduces every
+    other group; else this process runs the partner's job itself, with the
+    same bits. Finishing, failing, closing or dropping ``groups`` ends and
     reaps the partner; a partner that ends early fails the run with a
     RuntimeError.
 

@@ -110,34 +110,6 @@ class QuadraticLandscape:
                   probe @ np.ascontiguousarray(self._matrix[:, cut:]))
         return cut if np.concatenate(blocks).tobytes() == (probe @ self._matrix).tobytes() else None
 
-    def row_cut(self, rows: int) -> int | None:
-        """A row ``c`` at which a batch of ``rows`` points may be evaluated as two
-        batches, rows [0, c) and [c, rows), or None.
-
-        ``c`` is half the rows, rounded down. Each row's gradient and potential
-        is its own, but a BLAS may take another kernel, which sums in another
-        order, for a batch of another size: cutting an (M, d) ``W @ A`` in half
-        moved row bits at d = 17, 18, 33-36 and 257, each at some M (OpenBLAS
-        0.3.31), wherever the cut fell. So the cut is checked for this many
-        rows, on a probe batch with no zero entries: None where the halves'
-        ``raw_gradient`` or ``value_from_gradient`` bits differ from the whole
-        batch's, or ``c`` is 0.
-        """
-        cut = rows // 2
-        if cut == 0:
-            return None
-        grad = self.raw_gradient()
-
-        def evaluate(ws):
-            gw = grad(ws)
-            return gw, _potential(ws, gw)
-
-        probe = np.sin(np.arange(1.0, rows * self.dim + 1.0)).reshape(rows, self.dim)
-        halves = zip(evaluate(probe[:cut]), evaluate(probe[cut:]))
-        same = all(np.concatenate(pair).tobytes() == whole.tobytes()
-                   for pair, whole in zip(halves, evaluate(probe)))
-        return cut if same else None
-
     def row_values(self, ws):
         """``value(ws[i])`` for every row of an (n, dim) array, bit for bit: the
         reference the trajectory loops' recorded potentials are tested against.

@@ -751,6 +751,19 @@ def test_conserve_writes_both_cases(tmp_path, capsys):
     assert "I(T)/I(0)" in stdout
 
 
+@pytest.mark.parametrize("h, T, ends, decay", [
+    ("0.3", "1", 1.2, "0.618783"),  # not exp(-0.4) = 0.670320
+    ("0.7", "10", 10.5, "0.014996"),  # not exp(-4) = 0.018316
+])
+def test_conserve_judges_the_decay_at_the_time_the_run_ends(tmp_path, capsys, h, T, ends, decay):
+    """Where h does not divide T the run takes whole steps past T; the
+    verdict's exp(-gamma*T) is taken at the run's last recorded time."""
+    code, out = run_cli(tmp_path, "conserve", "--h", h, "--T", T, "--gamma", "0.4")
+    assert code == 0
+    assert float(read_csv_columns(os.path.join(out, "conserve.csv"))["t"][-1]) == pytest.approx(ends)
+    assert f", exp(-gamma*T) = {decay}\n" in capsys.readouterr().out
+
+
 def test_conserve_from_rest_at_the_minimum_prints_the_final_energy(tmp_path, capsys):
     """I(0) = 0 has no decay ratio; the line shows I(T) itself, with no warning."""
     with warnings.catch_warnings():

@@ -4,8 +4,8 @@ forked partner's: the bits of one process, and the failure it names."""
 import numpy as np
 import pytest
 
-from inertia import (IntegratorConfig, NumericalFailure, QuadraticLandscape, State, SystemSpec,
-                     forking, integrators, landscape_from_name, quadratic_general)
+from inertia import (IntegratorConfig, NumericalFailure, State, SystemSpec, forking, integrators,
+                     landscape_from_name, quadratic_general)
 from inertia.analysis import ensemble_expected_decay
 from inertia.streams import member_rngs
 
@@ -22,17 +22,17 @@ LANDSCAPES = {"iso1d": landscape_from_name("iso1d"), "diag": landscape_from_name
               "dense17": dense(17)}
 
 
-def split_and_whole(monkeypatch, run, landscape, n_members):
-    """``run()`` with a partner where the landscape's rows keep their bits at
-    the cut, and with ``may_fork`` false; the first must fork exactly then."""
+def split_and_whole(monkeypatch, run):
+    """``run()`` with a forked partner, and with ``may_fork`` false: the first
+    must fork exactly once and the second not at all."""
     pids = spy_on_fork(monkeypatch)
     split = run()
-    assert len(pids) == (landscape.row_cut(n_members) is not None)
+    assert len(pids) == 1
     assert_no_child_process()
     with monkeypatch.context() as m:
         m.setattr(forking, "may_fork", lambda: False)
         whole = run()
-    assert len(pids) <= 1
+    assert len(pids) == 1
     return split, whole
 
 
@@ -67,8 +67,7 @@ def test_a_split_ensemble_has_the_bits_of_one_process(monkeypatch, name, noise, 
         assert size < 25 and 25 % size and 45 % size
 
     split, whole = split_and_whole(
-        monkeypatch, lambda: ensemble_expected_decay(spec, start, cfg, n_members, burn_in=burn_in),
-        landscape, n_members)
+        monkeypatch, lambda: ensemble_expected_decay(spec, start, cfg, n_members, burn_in=burn_in))
     for q in ("inertia", "inertia_rate", "speed_squared"):
         for series in ("mean_series", "stderr_series"):
             got, expected = getattr(getattr(split, q), series), getattr(getattr(whole, q), series)
@@ -78,42 +77,46 @@ def test_a_split_ensemble_has_the_bits_of_one_process(monkeypatch, name, noise, 
     assert split.balance_residual.hex() == whole.balance_residual.hex()
     assert split.balance_stderr.hex() == whole.balance_stderr.hex()
 
-    split, whole = split_and_whole(monkeypatch, lambda: group_arrays(spec, start, cfg, n_members),
-                                   landscape, n_members)
+    split, whole = split_and_whole(monkeypatch, lambda: group_arrays(spec, start, cfg, n_members))
     for key in whole:
         assert split[key].tobytes() == whole[key].tobytes(), key
 
 
-@pytest.mark.parametrize("rows", [1, 2, 7, 1000])
-def test_a_batch_is_cut_in_half_where_its_rows_keep_their_bits(rows):
-    assert LANDSCAPES["iso1d"].row_cut(rows) == (rows // 2 or None)
-    assert LANDSCAPES["diag"].row_cut(rows) == (rows // 2 or None)
-
-
-def test_a_cut_that_moves_a_row_bit_is_refused(monkeypatch):
-    """As where a BLAS takes another kernel for the smaller batches."""
-    landscape = dense(3)
-    gradient = landscape.raw_gradient()
-
-    def by_batch_size(ws):
-        return gradient(ws) if len(ws) == 10 else np.nextafter(gradient(ws), np.inf)
-    monkeypatch.setattr(landscape, "raw_gradient", lambda: by_batch_size)
-    assert landscape.row_cut(10) is None
-
-
-def test_an_ensemble_without_a_cut_runs_in_one_process(monkeypatch):
-    spec = SystemSpec(landscape=LANDSCAPES["diag"], gamma=0.4, sigma=0.3, noise_kind="white")
+def test_a_dense_batch_whose_rows_a_blas_may_move_still_splits(monkeypatch):
+    """Dim 17 at 6000 members, where cutting the batched W @ A in half moved
+    row bits on OpenBLAS 0.3.31: both halves are stepped as their own
+    batches whether or not a partner forks, so the groups agree bit for bit.
+    Refills of 5 steps, a group per sample."""
+    spec = SystemSpec(landscape=LANDSCAPES["dense17"], gamma=0.4, sigma=0.3, noise_kind="white")
     cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=0.2, seed=6)
-    start = State([1.0, 0.5, -0.2], [0.0, 0.1, 0.0])
-    monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * 2 * 100 * 3 * 5)  # refills of 5 steps
-    pids = spy_on_fork(monkeypatch)
-    split = group_arrays(spec, start, cfg, 100)
-    assert len(pids) == 1
-    monkeypatch.setattr(QuadraticLandscape, "row_cut", lambda self, rows: None)
-    whole = group_arrays(spec, start, cfg, 100)
-    assert len(pids) == 1
+    start = State(np.linspace(1.0, 0.2, 17), np.full(17, 0.1))
+    assert integrators._refill_steps(spec, 6000) < cfg.n_steps
+    split, whole = split_and_whole(monkeypatch, lambda: group_arrays(spec, start, cfg, 6000))
     for key in whole:
         assert split[key].tobytes() == whole[key].tobytes(), key
+
+
+@pytest.mark.parametrize("noise, tau", [("white", None), ("ou", 0.5)])
+def test_both_halves_in_one_process_share_one_process_noise(monkeypatch, noise, tau):
+    """Without a partner the two halves' slots hold together what one batch of
+    every member would: at most _NOISE_FLOATS / 2 floats, as in each process
+    of a forked run."""
+    spec = SystemSpec(landscape=LANDSCAPES["diag"], gamma=0.4, sigma=0.3, noise_kind=noise,
+                      tau=tau)
+    cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=0.3, seed=6)
+    n_members, per_step = 101, 1 if noise == "ou" else 2
+    monkeypatch.setattr(integrators, "_NOISE_FLOATS", 2 * per_step * n_members * 3 * 7)
+    slots, draws = [], integrators._member_draws
+
+    def recording_draws(rngs, n_steps, per_step, dim, rows):
+        slots.append((len(rngs), rows * per_step * len(rngs) * dim))
+        return draws(rngs, n_steps, per_step, dim, rows)
+    monkeypatch.setattr(integrators, "_member_draws", recording_draws)
+    monkeypatch.setattr(forking, "may_fork", lambda: False)
+    group_arrays(spec, State([1.0, 0.5, -0.2], [0.0, 0.1, 0.0]), cfg, n_members)
+    assert [members for members, _ in slots] == [51, 50]  # the partner's half is built first
+    assert sum(floats for _, floats in slots) == 7 * per_step * n_members * 3
+    assert sum(floats for _, floats in slots) <= integrators._NOISE_FLOATS // 2
 
 
 def first_failure(spec, cfg, first, stop):
@@ -138,7 +141,6 @@ def test_a_split_ensemble_names_the_failure_of_one_process(monkeypatch, seed, pa
                                                            partner_half):
     spec = SystemSpec(landscape=LANDSCAPES["iso1d"], gamma=0.0, sigma=1e100, noise_kind="white")
     cfg = IntegratorConfig(method="stochastic_splitting", h=2.5, t_end=2.5 * 700, seed=seed)
-    assert spec.landscape.row_cut(1000) == 500
     assert first_failure(spec, cfg, 0, 500) == parent_half
     assert first_failure(spec, cfg, 500, 1000) == partner_half
     expected = min(parent_half, partner_half)
@@ -148,5 +150,5 @@ def test_a_split_ensemble_names_the_failure_of_one_process(monkeypatch, seed, pa
             run()
         return caught.value.step_index, caught.value.member
     run = lambda: ensemble_expected_decay(spec, State([1.0], [0.0]), cfg, 1000)  # noqa: E731
-    split, whole = split_and_whole(monkeypatch, lambda: failure(run), spec.landscape, 1000)
+    split, whole = split_and_whole(monkeypatch, lambda: failure(run))
     assert split == whole == expected

@@ -827,7 +827,7 @@ def test_ensemble_noise_refills_do_not_change_the_draws(monkeypatch, noise, tau)
 
     One refill is drawn in place. Several are drawn by two half-ensembles,
     this process's and a forked partner's, or, where os.fork is missing or
-    one CPU is usable, by this process for every member. Every member's
+    one CPU is usable, by this process for both halves. Every member's
     rows and every reduced series agree bitwise with the one-refill run's.
     """
     landscape = MULTI_D["diag"]
@@ -878,7 +878,7 @@ def test_member_draws_are_each_members_own_stream(monkeypatch, can_fork):
 def test_a_failing_semaphore_mapping_or_fork_draws_the_noise_in_place(monkeypatch, target,
                                                                       name):
     """Several refills with no partner to spare: this process draws and steps
-    every member, to the same bits, and no file is left open."""
+    both halves, to the same bits, and no file is left open."""
     spec = SystemSpec(landscape=MULTI_D["diag"], gamma=0.4, sigma=0.3, noise_kind="white")
     cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=0.2, seed=3)
     start = State([1.0, 0.5, -0.2], [0.0, 0.1, 0.0])
