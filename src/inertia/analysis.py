@@ -240,6 +240,9 @@ class EnsembleStats:
 class EnsembleResult:
     """Ensemble statistics plus the time-averaged dissipation balance.
 
+    ``inertia`` holds the energy's member mean and standard error per
+    sample; ``inertia_rate``, ``speed_squared`` and ``mean_noise_dot_v``
+    (correlated noise only, else None) are member means per sample.
     ``balance_residual`` is the member-mean of
 
         time-avg(dI/dt) + gamma * time-avg(||v||^2) - (noise work term)
@@ -255,8 +258,8 @@ class EnsembleResult:
     times: np.ndarray
     n_members: int
     inertia: EnsembleStats
-    inertia_rate: EnsembleStats
-    speed_squared: EnsembleStats
+    inertia_rate: np.ndarray
+    speed_squared: np.ndarray
     mean_noise_dot_v: np.ndarray | None
     balance_residual: float
     balance_stderr: float
@@ -275,26 +278,26 @@ def ensemble_expected_decay(
 
     Runs ``n_members`` independent members (streams derived from
     config.seed and the member index) and reduces them to per-time-index
-    means and standard errors of the energy, its centered-difference time
-    derivative, and the squared speed. ``burn_in`` excludes the initial
-    transient from the balance time averages; the recorded series always
-    cover the full run.
+    means of the energy, its centered-difference time derivative and the
+    squared speed, and the standard error of the energy. ``burn_in``
+    excludes the initial transient from the balance time averages; the
+    recorded series always cover the full run.
 
     The reduction is sample-major and streams, through
     ``integrators.ensemble_groups``. Each sample's per-member rows (energy,
     its rate, squared speed and, for correlated noise, <eta, v>) go into a
     group of finished samples of about 2^15 floats (one sample at 10^4
     members, dozens at a few hundred), and each group is reduced whole, with
-    member-order folds. Memory is O(n_members * dim + n_samples). The
-    balance's per-member time sums are added here from each group's rows,
-    group by group, so they match a full-array mean to rounding, not
-    bitwise. A run that forks a partner for half of its members reduces
-    every other group there; the result is that of one process, bit for
-    bit.
+    member-order folds: every row's mean and the energy's variance. Memory
+    is O(n_members * dim + n_samples). The balance's per-member time sums
+    are added here from each group's rows, group by group, so they match a
+    full-array mean to rounding, not bitwise. A run that forks a partner for
+    half of its members reduces every other group there; the result is that
+    of one process, bit for bit.
 
     Finite member states can still overflow a statistic (the spread of
     members near 1e154 overflows the variance), so a NaN or Inf in any
-    reduced series or in the balance raises ``NumericalFailure``. It names
+    returned series or in the balance raises ``NumericalFailure``. It names
     the first bad sample as ``step_index`` (None when only the balance is
     bad) and no member. An overflow ends in that failure or in a member's,
     so the run steps and reduces with numpy's warnings silenced.
@@ -317,16 +320,13 @@ def ensemble_expected_decay(
     correlated = spec.noise_kind == "ou"
     # rows: inertia, inertia_rate, speed_squared and, if correlated, noise_dot_v
     n_rows = 4 if correlated else 3
-    means = np.empty((n_rows, n_rec))
-    stderrs = np.empty((3, n_rec))
+    series = np.empty((n_rows + 1, n_rec))  # every row's mean, then the energy's stderr
     window_sums = np.zeros((n_rows - 1, n_members))  # per member: dI/dt, ||v||^2, <eta, v>
     for first, rows, out in groups:
-        filled = out.shape[1]
-        means[:, first : first + filled] = out[:n_rows]
-        stderrs[:, first : first + filled] = out[n_rows:]
+        series[:, first : first + out.shape[1]] = out
         window_sums += rows[1:, max(start - first, 0) : stop - first].sum(axis=1)
 
-    finite = np.isfinite(means).all(axis=0) & np.isfinite(stderrs).all(axis=0)
+    finite = np.isfinite(series).all(axis=0)
     if not finite.all():
         k = int(np.argmin(finite))
         raise NumericalFailure(f"ensemble statistics not finite at step {k}", step_index=k)
@@ -348,10 +348,10 @@ def ensemble_expected_decay(
     return EnsembleResult(
         times=times,
         n_members=n_members,
-        inertia=EnsembleStats(means[0], stderrs[0]),
-        inertia_rate=EnsembleStats(means[1], stderrs[1]),
-        speed_squared=EnsembleStats(means[2], stderrs[2]),
-        mean_noise_dot_v=means[3] if correlated else None,
+        inertia=EnsembleStats(series[0], series[n_rows]),
+        inertia_rate=series[1],
+        speed_squared=series[2],
+        mean_noise_dot_v=series[3] if correlated else None,
         balance_residual=balance_residual,
         balance_stderr=balance_stderr,
         burn_in=float(burn_in),

@@ -411,8 +411,8 @@ def cmd_stochastic(args, write) -> None:
         "t": result.times,
         "mean_I": result.inertia.mean_series,
         "stderr_I": result.inertia.stderr_series,
-        "mean_speed_sq": result.speed_squared.mean_series,
-        "mean_dIdt": result.inertia_rate.mean_series,
+        "mean_speed_sq": result.speed_squared,
+        "mean_dIdt": result.inertia_rate,
     }
     if result.mean_noise_dot_v is not None:
         columns["mean_noise_dot_v"] = result.mean_noise_dot_v

@@ -61,7 +61,7 @@ import numpy as np
 from .dynamics import _ROW_FLOATS, State, SystemSpec, _kinetic_plus
 from .errors import InvalidArgument, NumericalFailure
 from .forking import partner
-from .landscapes import QuadraticLandscape
+from .landscapes import QuadraticLandscape, _coordinate_sum
 
 __all__ = [
     "METHODS",
@@ -275,8 +275,9 @@ def initial_forcing(spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
 # blocks of one step to name the first non-finite state. A finite state can
 # still overflow the energy, so both runs end by checking the energies of
 # their recorded rows (_finite_energies), which names the first recorded
-# step whose energy is not finite. The ensemble checks finiteness every step
-# so a failure names its member. Every overflow thus ends in a
+# step whose energy is not finite. The ensemble checks every step's energy
+# row, and the members' states where it is not finite, so a failure names
+# its member (_member_samples). Every overflow thus ends in a
 # NumericalFailure that reports it, so _run, _finite_energies and the
 # ensemble reduction (analysis.py) step and reduce with numpy's overflow and
 # invalid-value warnings silenced.
@@ -722,25 +723,31 @@ def _member_failure(k: int, member: int) -> NumericalFailure:
 
 def _raise_nonfinite(w, v, k: int, first: int):
     """Raise naming the first member of a batched state that is not finite at step
-    ``k``; the batch holds members ``first`` on."""
-    if np.all(np.isfinite(w)) and np.all(np.isfinite(v)):
-        return
-    bad = ~(np.all(np.isfinite(w), axis=1) & np.all(np.isfinite(v), axis=1))
-    raise _member_failure(k, first + int(np.flatnonzero(bad)[0]))
+    ``k``, if there is one; the batch holds members ``first`` on."""
+    bad = np.flatnonzero(~(np.isfinite(w).all(axis=1) & np.isfinite(v).all(axis=1)))
+    if bad.size:
+        raise _member_failure(k, first + int(bad[0]))
 
 
 def _sample(w, v, eta, gw, values):
     """Per-member rows of one recorded state: inertia and speed_squared, then
     noise_dot_v for correlated noise."""
-    speed_sq = np.sum(v * v, axis=1)
+    speed_sq = _coordinate_sum(v * v)
     inertia = 0.5 * speed_sq + values(w, gw)
-    return (inertia, speed_sq) if eta is None else (inertia, speed_sq, np.sum(eta * v, axis=1))
+    return (inertia, speed_sq) if eta is None else (inertia, speed_sq, _coordinate_sum(eta * v))
 
 
 def _member_samples(spec, initial, config, rngs, first: int, refill: int):
     """Yield the rows (_sample) of members ``first`` on at every step, drawing
     from ``rngs`` ``refill`` steps at a time; raise at the first step whose
-    state is not finite."""
+    state is not finite.
+
+    A member whose w or v is not finite has a non-finite energy: any term
+    v_i * v_i or gw_i * w_i that a non-finite coordinate enters is inf or
+    NaN, and so is any sum that holds one. So the state is looked at only
+    where the energy row is not all finite. A finite state whose energy
+    overflows steps on; ``ensemble_expected_decay`` refuses its statistics.
+    """
     eta = None
     if spec.noise_kind == "ou":
         eta = np.array([initial_forcing(spec, rng) for rng in rngs])
@@ -755,8 +762,10 @@ def _member_samples(spec, initial, config, rngs, first: int, refill: int):
     yield _sample(w, v, eta, gw, values)
     for k in range(1, config.n_steps + 1):
         w, v, eta, gw = step(w, v, eta, gw)
-        _raise_nonfinite(w, v, k, first)
-        yield _sample(w, v, eta, gw, values)
+        sample = _sample(w, v, eta, gw, values)
+        if not np.isfinite(sample[0]).all():
+            _raise_nonfinite(w, v, k, first)
+        yield sample
 
 
 def _with_rates(samples, n_rec: int, dt: float):
@@ -786,8 +795,8 @@ def _reduce_group(rows: np.ndarray, out: np.ndarray) -> None:
 
     ``rows`` is (n_rows, filled, n_members): per sample, every member's
     energy, energy rate, squared speed and, for correlated noise, <eta, v>.
-    ``out[:n_rows]`` gets their member means and ``out[n_rows:]`` the
-    standard errors of the first three. Each sum is a member-order fold,
+    ``out[:n_rows]`` gets the member means of every row and ``out[n_rows]``
+    the standard error of the energy. Each sum is a member-order fold,
     ``np.add.accumulate`` along the member axis, so it adds member after
     member exactly as the column sum of a full (n_members, n_samples) array
     does: the series equal that reduction bit for bit and do not depend on
@@ -796,18 +805,16 @@ def _reduce_group(rows: np.ndarray, out: np.ndarray) -> None:
     """
     n_rows, _, n_members = rows.shape
     fold = np.empty_like(rows)
-    mean = np.add.accumulate(rows, axis=-1, out=fold)[..., -1] / n_members
-    out[:n_rows] = mean
-    spread = np.subtract(rows[:3], mean[:3, :, None], out=fold[:3])
+    out[:n_rows] = np.add.accumulate(rows, axis=-1, out=fold)[..., -1] / n_members
+    spread = np.subtract(rows[0], out[0, :, None], out=fold[0])
     spread *= spread
     # one member's spread is 0: divide it by 1, not 0, and its stderr is 0 below
     variance = np.add.accumulate(spread, axis=-1, out=spread)[..., -1] / max(n_members - 1, 1)
-    stderr = np.sqrt(variance) / math.sqrt(n_members)
-    # Rows where every member agrees bitwise have zero sample scatter by
+    out[n_rows] = np.sqrt(variance) / math.sqrt(n_members)
+    # Samples where every member agrees bitwise have zero sample scatter by
     # definition; the two-pass variance can still leave ~1 ulp of the
     # mean behind, so force those to exact zero.
-    stderr[rows[:3].max(axis=-1) == rows[:3].min(axis=-1)] = 0.0
-    out[n_rows:] = stderr
+    out[n_rows, rows[0].max(axis=-1) == rows[0].min(axis=-1)] = 0.0
 
 
 def _groups(spec, initial, config, n_members):
@@ -819,7 +826,7 @@ def _groups(spec, initial, config, n_members):
     size = max(1, min(n_rec, _GROUP_FLOATS // (n_rows * n_members)))
     n_groups = -(-n_rec // size)
     block = n_rows * size * n_members
-    slot = block + (n_rows + 3) * size + 2  # a group's rows and out, and a failure in it
+    slot = block + (n_rows + 1) * size + 2  # a group's rows and out, and a failure in it
     several = _refill_steps(spec, n_members) < config.n_steps
     cut = n_members // 2 if several else 0
 
@@ -923,9 +930,9 @@ def ensemble_groups(spec: SystemSpec, initial: State, config: IntegratorConfig, 
     ``rows[:, r]`` holds every member's rows of step ``first + r``: its
     energy, the energy's rate (the centered difference
     (E[k+1] - E[k-1]) / (2h), one-sided O(h^2) at both ends), its squared
-    speed and, for correlated noise, <eta, v>. ``out`` is (n_rows + 3,
-    filled): the member means of those rows, then the standard errors of the
-    first three, each a member-order fold (_reduce_group). Both are valid
+    speed and, for correlated noise, <eta, v>. ``out`` is (n_rows + 1,
+    filled): the member means of those rows, then the standard error of the
+    energy, each a member-order fold (_reduce_group). Both are valid
     until the next group is asked for. A group holds about _GROUP_FLOATS
     floats of rows, one sample at 10^4 members.
 

@@ -25,10 +25,17 @@ __all__ = [
 _CUT_COLUMNS = 64  # QuadraticLandscape.column_cut falls on a multiple of this many columns
 
 
+def _coordinate_sum(x):
+    """``np.sum(x, axis=-1)`` bit for bit. Over one coordinate that sum is the
+    column added onto 0.0, as in ``raw_gradient``, so it is taken as such
+    without a reduction's per-call cost."""
+    return x[..., 0] + 0.0 if x.shape[-1] == 1 else np.sum(x, axis=-1)
+
+
 def _potential(w, gw):
     """L(w) = 1/2 w . gw at each row of ``w`` (shape (..., dim)), given ``gw``,
     the gradient w @ A there as ``raw_gradient`` gives it."""
-    return 0.5 * np.sum(gw * w, axis=-1)
+    return 0.5 * _coordinate_sum(gw * w)
 
 
 class QuadraticLandscape:

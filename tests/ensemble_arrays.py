@@ -28,8 +28,9 @@ def group_arrays(spec, initial, config, n_members):
     """``ensemble_groups`` joined over its groups, plus ``times``.
 
     Keys: ``times``, ``rows`` of shape (n_rows, n_samples, n_members) and
-    ``out`` of shape (n_rows + 3, n_samples). Each group must start where
-    the one before it ended.
+    ``out`` of shape (n_rows + 1, n_samples): every row's member mean, then
+    the energy's standard error. Each group must start where the one before
+    it ended.
     """
     times, groups = ensemble_groups(spec, initial, config, n_members)
     rows, outs = [], []

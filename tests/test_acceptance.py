@@ -193,7 +193,7 @@ def test_criterion_09_stochastic_balance(capsys):
         cfg = IntegratorConfig(method="stochastic_splitting", h=h, t_end=10.0, seed=0)
         res = ensemble_expected_decay(spec, init, cfg, 100)
         assert np.all(res.inertia.stderr_series == 0.0)
-        gap = res.inertia_rate.mean_series[1:-1] + 0.4 * res.speed_squared.mean_series[1:-1]
+        gap = res.inertia_rate[1:-1] + 0.4 * res.speed_squared[1:-1]
         return float(np.max(np.abs(gap)))
 
     degenerate_ratio = degenerate_err(0.02) / degenerate_err(0.01)

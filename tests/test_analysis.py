@@ -279,7 +279,7 @@ def test_degenerate_ensemble_satisfies_decay_identity():
     cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=5.0, seed=0)
     res = ensemble_expected_decay(white_spec(sigma=0.0), State([1.0], [0.0]), cfg, 100)
     interior = slice(1, -1)
-    gap = res.inertia_rate.mean_series[interior] + 0.4 * res.speed_squared.mean_series[interior]
+    gap = res.inertia_rate[interior] + 0.4 * res.speed_squared[interior]
     assert np.max(np.abs(gap)) <= 1e-4  # centered-difference O(h^2)
 
 
@@ -298,8 +298,7 @@ def test_correlated_noise_balance_needs_the_work_term():
 
     # drop the work term: the residual should sit far outside the noise band
     sl = (res.times >= 10.0) & (res.times < res.times[-1])
-    broken = float(np.mean(res.inertia_rate.mean_series[sl])
-                   + 0.4 * np.mean(res.speed_squared.mean_series[sl]))
+    broken = float(np.mean(res.inertia_rate[sl]) + 0.4 * np.mean(res.speed_squared[sl]))
     assert abs(broken) > 30.0 * (3.0 * res.balance_stderr)
 
 
@@ -365,8 +364,8 @@ def full_array_reduction(spec, start, cfg, n_members, burn_in):
     return {
         "times": times,
         "inertia": column_stats(energy),
-        "inertia_rate": column_stats(rate),
-        "speed_squared": column_stats(series["speed_squared"]),
+        "inertia_rate": rate.mean(axis=0),
+        "speed_squared": series["speed_squared"].mean(axis=0),
         "noise_dot_v": series["noise_dot_v"].mean(axis=0) if "noise_dot_v" in series else None,
         "residual": float(residual.mean()),
         "stderr": float(residual.std(ddof=1) / math.sqrt(n_members)),
@@ -384,10 +383,11 @@ def check_streamed_reduction(name, noise, tau, n_steps, burn_in, n_members=100):
     ref = full_array_reduction(spec, start, cfg, n_members, burn_in)
 
     assert np.array_equal(res.times, ref["times"])
-    for q in ("inertia", "inertia_rate", "speed_squared"):
-        got, (mean, stderr) = getattr(res, q), ref[q]
-        assert np.array_equal(got.mean_series, mean), q
-        assert np.array_equal(got.stderr_series, stderr), q
+    mean, stderr = ref["inertia"]
+    assert np.array_equal(res.inertia.mean_series, mean)
+    assert np.array_equal(res.inertia.stderr_series, stderr)
+    assert np.array_equal(res.inertia_rate, ref["inertia_rate"])
+    assert np.array_equal(res.speed_squared, ref["speed_squared"])
     if noise == "ou":
         assert np.array_equal(res.mean_noise_dot_v, ref["noise_dot_v"])
     else:
@@ -444,11 +444,12 @@ def test_ensemble_memory_does_not_grow_with_the_horizon(monkeypatch):
     A split run's ring of groups is an anonymous shared mapping, which
     tracemalloc does not see, so its size is checked on its own: the same at
     both horizons.
-    The result holds seven series of one float per sample (times, and the
-    mean and standard error of three quantities); the run also holds the
-    recorded step indices as one array. The growth measured 1.14 times the
-    bytes of the seven extra series; a Python list of those indices, about
-    40 B more per sample, took it to 1.86.
+    The result holds five series of one float per sample (times, the means
+    of three quantities and the energy's standard error). The growth
+    measured 1.00 times the bytes of the five extra series (1.00 times
+    seven when the rate and ||v||^2 had standard errors too); a Python list
+    of the recorded step indices, about 40 B more per sample, took it to
+    1.86 times seven.
     """
     n_members, h = 2000, 0.01
     mappings, real_mmap = [], mmap.mmap
@@ -473,7 +474,7 @@ def test_ensemble_memory_does_not_grow_with_the_horizon(monkeypatch):
     assert len(sizes[5.0]) == 1  # both horizons take several refills, so both fork
     assert sizes[5.0] == sizes[40.0]
     assert sizes[40.0][0] <= integrators._NOISE_FLOATS * 8
-    extra_series = 7 * (round(40.0 / h) - round(5.0 / h)) * 8
+    extra_series = 5 * (round(40.0 / h) - round(5.0 / h)) * 8
     assert peaks[40.0] - peaks[5.0] <= 1.5 * extra_series
     one_series = n_members * (round(40.0 / h) + 1) * 8  # one (members, samples) float array
     assert peaks[40.0] < one_series

@@ -1219,21 +1219,33 @@ def test_a_bad_later_start_is_refused_before_the_first_run(tmp_path, capsys):
 OVERFLOWING_ENSEMBLE = ["stochastic", "--h", "2.5", "--gamma", "0"]
 
 
-@pytest.mark.parametrize("argv, error, step_index", [
-    pytest.param(["conserve", "--w0", "1e200"], "energy not finite at step 0", 0, id="conserve"),
-    pytest.param(["discrete", "--w0", "1e200"], "energy not finite at step 0", 0, id="discrete"),
+@pytest.mark.parametrize("argv, error, step_index, member", [
+    pytest.param(["conserve", "--w0", "1e200"], "energy not finite at step 0", 0, None,
+                 id="conserve"),
+    pytest.param(["discrete", "--w0", "1e200"], "energy not finite at step 0", 0, None,
+                 id="discrete"),
     pytest.param([*OVERFLOWING_ENSEMBLE, "--members", "100", "--T", "500"],
-                 "ensemble statistics not finite at step 128", 128, id="ensemble-statistics"),
+                 "ensemble statistics not finite at step 128", 128, None,
+                 id="ensemble-statistics"),
     pytest.param([*OVERFLOWING_ENSEMBLE, "--members", "100", "--T", "2000"],
-                 "non-finite state in member 19 at step 512", 512, id="ensemble-member"),
+                 "non-finite state in member 19 at step 512", 512, 19, id="ensemble-member"),
     pytest.param([*OVERFLOWING_ENSEMBLE, "--members", "10000", "--T", "2000"],
-                 "non-finite state in member 19 at step 512", 512, id="ensemble-member-forked"),
+                 "non-finite state in member 19 at step 512", 512, 19,
+                 id="ensemble-member-forked"),
+    # finite states whose energy overflows from the start: the members step on
+    # and their statistics fail, in one batch and (100 steps, more than one
+    # noise refill at 10^4 members) in two halves
+    pytest.param(["stochastic", "--w0", "1e200", "--T", "0.2", "--members", "100"],
+                 "ensemble statistics not finite at step 0", 0, None, id="ensemble-energy"),
+    pytest.param(["stochastic", "--w0", "1e200", "--T", "1", "--members", "10000"],
+                 "ensemble statistics not finite at step 0", 0, None,
+                 id="ensemble-energy-forked"),
     pytest.param(["conserve", "--landscape", "iso2d", "--w0", "1,0", "--v0", "0,0",
                   "--method", "explicit_euler", "--h", "3", "--T", "6000"],
-                 "non-finite state at step 617", 617, id="conserve-2d"),
+                 "non-finite state at step 617", 617, None, id="conserve-2d"),
 ])
 def test_an_overflowing_energy_fails_without_numpy_warnings(tmp_path, capsys, argv, error,
-                                                            step_index):
+                                                            step_index, member):
     """integrate, its replay, discrete_trajectory and the ensemble report the overflow alone.
 
     At 10^4 members the ensemble steps half of its members in a forked partner, which
@@ -1244,7 +1256,8 @@ def test_an_overflowing_energy_fails_without_numpy_warnings(tmp_path, capsys, ar
         code, out = run_cli(tmp_path, *argv)
     assert code == 3
     assert capsys.readouterr().err == f"numerical failure: {error}\n"
-    assert _manifest(out)["status"]["step_index"] == step_index
+    status = _manifest(out)["status"]
+    assert (status["step_index"], status["member"]) == (step_index, member)
     assert_no_child_process()
 
 

@@ -1046,13 +1046,14 @@ def test_ensemble_rates_are_each_members_centered_difference(noise, tau, n_steps
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("noise, tau", [("white", None), ("ou", 0.5)])
 def test_a_one_member_ensemble_reduces_without_a_warning(noise, tau):
-    """One member's means are its rows and its standard errors are 0, with no 0 / 0."""
+    """One member's means are its rows and its energy's standard error is 0, with no 0 / 0."""
     spec = SystemSpec(landscape=ISO1, gamma=0.4, sigma=0.3, noise_kind=noise, tau=tau)
     cfg = IntegratorConfig(method="stochastic_splitting", h=0.01, t_end=0.5, seed=4)
     joined = group_arrays(spec, UNIT_START, cfg, 1)
     rows, out = joined["rows"], joined["out"]
+    assert out.shape[0] == rows.shape[0] + 1
     assert np.array_equal(out[: rows.shape[0]], rows[:, :, 0])
-    assert not out[rows.shape[0]:].any()
+    assert not out[rows.shape[0]].any()
 
 
 # --- recording and failure handling -------------------------------------------
@@ -1202,6 +1203,33 @@ def test_ensemble_failure_names_the_first_bad_member():
     for failure in failures:
         assert (failure.step_index, failure.member) == (step, member)
         assert str(failure) == f"non-finite state in member {member} at step {step}"
+
+
+@pytest.mark.parametrize("noise", ["white", "ou"])
+@pytest.mark.parametrize("kind", ["identity", "singular-diag", "zero", "random-psd"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_member_with_a_non_finite_state_has_a_non_finite_energy(dim, kind, noise):
+    """The ensemble looks at a step's states only where its energy row is not all
+    finite: every member whose w or v holds an inf or a NaN must show there."""
+    rng = np.random.default_rng(dim)
+    m = rng.standard_normal((dim, dim))
+    matrix = {"identity": np.eye(dim), "singular-diag": np.diag(np.arange(dim, dtype=float)),
+              "zero": np.zeros((dim, dim)), "random-psd": 0.5 * (m.T @ m + (m.T @ m).T)}[kind]
+    landscape = quadratic_general(matrix)
+    n = 3000
+    w, v = rng.standard_normal((n, dim)), rng.standard_normal((n, dim))
+    eta = rng.standard_normal((n, dim)) if noise == "ou" else None
+    # a third of the members get one to 2 * dim non-finite coordinates in w or v
+    bad = rng.random(n) < 1 / 3
+    for member in np.flatnonzero(bad):
+        state = np.concatenate([w[member], v[member]])
+        spots = rng.choice(2 * dim, rng.integers(1, 2 * dim + 1), replace=False)
+        state[spots] = rng.choice([np.inf, -np.inf, np.nan], spots.size)
+        w[member], v[member] = state[:dim], state[dim:]
+    grad = landscape.raw_gradient()
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = integrators._sample(w, v, eta, grad(w), landscape.value_from_gradient)[0]
+    assert np.array_equal(~np.isfinite(energy), bad)
 
 
 def test_single_run_failure_has_no_member():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import inertia
@@ -18,6 +19,7 @@ from inertia import (
 )
 
 from gradients import check_gradient
+from inertia.landscapes import _coordinate_sum
 
 
 def test_isotropic_values_1d():
@@ -188,6 +190,20 @@ def test_scalar_raw_gradient_is_the_matmul_bit_for_bit(curvature):
             assert bits(got) == bits(ls.gradient(np.array([x]))[0]), x
         assert bits(grad(batch)) == bits(ls.gradient(batch))
         assert grad(batch).shape == batch.shape
+
+
+@given(hnp.arrays(
+    float,
+    st.tuples(st.integers(1, 9)) | st.tuples(st.integers(0, 6), st.integers(1, 9)),
+    elements=st.sampled_from(EDGE_VALUES) | st.floats(allow_subnormal=True),
+))
+def test_coordinate_sum_has_the_bits_of_np_sum(x):
+    """Shape and bits of np.sum(x, axis=-1) for (d,) and (m, d), d = 1 to 9: a -0.0
+    sum is +0.0, and infinities, NaN and subnormals pass through as np.sum leaves them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, expected = _coordinate_sum(x), np.sum(x, axis=-1)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 @given(
