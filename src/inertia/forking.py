@@ -9,9 +9,10 @@ other group reduction (``integrators.ensemble_groups``, the one function
 that runs an ensemble's members), and the right column block of a long
 dense run's gradient (``integrators._gradient``) each serve asks, in
 order, through shared memory and two semaphores. Where no helper forks,
-each job does its helper's share in this process: the ensemble calls the
-partner's own ``start`` and runs its job at each ask, so both halves take
-one code path; the dense gradient computes the whole product.
+each job does its helper's share in this process: the ensemble and the
+dense gradient call the partner's own ``start`` and run its job at each
+ask, so both shares take one code path; the dense gradient does so too
+from the ask at which its partner is found gone.
 """
 
 from __future__ import annotations

@@ -250,8 +250,10 @@ def initial_forcing(spec: SystemSpec, rng: np.random.Generator) -> np.ndarray:
 # written through flat views. The gradient is the bare ``w @ A`` (the
 # dimension was checked once up front); at dim 1 it is the scalar form
 # ``w * a + 0.0``, for floats and (M, 1) members alike. A long dense single
-# trajectory computes ``w @ A`` in two column blocks, one in a forked
-# partner, to the same bits (_gradient).
+# trajectory computes ``w @ A`` in two column blocks, the right one by a
+# partner's job: in a forked partner where one forks, else in this process.
+# Either way the same code computes the same blocks, so where the job runs
+# moves no bit (_gradient).
 # Every kernel, the map's included, carries its gradient: it takes the
 # gradient at its ``w`` and returns the one at its new ``w``. A splitting
 # step's closing kick takes it there, where the next step's opening kick
@@ -294,6 +296,12 @@ _SPLIT_DIM = 512
 # and in runs of this many steps or more: at dim 512 the fork, the teardown and
 # the first import of multiprocessing cost about what 500 to 1000 split steps save
 _SPLIT_STEPS = 2000
+# The cut falls on a multiple of this many columns, at or below half of them.
+# The joined blocks have the bits of w @ A wherever the BLAS kernel sums each
+# output column of a block as it sums that of the whole matrix. On OpenBLAS
+# 0.3.31 (Haswell kernels) with one thread a 64-aligned cut does at all 66
+# dims tried from 512 to 1099, and a cut at column 257 of dim 514 moves a bit.
+_CUT_COLUMNS = 64
 
 
 def check_method(spec: SystemSpec, method: str) -> None:
@@ -419,39 +427,42 @@ def _gradient(landscape, n_steps: int):
     """A context giving the gradient a single trajectory of ``n_steps`` steps runs with.
 
     That is ``landscape.raw_gradient()``, unless ``landscape`` has dim
-    _SPLIT_DIM or more, the run takes _SPLIT_STEPS steps or more, the
-    matrix has a ``column_cut`` and ``forking.partner`` forks.
-    Then each call asks the partner for ``w @ A[:, cut:]`` while this
-    process computes ``w @ A[:, :cut]``, each from its own contiguous copy,
-    and returns the joined blocks as a new array, with the bits of ``w @ A``;
-    once the partner is gone, the whole product. Call it inside the ``with``.
+    _SPLIT_DIM or more and the run takes _SPLIT_STEPS steps or more. Then
+    ``w @ A`` is computed as two column blocks, cut at half the columns
+    rounded down to a multiple of _CUT_COLUMNS, each from its own contiguous
+    copy: this process computes ``w @ A[:, :cut]``, and each call asks the
+    partner's job for ``w @ A[:, cut:]``. That job runs in a partner where
+    ``forking.partner`` forks one; where none forks, or once the partner is
+    gone, this process runs the same job at each ask. Each call returns the
+    joined blocks as a new array, whose bits do not depend on where the job
+    ran. Call it inside the ``with``.
     """
-    raw, dim = landscape.raw_gradient(), landscape.dim
-    cut = dim >= _SPLIT_DIM and n_steps >= _SPLIT_STEPS and landscape.column_cut
+    dim = landscape.dim
+    if dim < _SPLIT_DIM or n_steps < _SPLIT_STEPS:
+        yield landscape.raw_gradient()
+        return
+    cut = dim // (2 * _CUT_COLUMNS) * _CUT_COLUMNS
 
-    def start(shared):  # in the partner: w in shared[:dim], its block into shared[dim:]
+    def start(shared):  # the partner's job: w in shared[:dim], its block into shared[dim:]
         right = _aligned_copy(landscape.matrix[:, cut:])
         return lambda: np.matmul(shared[:dim], right, out=shared[dim:])
 
-    with partner(2 * dim - cut, start) if cut else nullcontext() as hand:
-        if hand is None:
-            yield raw
-            return
-        shared, ask, answer = hand
-        left = _aligned_copy(landscape.matrix[:, :cut])  # None once the partner is gone
+    with partner(2 * dim - cut, start) as hand:
+        # where none forks, this process takes the partner as gone from the start
+        shared, ask, answer = hand or (np.empty(2 * dim - cut), lambda: None, lambda: False)
+        left = _aligned_copy(landscape.matrix[:, :cut])
 
         def product(w):
-            nonlocal left
-            if left is not None:
-                shared[:dim] = w
+            nonlocal ask, answer
+            shared[:dim] = w
+            ask()
+            out = np.empty(dim)
+            np.matmul(w, left, out=out[:cut])
+            if not answer():  # no partner, or a dead one: run its job here from now on
+                ask, answer = start(shared), lambda: True  # a dead partner's mapping stays
                 ask()
-                out = np.empty(dim)
-                np.matmul(w, left, out=out[:cut])
-                if answer():
-                    out[cut:] = shared[dim:]
-                    return out
-                left = None
-            return raw(w)
+            out[cut:] = shared[dim:]
+            return out
 
         yield product
 

@@ -2,13 +2,14 @@
 
 Its gradient w @ A is exact. ``value`` and ``gradient`` broadcast over
 leading axes: passing an array of shape ``(m, dim)`` evaluates m points at
-once, which the batched ensemble runner relies on.
+once, which the batched ensemble runner relies on. The class is the math
+alone: how a long dense run splits ``w @ A`` between processes is
+``integrators._gradient``'s concern.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
 
 import numpy as np
 
@@ -20,9 +21,6 @@ __all__ = [
     "quadratic_general",
     "landscape_from_name",
 ]
-
-
-_CUT_COLUMNS = 64  # QuadraticLandscape.column_cut falls on a multiple of this many columns
 
 
 def _coordinate_sum(x):
@@ -95,27 +93,6 @@ class QuadraticLandscape:
         # takes a float or an (m, 1) array, bit for bit as w @ A.
         a = float(self._matrix[0, 0])
         return lambda w: w * a + 0.0
-
-    @cached_property
-    def column_cut(self) -> int | None:
-        """A column ``c`` at which ``w @ A`` may be computed as two blocks, or None.
-
-        ``c`` is half the columns rounded down to a multiple of _CUT_COLUMNS, and the
-        blocks ``w @ A[:, :c]`` and ``w @ A[:, c:]`` each come from a
-        contiguous copy of their columns. Each output column is its own dot
-        product, so the joined blocks are ``w @ A`` bit for bit wherever the
-        BLAS kernel sums a block's columns as it sums the whole matrix's.
-        That is checked once, on a probe vector with no zero entries (a
-        one-hot vector would give the same bits in any summation order), and
-        the verdict is kept: None where the bits differ or ``c`` is 0.
-        """
-        cut = self.dim // (2 * _CUT_COLUMNS) * _CUT_COLUMNS
-        if cut == 0:
-            return None
-        probe = np.sin(np.arange(1.0, self.dim + 1.0))
-        blocks = (probe @ np.ascontiguousarray(self._matrix[:, :cut]),
-                  probe @ np.ascontiguousarray(self._matrix[:, cut:]))
-        return cut if np.concatenate(blocks).tobytes() == (probe @ self._matrix).tobytes() else None
 
     def row_values(self, ws):
         """``value(ws[i])`` for every row of an (n, dim) array, bit for bit: the
